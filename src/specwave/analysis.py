@@ -269,14 +269,25 @@ def convergence_study(
     s_norms: tuple[float, ...] = (0.0, 1.0),
     jobs: int = 1,
 ) -> ConvergenceReport:
-    """Errors and convergence orders against a fine sharp-filter reference."""
+    """Errors and convergence orders against a fine sharp-filter reference.
+
+    If the reference run blows up, no case is run: every row gets status
+    'reference-blowup' and the report's reference line gives the time.
+    """
     if M_ref <= max(M_list):
         raise ValueError("reference resolution must exceed every tested resolution")
     ref_grid = make_grid(sys.d, M_ref)
     ref0 = build_initial(initial_name, initial_params, ref_grid)
     ref_result = evolve(SchemeSpec("sharp"), sys, ref0, EvolveConfig(dt=dt, T=T))
+    reference = f"sharp filter, 2M={2 * M_ref}, dt={dt}, T={T}"
     if not ref_result.completed:
-        raise RuntimeError(f"reference run blew up at t={ref_result.blowup_time}")
+        rows = [
+            ConvergenceRow(M=M, scheme=kind, status="reference-blowup")
+            for M in sorted(M_list)
+            for kind in schemes
+        ]
+        reference += f"; the reference run blew up at t={ref_result.blowup_time}"
+        return ConvergenceReport(rows=rows, s_norms=tuple(s_norms), reference=reference)
     ref = ref_result.final_state
 
     cases = [
@@ -311,7 +322,6 @@ def convergence_study(
                     cur.eocs[s] = eoc(cur.errors[s], nxt.errors[s])
 
     rows.sort(key=lambda r: (r.M, schemes.index(r.scheme)))
-    reference = f"sharp filter, 2M={2 * M_ref}, dt={dt}, T={T}"
     return ConvergenceReport(rows=rows, s_norms=tuple(s_norms), reference=reference)
 
 

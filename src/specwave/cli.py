@@ -171,6 +171,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _spectrum_csv(state: StateField) -> str:
+    # float() first: numpy 2 scalars repr as np.float64(x)
     grid = state.grid
     n_cut = grid.dealias_N
     header = ["k" if grid.d == 1 else "k1,k2"]
@@ -187,7 +188,7 @@ def _spectrum_csv(state: StateField) -> str:
             cells = [str(k)]
             for i in range(state.n):
                 c = state.coeffs[i][idx]
-                cells.append(f"{repr(c.real)},{repr(c.imag)}")
+                cells.append(f"{float(c.real)!r},{float(c.imag)!r}")
             lines.append(",".join(cells))
     else:
         for idx1 in order:
@@ -201,12 +202,13 @@ def _spectrum_csv(state: StateField) -> str:
                 cells = [f"{k1},{k2}"]
                 for i in range(state.n):
                     c = state.coeffs[i][idx1, idx2]
-                    cells.append(f"{repr(c.real)},{repr(c.imag)}")
+                    cells.append(f"{float(c.real)!r},{float(c.imag)!r}")
                 lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def _snapshot_csv(states: list[tuple[float, StateField]]) -> str:
+    # float() first: numpy 2 scalars repr as np.float64(x)
     grid = states[0][1].grid
     n = states[0][1].n
     coord_cols = "x" if grid.d == 1 else "x,y"
@@ -218,15 +220,15 @@ def _snapshot_csv(states: list[tuple[float, StateField]]) -> str:
         if grid.d == 1:
             xs = grid.mesh[0]
             for j in range(grid.two_m):
-                vals = ",".join(repr(samples[i][j]) for i in range(n))
-                lines.append(f"{repr(t)},{repr(xs[j])},{vals},{repr(d2[j])}")
+                vals = ",".join(repr(float(samples[i][j])) for i in range(n))
+                lines.append(f"{float(t)!r},{float(xs[j])!r},{vals},{float(d2[j])!r}")
         else:
             xs, ys = grid.mesh
             for j1 in range(grid.two_m):
                 for j2 in range(grid.two_m):
-                    vals = ",".join(repr(samples[i][j1, j2]) for i in range(n))
+                    vals = ",".join(repr(float(samples[i][j1, j2])) for i in range(n))
                     lines.append(
-                        f"{repr(t)},{repr(xs[j1, j2])},{repr(ys[j1, j2])},{vals},{repr(d2[j1, j2])}"
+                        f"{float(t)!r},{float(xs[j1, j2])!r},{float(ys[j1, j2])!r},{vals},{float(d2[j1, j2])!r}"
                     )
     return "\n".join(lines) + "\n"
 

@@ -1,11 +1,15 @@
 """Spatial right-hand sides of the filtered semi-discretizations.
 
-Three schemes are provided: 'sharp' projects the full advective sum with
-the sharp cutoff, 'smooth-all' applies the smooth filter to the full sum,
-and 'smooth-nl' applies the smooth filter to the nonlinear part only while
-the constant-coefficient part acts exactly in Fourier space.
+All three schemes share one formula,
 
-Nonlinear terms are evaluated pointwise at the collocation points on the
+    rhs = -(m_lin * sum_j A0_j d_j U^ + m_nl * F[sum_j A1_j(U) d_j U]),
+
+with the multiplier pair (m_lin, m_nl) = (P_N, P_N) for 'sharp',
+(sigma_N, sigma_N) for 'smooth-all' and (1, sigma_N) for 'smooth-nl'
+(P_N the sharp cutoff, sigma_N the smooth filter).  The constant part
+A0_j acts exactly in Fourier space (a product with a constant does not
+alias, so this equals its collocation value for any state); the varying
+part A1_j(U) is evaluated pointwise at the collocation points on the
 2M-point grid and dealiased by zeroing the top third of the modes, which
 is exact for quadratic products; coefficient polynomials of degree above
 one are multiplied pairwise with a re-projection after every product.
@@ -22,19 +26,21 @@ from .spectral import (
     FilterSpec,
     Grid,
     StateField,
-    differentiate,
     filter_multiplier,
-    hermitian_symmetrize,
-    to_samples,
+    half_to_full,
+    half_to_samples,
+    samples_to_half,
 )
 from .systems import SystemDef, saint_venant_2d_hamiltonian, saint_venant_2d_standard
 
 __all__ = [
     "SchemeSpec",
     "SCHEME_KINDS",
+    "RhsPlan",
     "advective_term",
     "matrix_advective",
     "poly_coefficient_samples",
+    "rhs_plan",
     "rhs",
     "irrotational_equivalence_check",
 ]
@@ -60,23 +66,9 @@ class SchemeSpec:
         return n
 
 
-def _forward_raw(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    """Forward transform without finiteness checks; non-finite data propagates."""
-    axes = tuple(range(-grid.d, 0))
-    c = np.fft.fftn(samples, axes=axes) * grid.phase / grid.npoints
-    return hermitian_symmetrize(c, grid.d)
-
-
-def _sharp_mask(grid: Grid, N: int) -> np.ndarray:
-    if N == grid.dealias_N:
-        return grid.dealias_mask
-    return (grid.k_inf <= N).astype(np.float64)
-
-
-def _project_samples(grid: Grid, samples: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Re-projection of a pointwise product back to the retained mode cube."""
-    c = _forward_raw(grid, samples) * mask
-    return np.real(np.fft.ifftn(c * grid.phase_conj, axes=tuple(range(-grid.d, 0))) * grid.npoints)
+def _half_mask(grid: Grid, N: int) -> np.ndarray:
+    """Sharp cutoff max_j |k_j| <= N on the half spectrum."""
+    return (grid.k_inf[..., : grid.M + 1] <= N).astype(np.float64)
 
 
 def poly_coefficient_samples(
@@ -94,7 +86,7 @@ def poly_coefficient_samples(
     """
     if poly.degree() <= 1:
         return poly.eval_on(list(comp_samples))
-    mask = _sharp_mask(grid, N) if N is not None else None
+    mask = _half_mask(grid, N) if N is not None else None
     out = np.zeros(grid.shape)
     for expo, coeff in poly.terms:
         cur = None
@@ -105,9 +97,33 @@ def poly_coefficient_samples(
                 elif mask is None:
                     cur = cur * comp_samples[i]
                 else:
-                    cur = _project_samples(grid, cur * comp_samples[i], mask)
+                    cur = half_to_samples(grid, samples_to_half(grid, cur * comp_samples[i]) * mask)
         out = out + (coeff if cur is None else coeff * cur)
     return out
+
+
+def _entry_terms(mats) -> tuple[tuple[Poly, ...], tuple[tuple[int, int, int, int], ...]]:
+    """Distinct nonzero entries of the matrices P_j, and (row, j, column,
+    index into the distinct entries) for every nonzero entry."""
+    polys: list[Poly] = []
+    terms = []
+    for j, P in enumerate(mats):
+        for i, row in enumerate(P.entries):
+            for c, entry in enumerate(row):
+                if entry.terms:
+                    if entry not in polys:
+                        polys.append(entry)
+                    terms.append((i, j, c, polys.index(entry)))
+    return tuple(polys), tuple(terms)
+
+
+def _collocated_half(grid: Grid, u: np.ndarray, du, polys, terms, N: int | None) -> np.ndarray:
+    """Half spectrum of sum over terms (i, j, c, p) of polys[p](U) * du[j][c] into row i."""
+    coeff = [poly_coefficient_samples(p, u, grid, N) for p in polys]
+    rows = np.zeros_like(u)
+    for i, j, c, p in terms:
+        rows[i] += coeff[p] * du[j][c]
+    return samples_to_half(grid, rows)
 
 
 def matrix_advective(
@@ -122,23 +138,13 @@ def matrix_advective(
     onto modes <= N (no projection when N is None).
     """
     grid = state.grid
-    deriv = differentiate(state, axis)
-    u_samp = to_samples(state)
-    d_samp = to_samples(deriv)
-    rows = np.zeros_like(u_samp)
-    for i in range(state.n):
-        acc = np.zeros(grid.shape)
-        for c in range(state.n):
-            entry = P.entries[i][c]
-            if not entry.terms:
-                continue
-            coeff_field = poly_coefficient_samples(entry, u_samp, grid, N)
-            acc = acc + coeff_field * d_samp[c]
-        rows[i] = acc
-    coeffs = _forward_raw(grid, rows)
+    half = state.coeffs[..., : grid.M + 1]
+    u = half_to_samples(grid, half)
+    du = half_to_samples(grid, half * grid.half_diff_mult[axis])
+    out = _collocated_half(grid, u, (du,), *_entry_terms((P,)), N)
     if N is not None:
-        coeffs = coeffs * _sharp_mask(grid, N)
-    return StateField(grid, coeffs)
+        out = out * _half_mask(grid, N)
+    return StateField(grid, half_to_full(grid, out))
 
 
 def advective_term(sys: SystemDef, state: StateField, axis: int, N: int | None = None) -> StateField:
@@ -150,38 +156,73 @@ def advective_term(sys: SystemDef, state: StateField, axis: int, N: int | None =
     return matrix_advective(sys.A[axis], state, axis, N)
 
 
-def rhs(scheme: SchemeSpec, sys: SystemDef, state: StateField) -> StateField:
-    """Right-hand side of the chosen semi-discretization at a state."""
-    grid = state.grid
-    if state.n != sys.n:
-        raise ValueError(f"state has {state.n} components, system expects {sys.n}")
+@dataclass(frozen=True, eq=False)
+class RhsPlan:
+    """What rhs needs for one (scheme, system, grid), built once by rhs_plan.
+
+    Multipliers live on the half spectrum.  lin_terms lists the nonzero
+    constant entries (row, axis, column, value) of the A0_j; polys and
+    terms list the distinct nonzero entries of the A1_j and where each
+    acts (row, axis, column, index into polys).
+    """
+
+    scheme: SchemeSpec
+    sys: SystemDef
+    grid: Grid
+    N: int
+    m_lin: np.ndarray | float
+    m_nl: np.ndarray
+    lin_terms: tuple[tuple[int, int, int, float], ...]
+    polys: tuple[Poly, ...]
+    terms: tuple[tuple[int, int, int, int], ...]
+
+
+def rhs_plan(scheme: SchemeSpec, sys: SystemDef, grid: Grid) -> RhsPlan:
+    """Build the multipliers and entry lists of a scheme's right-hand side on a grid."""
     if grid.d != sys.d:
         raise ValueError(f"grid dimension {grid.d} does not match system d={sys.d}")
     N = scheme.cutoff(grid)
-
     if scheme.kind == "sharp":
-        total = matrix_advective(sys.A[0], state, 0, N)
-        for j in range(1, sys.d):
-            total = total + matrix_advective(sys.A[j], state, j, N)
-        return -total
+        m_lin = m_nl = _half_mask(grid, N)
+    else:
+        m_nl = filter_multiplier(FilterSpec("smooth", N), grid)[..., : grid.M + 1].copy()
+        m_lin = m_nl if scheme.kind == "smooth-all" else 1.0
+    lin_terms = tuple(
+        (i, j, c, float(A0j[i, c]))
+        for j, A0j in enumerate(sys.A0)
+        for i, c in zip(*np.nonzero(A0j))
+    )
+    return RhsPlan(scheme, sys, grid, N, m_lin, m_nl, lin_terms, *_entry_terms(sys.A1))
 
-    if scheme.kind == "smooth-all":
-        total = matrix_advective(sys.A[0], state, 0, N)
-        for j in range(1, sys.d):
-            total = total + matrix_advective(sys.A[j], state, j, N)
-        mult = filter_multiplier(FilterSpec("smooth", N), grid)
-        return StateField(grid, -total.coeffs * mult)
 
-    # smooth-nl: constant part exact in Fourier space, smooth filter on the rest
-    lin = np.zeros_like(state.coeffs)
-    for j in range(sys.d):
-        dU = differentiate(state, j).coeffs
-        lin = lin + np.einsum("ab,b...->a...", sys.A0[j], dU)
-    nl = matrix_advective(sys.A1[0], state, 0, N)
-    for j in range(1, sys.d):
-        nl = nl + matrix_advective(sys.A1[j], state, j, N)
-    mult = filter_multiplier(FilterSpec("smooth", N), grid)
-    return StateField(grid, -(lin + nl.coeffs * mult))
+def rhs(
+    scheme: SchemeSpec,
+    sys: SystemDef,
+    state: StateField,
+    plan: RhsPlan | None = None,
+) -> StateField:
+    """Right-hand side of the chosen semi-discretization at a state.
+
+    A plan from rhs_plan(scheme, sys, state.grid) saves rebuilding the
+    multipliers on every call.  Per call: one inverse transform of U and
+    of each d_j U, one forward transform of the nonlinear sum.
+    """
+    grid = state.grid
+    if state.n != sys.n:
+        raise ValueError(f"state has {state.n} components, system expects {sys.n}")
+    if plan is None:
+        plan = rhs_plan(scheme, sys, grid)
+    elif plan.scheme != scheme or plan.sys is not sys or plan.grid != grid:
+        raise ValueError("plan was built for another scheme, system or grid")
+    half = state.coeffs[..., : grid.M + 1]
+    dhat = [half * dk for dk in grid.half_diff_mult]
+    lin = np.zeros_like(half)
+    for i, j, c, a in plan.lin_terms:
+        lin[i] += a * dhat[j][c]
+    u = half_to_samples(grid, half)
+    du = [half_to_samples(grid, dj) for dj in dhat]
+    nl = _collocated_half(grid, u, du, plan.polys, plan.terms, plan.N)
+    return StateField(grid, half_to_full(grid, -(plan.m_lin * lin + plan.m_nl * nl)))
 
 
 def irrotational_equivalence_check(state: StateField, scheme: SchemeSpec | None = None) -> float:

@@ -6,6 +6,14 @@ Fields are stored as true Fourier coefficients (the value c_k such that
 f(x) = sum_k c_k exp(i k.x)), kept in FFT index order with the Nyquist
 slot interpreted as +M.  All operations are pure; fields are treated as
 immutable.
+
+Fields are real, so their coefficients are Hermitian, c_{-k} = conj(c_k).
+Every function here that returns a field keeps this (transforms of samples,
+arithmetic with real scalars, filters, derivatives, embedding); code that
+builds a field from raw coefficients must pass Hermitian ones.  Transforms
+therefore read only the half spectrum coeffs[..., :M+1] (last-axis modes
+0..M, the rfft layout), and half_to_full restores the other half by
+conjugate reflection.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "Grid",
@@ -26,6 +35,9 @@ __all__ = [
     "state_from_samples",
     "state_from_fields",
     "to_samples",
+    "samples_to_half",
+    "half_to_samples",
+    "half_to_full",
     "differentiate",
     "apply_lambda",
     "filter_symbol",
@@ -58,7 +70,8 @@ class Grid:
     Collocation points are x_n = -pi + pi*n/M for n = 1..2M (the grid
     excludes -pi and includes +pi); the represented mode set is
     {-M+1, ..., M}^d.  Derived arrays (meshes, wavenumber grids, phase
-    factors, dealiasing mask) are precomputed once.
+    factors, dealiasing mask, and the half-spectrum phase and derivative
+    multipliers) are precomputed once.
     """
 
     d: int
@@ -80,6 +93,7 @@ class Grid:
         # Fourier coefficients: c_k = FFT(y)_k / (2M)^d * exp(-i k . x_1).
         x0 = axis_points[0]
         axis_phase = np.exp(-1j * modes * x0)
+        axis_phase[self.M] = (-1.0) ** (self.M + 1)  # exact: real data keep a real Nyquist mode
         phase = axis_phase.copy()
         for _ in range(self.d - 1):
             phase = np.multiply.outer(phase, axis_phase)
@@ -105,6 +119,10 @@ class Grid:
         object.__setattr__(self, "phase", phase)
         object.__setattr__(self, "phase_conj", np.conj(phase))
         object.__setattr__(self, "diff_mult", tuple(diff_mult))
+        half = (Ellipsis, slice(0, self.M + 1))
+        object.__setattr__(self, "half_phase", phase[half].copy())
+        object.__setattr__(self, "half_phase_conj", np.conj(phase[half]))
+        object.__setattr__(self, "half_diff_mult", tuple(dk[half].copy() for dk in diff_mult))
         object.__setattr__(self, "dealias_N", n_dealias)
         object.__setattr__(self, "dealias_mask", (k_inf <= n_dealias).astype(np.float64))
         object.__setattr__(self, "cell_volume", (2.0 * np.pi / two_m) ** self.d)
@@ -131,7 +149,11 @@ class SpectralField:
 
 @dataclass(frozen=True)
 class StateField:
-    """Vector of n scalar fields on one shared grid, stacked along axis 0."""
+    """Vector of n scalar fields on one shared grid, stacked along axis 0.
+
+    The coefficients of each component are Hermitian (the field is real);
+    the transforms read only their half spectrum.
+    """
 
     grid: Grid
     coeffs: np.ndarray
@@ -178,26 +200,52 @@ def hermitian_symmetrize(coeffs: np.ndarray, d: int) -> np.ndarray:
     return 0.5 * (coeffs + np.conj(rev))
 
 
-def field_from_samples(grid: Grid, values: np.ndarray) -> SpectralField:
-    """Transform real samples at the collocation points into a field."""
+def samples_to_half(grid: Grid, samples: np.ndarray) -> np.ndarray:
+    """Half-spectrum coefficients of real samples (the one forward transform).
+
+    No finiteness check: non-finite samples give non-finite coefficients.
+    """
+    c = scipy.fft.rfftn(samples, axes=_grid_axes(grid), norm="forward")
+    return c * grid.half_phase
+
+
+def half_to_samples(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Real values at the collocation points of Hermitian coefficients given by their half spectrum."""
+    z = half * grid.half_phase_conj
+    return scipy.fft.irfftn(z, s=grid.shape, axes=_grid_axes(grid), norm="forward")
+
+
+def half_to_full(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Full FFT-ordered coefficients from the half spectrum, by conjugate reflection."""
+    m = grid.M
+    full = np.empty(half.shape[:-1] + (grid.two_m,), dtype=np.complex128)
+    full[..., : m + 1] = half
+    tail, src = full[..., m + 1 :], half[..., m - 1 : 0 : -1]
+    if grid.d == 1:
+        np.conjugate(src, out=tail)
+    else:  # -k1 of leading-axis slot i is slot (2M - i) mod 2M
+        np.conjugate(src[..., :1, :], out=tail[..., :1, :])
+        np.conjugate(src[..., :0:-1, :], out=tail[..., 1:, :])
+    return full
+
+
+def _full_from_samples(grid: Grid, values, lead: int) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != grid.shape:
+    if values.ndim != grid.d + lead or values.shape[lead:] != grid.shape:
         raise ValueError(f"sample shape {values.shape} does not match grid {grid.shape}")
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite sample values")
-    c = np.fft.fftn(values, axes=_grid_axes(grid)) * grid.phase / grid.npoints
-    return SpectralField(grid, hermitian_symmetrize(c, grid.d))
+    return half_to_full(grid, samples_to_half(grid, values))
+
+
+def field_from_samples(grid: Grid, values: np.ndarray) -> SpectralField:
+    """Transform real samples at the collocation points into a field."""
+    return SpectralField(grid, _full_from_samples(grid, values, 0))
 
 
 def state_from_samples(grid: Grid, values: np.ndarray) -> StateField:
     """Transform a stack of real sample arrays (n, *grid.shape) into a state."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != grid.d + 1 or values.shape[1:] != grid.shape:
-        raise ValueError(f"sample shape {values.shape} does not match grid {grid.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite sample values")
-    c = np.fft.fftn(values, axes=_grid_axes(grid)) * grid.phase / grid.npoints
-    return StateField(grid, hermitian_symmetrize(c, grid.d))
+    return StateField(grid, _full_from_samples(grid, values, 1))
 
 
 def state_from_fields(fields: Sequence[SpectralField]) -> StateField:
@@ -216,10 +264,8 @@ def from_function(grid: Grid, f: Callable[..., np.ndarray]) -> SpectralField:
 
 
 def to_samples(x: SpectralField | StateField) -> np.ndarray:
-    """Real values at the collocation points (imaginary residue discarded)."""
-    grid = x.grid
-    z = x.coeffs * grid.phase_conj
-    return np.real(np.fft.ifftn(z, axes=_grid_axes(grid)) * grid.npoints)
+    """Real values at the collocation points."""
+    return half_to_samples(x.grid, x.coeffs[..., : x.grid.M + 1])
 
 
 def differentiate(x: SpectralField | StateField, axis: int = 0):

@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .semidisc import SchemeSpec, rhs
+from .semidisc import SchemeSpec, rhs, rhs_plan
 from .spectral import (
     FilterSpec,
     StateField,
@@ -130,9 +130,8 @@ def evolve(
     non-finite stage values or when the max-norm exceeds the configured
     growth factor.
     """
-    grid = state0.grid
-    N = scheme.cutoff(grid)
-    state = apply_filter(state0, FilterSpec("sharp", N))
+    plan = rhs_plan(scheme, sys, state0.grid)
+    state = apply_filter(state0, FilterSpec("sharp", plan.N))
     steps = _step_plan(cfg.T, cfg.dt)
     if cfg.monitor_stride is not None:
         stride = cfg.monitor_stride
@@ -143,7 +142,7 @@ def evolve(
     rows: list[tuple[float, ...]] = []
 
     linf0 = linf(state)
-    rhs_fn = lambda st: rhs(scheme, sys, st)
+    rhs_fn = lambda st: rhs(scheme, sys, st, plan)
 
     def sample(t: float, st: StateField) -> None:
         rows.append((t, *(fn(st) for _, fn in monitors)))

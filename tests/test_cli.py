@@ -61,6 +61,25 @@ class TestRun:
         assert lines[0] == "scheme,status,blowup_time,Hs0,Hs1,max_d2u"
         assert lines[1].startswith("sharp,completed,")
 
+    def test_csv_numbers_are_plain(self, run_dir, tmp_path):
+        # numpy 2 scalars repr as np.float64(x); the CSVs hold plain digits
+        code = main(
+            ["run", "--system", "saint-venant-2d-hamiltonian", "--scheme", "smooth-nl",
+             "--initial", "init2D", "--M", "8", "--dt", "1e-3", "--T", "0.002",
+             "--out", str(tmp_path)]
+        )
+        assert code == 0
+        csvs = [
+            os.path.join(dirpath, name)
+            for root in (run_dir, tmp_path)
+            for dirpath, _, names in os.walk(root)
+            for name in names
+            if name.endswith(".csv")
+        ]
+        assert len(csvs) == 8
+        for path in csvs:
+            assert "np." not in read(path), path
+
     def test_unknown_initial_exits_nonzero(self, tmp_path, capsys):
         code = main(
             ["run", "--system", "saint-venant-1d", "--initial", "nope",
@@ -119,6 +138,18 @@ class TestConverge:
         assert code == 0
         row = read(tmp_path / "report.csv").splitlines()[1].split(",")
         assert row[4] == "" and row[5] == ""  # EOC columns empty
+
+    def test_reference_blowup_is_recorded(self, tmp_path):
+        # dt=0.5 on zero-depth data: the 2M=64 reference blows up at t=1
+        code = main(
+            ["converge", "--system", "saint-venant-1d", "--initial", "init_zero_depth",
+             "--scheme", "sharp smooth-nl", "--M-list", "16", "--M-ref", "32",
+             "--dt", "0.5", "--T", "5", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        lines = read(tmp_path / "report.csv").splitlines()
+        assert lines[1:] == ["32,sharp,,,,,reference-blowup", "32,smooth-nl,,,,,reference-blowup"]
+        assert "reference run blew up at t=1.0" in read(tmp_path / "report.txt")
 
     def test_requires_m_list(self, tmp_path):
         code = main(

@@ -1,15 +1,21 @@
 """Semi-discrete right-hand sides: schemes, dealiasing exactness, invariants."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.fft
 
+from specwave import semidisc, spectral
 from specwave.poly import Poly, PolyMatrix
 from specwave.semidisc import (
+    SCHEME_KINDS,
     SchemeSpec,
     advective_term,
     irrotational_equivalence_check,
     matrix_advective,
     rhs,
+    rhs_plan,
 )
 from specwave.spectral import (
     FilterSpec,
@@ -207,6 +213,60 @@ class TestRhsSchemes:
             rhs(SchemeSpec("sharp"), saint_venant_2d_standard(), zero_state(g, 3))
         with pytest.raises(ValueError):
             rhs(SchemeSpec("sharp"), saint_venant_1d(), zero_state(g, 3))
+
+
+class TestTransformBudget:
+    """One rhs call on a reused plan: n(d+1) inverse and n forward real transforms."""
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    @pytest.mark.parametrize(
+        "make_sys, M",
+        [(saint_venant_1d, 16), (saint_venant_2d_standard, 8), (saint_venant_2d_hamiltonian, 8)],
+    )
+    def test_transforms_per_call(self, monkeypatch, kind, make_sys, M):
+        sysd = make_sys()
+        g = make_grid(sysd.d, M)
+        st = random_state(np.random.default_rng(12), g, sysd.n, g.dealias_N)
+        scheme = SchemeSpec(kind)
+        plan = rhs_plan(scheme, sysd, g)
+        expected = rhs(scheme, sysd, st).coeffs
+        counts = Counter()
+
+        def counted(name):
+            fn = getattr(scipy.fft, name)
+
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                real = out if name == "irfftn" else args[0]
+                counts[name] += real.size // g.npoints  # one transform per component
+                return out
+
+            return wrapper
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("not expected in rhs on a reused plan")
+
+        for name in ("rfftn", "irfftn"):
+            monkeypatch.setattr(scipy.fft, name, counted(name))
+        for lib in (scipy.fft, np.fft):
+            for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+                monkeypatch.setattr(lib, name, forbidden)
+        for mod in (spectral, semidisc):
+            for name in ("hermitian_symmetrize", "filter_multiplier"):
+                monkeypatch.setattr(mod, name, forbidden, raising=False)
+        out = rhs(scheme, sysd, st, plan)
+        # 2D Hamiltonian system: 9 + 3 = 12 real transforms
+        assert counts == {"irfftn": sysd.n * (sysd.d + 1), "rfftn": sysd.n}
+        assert np.array_equal(out.coeffs, expected)
+
+    def test_plan_for_another_scheme_rejected(self):
+        g = make_grid(1, 16)
+        sv = saint_venant_1d()
+        plan = rhs_plan(SchemeSpec("sharp"), sv, g)
+        with pytest.raises(ValueError, match="plan"):
+            rhs(SchemeSpec("smooth-nl"), sv, zero_state(g, 2), plan)
+        with pytest.raises(ValueError, match="plan"):
+            rhs(SchemeSpec("sharp"), sv, zero_state(make_grid(1, 8), 2), plan)
 
 
 class TestHigherDegreeCoefficients:
