@@ -5,7 +5,8 @@ collocation points per axis and integer wavenumbers k in {-M+1, ..., M}.
 Fields are stored as true Fourier coefficients (the value c_k such that
 f(x) = sum_k c_k exp(i k.x)), kept in FFT index order with the Nyquist
 slot interpreted as +M.  All operations are pure; fields are treated as
-immutable.
+immutable, and each one keeps its collocation samples after the first
+to_samples call.
 
 Fields are real, so their coefficients are Hermitian, c_{-k} = conj(c_k).
 Every function here that returns a field keeps this (transforms of samples,
@@ -19,6 +20,7 @@ conjugate reflection.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -140,23 +142,30 @@ def make_grid(d: int, M: int) -> Grid:
 
 
 @dataclass(frozen=True)
-class SpectralField:
-    """One real scalar periodic field stored as complex Fourier coefficients."""
-
+class _Field:
     grid: Grid
     coeffs: np.ndarray
 
+    @cached_property
+    def samples(self) -> np.ndarray:
+        """Read-only values at the collocation points, transformed on first use and kept."""
+        out = half_to_samples(self.grid, self.coeffs[..., : self.grid.M + 1])
+        out.flags.writeable = False
+        return out
+
 
 @dataclass(frozen=True)
-class StateField:
+class SpectralField(_Field):
+    """One real scalar periodic field stored as complex Fourier coefficients."""
+
+
+@dataclass(frozen=True)
+class StateField(_Field):
     """Vector of n scalar fields on one shared grid, stacked along axis 0.
 
     The coefficients of each component are Hermitian (the field is real);
     the transforms read only their half spectrum.
     """
-
-    grid: Grid
-    coeffs: np.ndarray
 
     @property
     def n(self) -> int:
@@ -264,8 +273,8 @@ def from_function(grid: Grid, f: Callable[..., np.ndarray]) -> SpectralField:
 
 
 def to_samples(x: SpectralField | StateField) -> np.ndarray:
-    """Real values at the collocation points."""
-    return half_to_samples(x.grid, x.coeffs[..., : x.grid.M + 1])
+    """Real values at the collocation points: the field's one read-only sample array."""
+    return x.samples
 
 
 def differentiate(x: SpectralField | StateField, axis: int = 0):
@@ -395,7 +404,13 @@ def embed(x: StateField, fine: Grid) -> StateField:
     if fine.M == grid.M:
         return x
     tgt = np.zeros((x.n,) + fine.shape, dtype=np.complex128)
-    idx = [np.mod(grid.modes, fine.two_m)]
-    sel = np.ix_(np.arange(x.n), *[idx[0]] * grid.d)
-    tgt[sel] = x.coeffs
-    return StateField(fine, hermitian_symmetrize(tgt, fine.d))
+    idx = np.mod(grid.modes, fine.two_m)
+    tgt[np.ix_(np.arange(x.n), *[idx] * grid.d)] = x.coeffs
+    # A mode with a component at the coarse Nyquist +M stands for +M and -M
+    # together; on the fine grid these are distinct, so split it evenly.
+    nyq = grid.k_inf == grid.M
+    k = [km[nyq].astype(np.int64) for km in grid.kmesh]
+    split = 0.5 * x.coeffs[:, nyq]
+    tgt[(slice(None), *[np.mod(ka, fine.two_m) for ka in k])] = split
+    tgt[(slice(None), *[np.mod(-ka, fine.two_m) for ka in k])] = np.conj(split)
+    return StateField(fine, tgt)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .poly import Poly, PolyMatrix
-from .spectral import StateField, dealias, field_from_samples, l2_inner, to_samples
+from .spectral import StateField, to_samples
 
 __all__ = [
     "SystemDef",
@@ -303,24 +303,19 @@ def hyperbolicity_margin(sys: SystemDef, state: StateField) -> dict[str, float]:
     if state.n != sys.n:
         raise ValueError(f"state has {state.n} components, system expects {sys.n}")
     samples = to_samples(state)
-    comps = [samples[i] for i in range(state.n)]
-    return {name: float(np.min(p.eval_on(comps))) for name, p in sys.predicates}
+    return {name: float(np.min(p.eval_on(samples))) for name, p in sys.predicates}
 
 
 def hamiltonian_energy(state: StateField) -> float:
     """Shallow-water energy (integral of eta^2 + (1+eta)|u|^2, halved).
 
-    The cubic term goes through a dealiased pointwise square of the
-    velocity, which keeps the collocation sum exact for the trigonometric
-    polynomials involved.
+    The collocation sum of the density over the state's samples.  It is
+    the exact integral when eta is supported in |k| <= N with 3N < 2M
+    (every state evolve produces): the quadratic terms by discrete
+    Parseval, and the cubic one because the 2M grid folds the aliases of
+    |u|^2 onto modes above N, where eta has none.
     """
-    grid = state.grid
-    eta = state.component(0)
     samp = to_samples(state)
-    total = l2_inner(eta, eta)
-    for i in range(1, state.n):
-        ui = state.component(i)
-        total += l2_inner(ui, ui)
-        sq = dealias(field_from_samples(grid, samp[i] * samp[i]))
-        total += l2_inner(eta, sq)
-    return 0.5 * total
+    eta = samp[0]
+    density = eta * eta + (1.0 + eta) * np.sum(samp[1:] * samp[1:], axis=0)
+    return 0.5 * state.grid.cell_volume * float(np.sum(density))

@@ -92,6 +92,17 @@ class TestRun:
         code = main(["run", "--system", "saint-venant-1d", "--out", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("stride", ["0", "-2"])
+    def test_nonpositive_monitor_stride_is_input_error(self, tmp_path, capsys, stride):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "system = saint-venant-1d\nscheme = sharp\ninitial = init1\n"
+            f"M = 16\ndt = 1e-3\nT = 0.002\nmonitor_stride = {stride}\n"
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "monitor_stride" in err
+
     def test_deterministic_bytes(self, tmp_path):
         args = [
             "run", "--system", "saint-venant-1d", "--scheme", "smooth-nl",

@@ -1,14 +1,17 @@
 """Property tests over random states: transform round trips, the inverse
-transform against the complex-FFT formula, and the reality and band support
-of every scheme's right-hand side."""
+transform against the complex-FFT formula, dealiased products against the
+truncated convolution, and the reality and band support of every scheme's
+right-hand side."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specwave.semidisc import SCHEME_KINDS, SchemeSpec, rhs
-from specwave.spectral import StateField, make_grid, state_from_samples, to_samples
+from specwave.spectral import StateField, dealias, field_from_samples, make_grid, state_from_samples, to_samples
 from specwave.systems import saint_venant_1d, saint_venant_2d_hamiltonian, saint_venant_2d_standard
+
+from oracles import coeffs_from_dict, convolve_dicts, dict_from_coeffs, truncate_dict
 
 FEW = settings(max_examples=15, deadline=None)
 grids = st.tuples(st.sampled_from([1, 2]), st.sampled_from([4, 6, 8, 16]))
@@ -45,6 +48,19 @@ def test_to_samples_matches_complex_formula(dm, n, seed):
     axes = tuple(range(-g.d, 0))
     oracle = np.real(np.fft.ifftn(state.coeffs * g.phase_conj, axes=axes)) * g.npoints
     assert np.max(np.abs(to_samples(state) - oracle)) <= 1e-13 * max(1.0, np.max(np.abs(oracle)))
+
+
+@FEW
+@given(grids, seeds)
+def test_dealiased_product_is_truncated_convolution(dm, seed):
+    g = make_grid(*dm)
+    n = g.dealias_N
+    rng = np.random.default_rng(seed)
+    a, b = (random_hermitian(rng, g, 1, n) for _ in range(2))
+    prod = dealias(field_from_samples(g, to_samples(a)[0] * to_samples(b)[0]))
+    exact = convolve_dicts(dict_from_coeffs(a.coeffs[0], g.modes), dict_from_coeffs(b.coeffs[0], g.modes))
+    expected = coeffs_from_dict(truncate_dict(exact, n), g.modes, g.d)
+    assert np.max(np.abs(prod.coeffs - expected)) <= 1e-13 * max(1.0, np.max(np.abs(expected)))
 
 
 @FEW

@@ -411,6 +411,27 @@ class TestCommutatorScaling:
         return out
 
 
+class TestCachedSamples:
+    def test_one_read_only_array_per_field(self):
+        g = make_grid(2, 8)
+        st = state_from_samples(g, np.random.default_rng(3).normal(size=(3,) + g.shape))
+        for field in (st, st.component(1)):
+            first = to_samples(field)
+            assert to_samples(field) is first
+            assert not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[..., 0, 0] = 1.0
+
+    def test_operations_build_fields_with_their_own_samples(self):
+        g = make_grid(1, 16)
+        st = state_from_fields([from_function(g, np.sin)])
+        base = to_samples(st)
+        doubled = to_samples(st * 2.0)
+        assert doubled is not base
+        assert np.max(np.abs(doubled - 2.0 * base)) < 1e-15
+        assert np.max(np.abs(to_samples(differentiate(st, 0))[0] - np.cos(g.mesh[0]))) < 1e-13
+
+
 class TestHelpers:
     def test_embed_preserves_content(self):
         g = make_grid(1, 8)
@@ -420,6 +441,23 @@ class TestHelpers:
         assert np.isclose(sobolev_norm(up, 0), sobolev_norm(st, 0), rtol=1e-13)
         x = fine.mesh[0]
         assert np.max(np.abs(to_samples(up)[0] - (np.sin(3 * x) + np.cos(5 * x)))) < 1e-12
+
+    @pytest.mark.parametrize("d, m, fine_m", [(1, 8, 16), (1, 6, 32), (2, 4, 8), (2, 6, 16)])
+    def test_embed_matches_symmetrized_padding(self, d, m, fine_m):
+        def former_embed(x, fine):
+            # zero-pad, then project the whole fine array onto Hermitian coefficients
+            tgt = np.zeros((x.n,) + fine.shape, dtype=np.complex128)
+            idx = np.mod(x.grid.modes, fine.two_m)
+            tgt[np.ix_(np.arange(x.n), *[idx] * d)] = x.coeffs
+            return hermitian_symmetrize(tgt, d)
+
+        rng = np.random.default_rng(30 + 10 * d + m)
+        g, fine = make_grid(d, m), make_grid(d, fine_m)
+        for _ in range(5):
+            c = rng.normal(size=(2,) + g.shape) + 1j * rng.normal(size=(2,) + g.shape)
+            st = StateField(g, hermitian_symmetrize(c, d))
+            assert np.all(st.coeffs[:, g.k_inf == g.M] != 0.0)
+            assert np.array_equal(embed(st, fine).coeffs, former_embed(st, fine))
 
     def test_max_mode_support(self):
         g = make_grid(1, 16)

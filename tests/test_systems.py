@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from specwave.poly import Poly, PolyMatrix
-from specwave.spectral import make_grid, state_from_samples
+from specwave.spectral import (
+    StateField,
+    dealias,
+    field_from_samples,
+    hermitian_symmetrize,
+    l2_inner,
+    make_grid,
+    state_from_samples,
+    to_samples,
+)
 from specwave.systems import (
     builtin_system,
     check_compatibility_AS,
@@ -243,6 +252,28 @@ class TestHamiltonianEnergy:
         direct += 0.5 * quadrature_inner((1 + eta) * u, u, 2)
         direct += 0.5 * quadrature_inner((1 + eta) * v, v, 2)
         assert np.isclose(hamiltonian_energy(st), direct, rtol=1e-12)
+
+
+    @pytest.mark.parametrize("d, m", [(1, 16), (1, 48), (2, 8), (2, 24)])
+    def test_collocation_sum_matches_coefficient_formula(self, d, m):
+        def former_energy(state):
+            # Parseval on the coefficients, the cubic term through a dealiased square
+            eta = state.component(0)
+            samp = to_samples(state)
+            total = l2_inner(eta, eta)
+            for i in range(1, state.n):
+                ui = state.component(i)
+                sq = dealias(field_from_samples(state.grid, samp[i] * samp[i]))
+                total += l2_inner(ui, ui) + l2_inner(eta, sq)
+            return 0.5 * total
+
+        g = make_grid(d, m)
+        rng = np.random.default_rng(50 + 10 * d + m)
+        for _ in range(5):
+            c = rng.normal(size=(d + 1,) + g.shape) + 1j * rng.normal(size=(d + 1,) + g.shape)
+            c = hermitian_symmetrize(c, d) * (g.k_inf <= g.dealias_N) / g.two_m
+            st = StateField(g, c)
+            assert np.isclose(hamiltonian_energy(st), former_energy(st), rtol=1e-13, atol=0.0)
 
 
 class TestStandardSymmetrizer1D:

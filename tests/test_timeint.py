@@ -1,12 +1,14 @@
 """RK4 stepping, evolution loop, monitors and blow-up detection."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from specwave.initial import build_initial
-from specwave.semidisc import SchemeSpec
+from specwave.semidisc import SchemeSpec, rhs, rhs_plan
 from specwave.spectral import (
     StateField,
     differentiate,
@@ -17,7 +19,7 @@ from specwave.spectral import (
     state_from_samples,
     zero_state,
 )
-from specwave.systems import saint_venant_1d
+from specwave.systems import saint_venant_1d, saint_venant_2d_hamiltonian
 from specwave.timeint import (
     BlowUpError,
     EvolveConfig,
@@ -75,6 +77,73 @@ class TestRK4Step:
         with pytest.raises(BlowUpError) as err:
             rk4_step(bad_rhs, st, 0.1)
         assert err.value.stage == "k1"
+
+
+    @pytest.mark.parametrize("make_sys, M", [(saint_venant_1d, 32), (saint_venant_2d_hamiltonian, 8)])
+    def test_combine_matches_expression_bit_for_bit(self, make_sys, M):
+        sysd = make_sys()
+        g = make_grid(sysd.d, M)
+        rng = np.random.default_rng(M)
+        st = state_from_samples(g, 0.1 * rng.normal(size=(sysd.n,) + g.shape))
+        scheme = SchemeSpec("smooth-nl")
+        plan = rhs_plan(scheme, sysd, g)
+        rhs_fn = lambda s: rhs(scheme, sysd, s, plan)
+        dt = 1e-3
+        k1 = rhs_fn(st)
+        k2 = rhs_fn(st + (0.5 * dt) * k1)
+        k3 = rhs_fn(st + (0.5 * dt) * k2)
+        k4 = rhs_fn(st + dt * k3)
+        expected = st + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.array_equal(rk4_step(rhs_fn, st, dt).coeffs, expected.coeffs)
+
+    def test_shared_stage_result_is_not_written(self):
+        # a constant rhs_fn returns one object for all four stages
+        g = make_grid(1, 8)
+        st = state_from_fields([from_function(g, np.sin)])
+        k = state_from_fields([from_function(g, np.cos)])
+        k_before, st_before = k.coeffs.copy(), st.coeffs.copy()
+        out = rk4_step(lambda s: k, st, 0.1)
+        assert np.array_equal(k.coeffs, k_before)
+        assert np.array_equal(st.coeffs, st_before)
+        assert np.max(np.abs(out.coeffs - (st_before + 0.1 * k_before))) < 1e-15
+
+
+class TestMonitorTransformBudget:
+    """Monitors and the blow-up check share one inverse transform of each sampled state."""
+
+    @pytest.mark.parametrize("make_sys, M", [(saint_venant_1d, 32), (saint_venant_2d_hamiltonian, 8)])
+    def test_transforms_per_monitored_step(self, monkeypatch, make_sys, M):
+        sysd = make_sys()
+        n, d = sysd.n, sysd.d
+        g = make_grid(d, M)
+        st0 = state_from_samples(g, 0.1 * np.random.default_rng(M).normal(size=(n,) + g.shape))
+        counts = Counter()
+
+        def counted(lib, name):
+            fn = getattr(lib, name)
+
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                real = out if name.startswith("irfft") else args[0]
+                counts[name] += real.size // g.npoints  # one transform per component
+                return out
+
+            return wrapper
+
+        for lib in (scipy.fft, np.fft):
+            for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+                monkeypatch.setattr(lib, name, counted(lib, name))
+
+        def transforms(steps):
+            counts.clear()
+            cfg = EvolveConfig(dt=1e-3, T=steps * 1e-3, monitor_stride=1)
+            assert evolve(SchemeSpec("sharp"), sysd, st0, cfg).completed
+            return Counter(counts)
+
+        one_step = transforms(2) - transforms(1)
+        # four rhs calls make n(d+1) inverse and n forward transforms each;
+        # the sample adds the state (n components) and max_d2u's derivative (1)
+        assert one_step == {"irfftn": 4 * n * (d + 1) + n + 1, "rfftn": 4 * n}
 
 
 class TestEvolve:
@@ -166,3 +235,6 @@ class TestEvolve:
             EvolveConfig(dt=0.0, T=1.0)
         with pytest.raises(ValueError):
             EvolveConfig(dt=1e-3, T=-1.0)
+        for stride in (0, -2):
+            with pytest.raises(ValueError, match="monitor_stride"):
+                EvolveConfig(dt=1e-3, T=1.0, monitor_stride=stride)
