@@ -3,13 +3,11 @@
 from .spectral import (
     FilterSpec,
     Grid,
-    SpectralField,
     StateField,
     apply_filter,
     apply_lambda,
     dealias,
     differentiate,
-    field_from_samples,
     filter_multiplier,
     filter_symbol,
     from_function,
@@ -17,7 +15,6 @@ from .spectral import (
     linf,
     make_grid,
     sobolev_norm,
-    state_from_fields,
     state_from_samples,
     to_samples,
 )

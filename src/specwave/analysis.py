@@ -19,9 +19,7 @@ from .spectral import (
     dealias,
     differentiate,
     embed,
-    field_from_samples,
     l2_inner,
-    linf,
     make_grid,
     max_mode_support,
     sobolev_norm,
@@ -29,7 +27,7 @@ from .spectral import (
     to_samples,
 )
 from .systems import SystemDef, standard_symmetrizer_1d
-from .timeint import EvolveConfig, evolve
+from .timeint import EvolveConfig, evolve, second_derivative_max
 
 __all__ = [
     "relative_error",
@@ -126,9 +124,9 @@ def energy_functional(
             entry = S.entries[a][b]
             if not entry.terms:
                 continue
-            w_ab = dealias(field_from_samples(grid, v_samp[a] * v_samp[b]))
+            w_ab = dealias(state_from_samples(grid, (v_samp[a] * v_samp[b])[None]))
             coeff = poly_coefficient_samples(entry, u_samp, grid, grid.dealias_N)
-            total += l2_inner(field_from_samples(grid, coeff), w_ab)
+            total += l2_inner(state_from_samples(grid, coeff[None]), w_ab)
     return total
 
 
@@ -216,12 +214,6 @@ def jn_study(sys: SystemDef, N_list: list[int], p: int = 1, q: int = 0) -> dict:
         A = np.vstack([np.asarray(N_list, dtype=np.float64), np.ones(len(N_list))]).T
         slope = float(np.linalg.lstsq(A, np.asarray(values), rcond=None)[0][0])
     return {"N": list(N_list), "J": values, "slope": slope, "p": p, "q": q}
-
-
-def second_derivative_max(state: StateField, component: int = 1, axis: int = 0) -> float:
-    """Max over collocation points of the second spectral derivative."""
-    d2 = differentiate(differentiate(state.component(component), axis), axis)
-    return linf(d2)
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import (
-    convergence_study,
-    jn_study,
-    report_csv,
-    report_table,
-    second_derivative_max,
-)
+from .analysis import convergence_study, jn_study, report_csv, report_table
 from .initial import build_initial
-from .presets import PRESETS, get_preset, preset_names
+from .presets import CONFIG_KEYS, ConfigError, get_preset, parse_config_text, preset_names
 from .semidisc import SCHEME_KINDS, SchemeSpec
 from .spectral import (
     FilterSpec,
@@ -44,35 +38,9 @@ from .systems import (
     check_factorization,
     check_symmetrizer,
 )
-from .timeint import EvolveConfig, evolve, monitor_csv
+from .timeint import EvolveConfig, evolve, monitor_csv, second_derivative_max
 
 __all__ = ["main"]
-
-
-class ConfigError(ValueError):
-    pass
-
-
-_KNOWN_KEYS = {
-    "system", "scheme", "initial", "M", "M_list", "M_ref", "dt", "T",
-    "s_norms", "out", "jobs", "blowup_threshold", "monitor_stride",
-    "N_list", "p", "q",
-}
-
-
-def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
-    out: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{line_no}: expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not (key in _KNOWN_KEYS or key.startswith("init.")):
-            raise ConfigError(f"{source}:{line_no}: unknown key {key!r}")
-        out[key] = value
-    return out
 
 
 @dataclass
@@ -98,54 +66,36 @@ class ExperimentConfig:
 
 def _build_config(raw: dict[str, str]) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    try:
-        for key, value in raw.items():
-            if key == "system":
-                cfg.system = value
-            elif key == "scheme":
-                cfg.schemes = value.replace(",", " ").split()
-            elif key == "initial":
-                cfg.initial = value
-            elif key.startswith("init."):
+    for key, value in raw.items():
+        try:
+            if key.startswith("init."):
                 cfg.init_params[key[5:]] = float(value)
-            elif key == "M":
-                cfg.M = int(value)
-            elif key == "M_list":
-                cfg.M_list = [int(v) for v in value.replace(",", " ").split()]
-            elif key == "M_ref":
-                cfg.M_ref = int(value)
-            elif key == "dt":
-                cfg.dt = float(value)
-            elif key == "T":
-                cfg.T = float(value)
-            elif key == "s_norms":
-                cfg.s_norms = tuple(float(v) for v in value.replace(",", " ").split())
-            elif key == "out":
-                cfg.out = value
-            elif key == "jobs":
-                cfg.jobs = int(value)
-            elif key == "blowup_threshold":
-                cfg.blowup_threshold = float(value)
-            elif key == "monitor_stride":
-                cfg.monitor_stride = int(value)
-            elif key == "N_list":
-                cfg.N_list = [int(v) for v in value.replace(",", " ").split()]
-            elif key == "p":
-                cfg.p = int(value)
-            elif key == "q":
-                cfg.q = int(value)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}") from None
+            else:
+                name, parse = CONFIG_KEYS[key]
+                setattr(cfg, name, parse(value))
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {exc}") from None
     _validate(cfg)
     return cfg
+
+
+def _evolve_config(cfg: ExperimentConfig) -> EvolveConfig:
+    try:
+        return EvolveConfig(
+            dt=cfg.dt,
+            T=cfg.T,
+            monitor_stride=cfg.monitor_stride,
+            blowup_threshold=cfg.blowup_threshold,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _validate(cfg: ExperimentConfig) -> None:
     for kind in cfg.schemes:
         if kind not in SCHEME_KINDS:
             raise ConfigError(f"unknown scheme {kind!r}; choices: {', '.join(SCHEME_KINDS)}")
-    if cfg.dt <= 0 or cfg.T < 0:
-        raise ConfigError("dt must be positive and T nonnegative")
+    _evolve_config(cfg)
     for m in [cfg.M, cfg.M_ref, *(cfg.M_list or [])]:
         if m is None:
             continue
@@ -216,7 +166,7 @@ def _snapshot_csv(states: list[tuple[float, StateField]]) -> str:
     lines = [header]
     for t, state in states:
         samples = to_samples(state)
-        d2 = to_samples(differentiate(differentiate(state.component(1), 0), 0))
+        d2 = to_samples(differentiate(differentiate(state.component(1), 0), 0))[0]
         if grid.d == 1:
             xs = grid.mesh[0]
             for j in range(grid.two_m):
@@ -239,19 +189,10 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     system = _resolve_system(cfg.system)
     grid = make_grid(system.d, cfg.M)
     state0 = build_initial(cfg.initial, cfg.init_params, grid)
+    evolve_cfg = _evolve_config(cfg)
     summary = ["scheme,status,blowup_time,Hs0,Hs1,max_d2u"]
     for kind in cfg.schemes:
-        result = evolve(
-            SchemeSpec(kind),
-            system,
-            state0,
-            EvolveConfig(
-                dt=cfg.dt,
-                T=cfg.T,
-                monitor_stride=cfg.monitor_stride,
-                blowup_threshold=cfg.blowup_threshold,
-            ),
-        )
+        result = evolve(SchemeSpec(kind), system, state0, evolve_cfg)
         outdir = os.path.join(cfg.out, kind)
         _write(os.path.join(outdir, "monitors.csv"), monitor_csv(result))
         _write(os.path.join(outdir, "spectrum.csv"), _spectrum_csv(result.final_state))
@@ -360,7 +301,7 @@ def cmd_probe_jn(cfg: ExperimentConfig) -> int:
 
 def cmd_list_presets() -> int:
     for name in preset_names():
-        preset = PRESETS[name]
+        preset = get_preset(name)
         print(f"{name:28} [{preset.kind}]  {preset.description}")
     return 0
 
@@ -380,13 +321,8 @@ def _gather_config(args: argparse.Namespace) -> ExperimentConfig:
                 raw.update(parse_config_text(fh.read(), source=args.config))
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
-    for flag, key in [
-        ("system", "system"), ("scheme", "scheme"), ("initial", "initial"),
-        ("M", "M"), ("M_ref", "M_ref"), ("M_list", "M_list"), ("dt", "dt"),
-        ("T", "T"), ("out", "out"), ("jobs", "jobs"), ("N_list", "N_list"),
-        ("p", "p"), ("q", "q"),
-    ]:
-        value = getattr(args, flag, None)
+    for key in CONFIG_KEYS:  # each flag's dest is its config key
+        value = getattr(args, key, None)
         if value is not None:
             raw[key] = str(value)
     return _build_config(raw)
@@ -407,7 +343,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--T", type=float, help="final time")
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specwave",
         description="pseudospectral experiments for quasilinear hyperbolic systems",
@@ -426,8 +362,11 @@ def main(argv: list[str] | None = None) -> int:
     sub_probe.add_argument("--p", type=int, help="bandwidth of the background state")
     sub_probe.add_argument("--q", type=int, help="offset of the probe mode (0 <= q < p)")
     subs.add_parser("list-presets", help="show the experiment catalog")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "list-presets":
             return cmd_list_presets()

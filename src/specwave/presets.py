@@ -1,10 +1,71 @@
-"""Named experiment presets; each ships as a config file under configs/."""
+"""Flat key-value experiment configs and the named presets that ship in that format.
+
+A config is one `key = value` per line; `#` starts a comment.  The keys
+are those of CONFIG_KEYS plus any `init.<name>` (a float parameter of the
+initial data).  Each preset is a file configs/NAME.cfg in this package
+whose first two lines are `# preset: NAME (KIND)` and `# DESCRIPTION`,
+KIND being the subcommand it belongs to; the catalog is read on first use.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from importlib.resources import files
 
-__all__ = ["Preset", "PRESETS", "preset_names", "get_preset"]
+__all__ = ["CONFIG_KEYS", "ConfigError", "Preset", "parse_config_text", "preset_names", "get_preset"]
+
+
+class ConfigError(ValueError):
+    pass
+
+
+def _words(value: str) -> list[str]:
+    return value.replace(",", " ").split()
+
+
+def _ints(value: str) -> list[int]:
+    return [int(v) for v in _words(value)]
+
+
+def _floats(value: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in _words(value))
+
+
+# config key -> (ExperimentConfig field, parser of the value text)
+CONFIG_KEYS = {
+    "system": ("system", str),
+    "scheme": ("schemes", _words),
+    "initial": ("initial", str),
+    "M": ("M", int),
+    "M_list": ("M_list", _ints),
+    "M_ref": ("M_ref", int),
+    "dt": ("dt", float),
+    "T": ("T", float),
+    "s_norms": ("s_norms", _floats),
+    "out": ("out", str),
+    "jobs": ("jobs", int),
+    "blowup_threshold": ("blowup_threshold", float),
+    "monitor_stride": ("monitor_stride", int),
+    "N_list": ("N_list", _ints),
+    "p": ("p", int),
+    "q": ("q", int),
+}
+
+
+def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
+    out: dict[str, str] = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{source}:{line_no}: expected 'key = value', got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not (key in CONFIG_KEYS or key.startswith("init.")):
+            raise ConfigError(f"{source}:{line_no}: unknown key {key!r}")
+        out[key] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -15,165 +76,31 @@ class Preset:
     config: dict
 
 
-_P = [
-    Preset(
-        "init1-spectrum-decay",
-        "converge",
-        "projection-error decay of the localized heap data (T=0, no time stepping)",
-        {
-            "system": "saint-venant-1d",
-            "scheme": "sharp",
-            "initial": "init1",
-            "init.alpha": "1.5",
-            "M_list": "16 32 64 128 256",
-            "M_ref": "2048",
-            "dt": "1e-4",
-            "T": "0",
-        },
-    ),
-    Preset(
-        "converge-1d-heap",
-        "converge",
-        "1D convergence/EOC study from the localized heap, sharp vs smooth-nl",
-        {
-            "system": "saint-venant-1d",
-            "scheme": "sharp smooth-nl",
-            "initial": "init1",
-            "init.alpha": "1.5",
-            "M_list": "16 32 64 128 256",
-            "M_ref": "1024",
-            "dt": "1e-4",
-            "T": "0.1",
-        },
-    ),
-    Preset(
-        "converge-1d-cavitation-edge",
-        "converge",
-        "1D convergence study for data outside the strict hyperbolicity domain",
-        {
-            "system": "saint-venant-1d",
-            "scheme": "sharp smooth-nl",
-            "initial": "init2",
-            "M_list": "16 32 64 128 256",
-            "M_ref": "1024",
-            "dt": "1e-4",
-            "T": "0.1",
-        },
-    ),
-    Preset(
-        "zero-depth-1d",
-        "run",
-        "1D runs with the non-cavitation condition touched; sharp vs smooth-nl curvature contrast",
-        {
-            "system": "saint-venant-1d",
-            "scheme": "sharp smooth-nl",
-            "initial": "init_zero_depth",
-            "M": "512",
-            "dt": "1e-4",
-            "T": "0.1",
-        },
-    ),
-    Preset(
-        "converge-2d-standard",
-        "converge",
-        "2D convergence study for the standard advective system",
-        {
-            "system": "saint-venant-2d-standard",
-            "scheme": "sharp smooth-nl",
-            "initial": "init2D",
-            "init.h0": "0.5",
-            "init.u_l": "0.5",
-            "init.v_l": "-0.5",
-            "init.u_h": "1",
-            "init.v_h": "-1",
-            "init.s": "2",
-            "M_list": "16 32 64",
-            "M_ref": "128",
-            "dt": "1e-3",
-            "T": "0.1",
-        },
-    ),
-    Preset(
-        "converge-2d-hamiltonian",
-        "converge",
-        "2D convergence study for the gradient-form (factorizable) system",
-        {
-            "system": "saint-venant-2d-hamiltonian",
-            "scheme": "sharp smooth-nl",
-            "initial": "init2D",
-            "init.h0": "0.5",
-            "init.u_l": "0.5",
-            "init.v_l": "-0.5",
-            "init.u_h": "1",
-            "init.v_h": "-1",
-            "init.s": "2",
-            "M_list": "16 32 64",
-            "M_ref": "128",
-            "dt": "1e-3",
-            "T": "0.1",
-        },
-    ),
-    Preset(
-        "zero-depth-2d",
-        "run",
-        "2D runs with negative minimal depth; sharp vs smooth-nl curvature contrast",
-        {
-            "system": "saint-venant-2d-standard",
-            "scheme": "sharp smooth-nl",
-            "initial": "init2D",
-            "init.h0": "-0.1",
-            "init.u_l": "0.5",
-            "init.v_l": "-0.5",
-            "init.u_h": "1",
-            "init.v_h": "-1",
-            "init.s": "2",
-            "M": "128",
-            "dt": "1e-3",
-            "T": "0.1",
-        },
-    ),
-    Preset(
-        "strict-hyperbolicity-2d",
-        "run",
-        "2D runs violating the strict domain of the gradient-form system only",
-        {
-            "system": "saint-venant-2d-hamiltonian",
-            "scheme": "sharp smooth-nl",
-            "initial": "init2D",
-            "init.h0": "0.5",
-            "init.u_l": "2",
-            "init.v_l": "-2",
-            "init.u_h": "1",
-            "init.v_h": "-1",
-            "init.s": "2",
-            "M": "128",
-            "dt": "1e-3",
-            "T": "0.1",
-        },
-    ),
-    Preset(
-        "jn-linear-growth",
-        "probe-jn",
-        "linear growth of the sharp-projection pairing against the diagonal symmetrizer",
-        {
-            "system": "saint-venant-1d",
-            "N_list": "32 64 128 256",
-            "p": "1",
-            "q": "0",
-        },
-    ),
-]
-
-PRESETS = {p.name: p for p in _P}
+@cache
+def _catalog() -> dict[str, Preset]:
+    """Every shipped preset, in file-name order."""
+    catalog = {}
+    entries = [e for e in files(__package__).joinpath("configs").iterdir() if e.name.endswith(".cfg")]
+    for entry in sorted(entries, key=lambda e: e.name):
+        text = entry.read_text(encoding="utf-8")
+        head, description = text.splitlines()[:2]
+        name, _, kind = head.removeprefix("# preset: ").partition(" (")
+        catalog[name] = Preset(
+            name,
+            kind.removesuffix(")"),
+            description.removeprefix("# "),
+            parse_config_text(text, source=entry.name),
+        )
+    return catalog
 
 
 def preset_names() -> list[str]:
-    return [p.name for p in _P]
+    return list(_catalog())
 
 
 def get_preset(name: str) -> Preset:
     try:
-        return PRESETS[name]
+        return _catalog()[name]
     except KeyError:
         known = ", ".join(preset_names())
         raise ValueError(f"unknown preset {name!r}; available: {known}") from None

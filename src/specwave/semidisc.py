@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Poly, PolyMatrix
+from .poly import Poly
 from .spectral import (
     FilterSpec,
     Grid,
@@ -37,8 +37,6 @@ __all__ = [
     "SchemeSpec",
     "SCHEME_KINDS",
     "RhsPlan",
-    "advective_term",
-    "matrix_advective",
     "poly_coefficient_samples",
     "rhs_plan",
     "rhs",
@@ -124,36 +122,6 @@ def _collocated_half(grid: Grid, u: np.ndarray, du, polys, terms, N: int | None)
     for i, j, c, p in terms:
         rows[i] += coeff[p] * du[j][c]
     return samples_to_half(grid, rows)
-
-
-def matrix_advective(
-    P: PolyMatrix,
-    state: StateField,
-    axis: int,
-    N: int | None,
-) -> StateField:
-    """P(U) applied to the spectral derivative of U along one axis.
-
-    All products happen at the collocation points; the result is projected
-    onto modes <= N (no projection when N is None).
-    """
-    grid = state.grid
-    half = state.coeffs[..., : grid.M + 1]
-    u = half_to_samples(grid, half)
-    du = half_to_samples(grid, half * grid.half_diff_mult[axis])
-    out = _collocated_half(grid, u, (du,), *_entry_terms((P,)), N)
-    if N is not None:
-        out = out * _half_mask(grid, N)
-    return StateField(grid, half_to_full(grid, out))
-
-
-def advective_term(sys: SystemDef, state: StateField, axis: int, N: int | None = None) -> StateField:
-    """Dealiased A_j(U) d_j U for one spatial direction."""
-    if state.n != sys.n:
-        raise ValueError(f"state has {state.n} components, system expects {sys.n}")
-    if N is None:
-        N = state.grid.dealias_N
-    return matrix_advective(sys.A[axis], state, axis, N)
 
 
 @dataclass(frozen=True, eq=False)

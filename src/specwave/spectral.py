@@ -4,17 +4,23 @@ Everything works on the torus [-pi, pi)^d with 2M uniformly spaced
 collocation points per axis and integer wavenumbers k in {-M+1, ..., M}.
 Fields are stored as true Fourier coefficients (the value c_k such that
 f(x) = sum_k c_k exp(i k.x)), kept in FFT index order with the Nyquist
-slot interpreted as +M.  All operations are pure; fields are treated as
-immutable, and each one keeps its collocation samples after the first
+slot interpreted as +M.  A field is a StateField of n components; a
+scalar field is one with n=1.  All operations are pure; fields are treated
+as immutable, and each one keeps its collocation samples after the first
 to_samples call.
 
-Fields are real, so their coefficients are Hermitian, c_{-k} = conj(c_k).
-Every function here that returns a field keeps this (transforms of samples,
-arithmetic with real scalars, filters, derivatives, embedding); code that
-builds a field from raw coefficients must pass Hermitian ones.  Transforms
-therefore read only the half spectrum coeffs[..., :M+1] (last-axis modes
-0..M, the rfft layout), and half_to_full restores the other half by
-conjugate reflection.
+Fields are real, so their coefficients are Hermitian, c_{-k} = conj(c_k),
+with one exception: in 2D the forward transform (rfftn) leaves last-axis
+columns 0 and M, where k and -k both lie in the half spectrum, Hermitian
+only to rounding (at most 2.8e-17 measured on unit-variance samples); in
+1D those columns are the single modes 0 and M, which come out exactly real.
+Nothing here relies on the exact symmetry.  The transforms and
+half_to_full read only the half spectrum coeffs[..., :M+1] (last-axis
+modes 0..M, the rfft layout): the inverse transform reads the two
+self-paired columns through their Hermitian part, and half_to_full builds
+the other half by conjugate reflection.  Filters, derivatives, embedding
+and arithmetic with real scalars keep the symmetry as they find it; code
+that builds a field from raw coefficients must pass Hermitian ones.
 """
 
 from __future__ import annotations
@@ -28,14 +34,11 @@ import scipy.fft
 
 __all__ = [
     "Grid",
-    "SpectralField",
     "StateField",
     "FilterSpec",
     "make_grid",
     "from_function",
-    "field_from_samples",
     "state_from_samples",
-    "state_from_fields",
     "to_samples",
     "samples_to_half",
     "half_to_samples",
@@ -142,9 +145,19 @@ def make_grid(d: int, M: int) -> Grid:
 
 
 @dataclass(frozen=True)
-class _Field:
+class StateField:
+    """Vector of n real periodic fields on one shared grid, stored as complex
+    Fourier coefficients stacked along axis 0; a scalar field has n=1.
+
+    The transforms read only the half spectrum of each component.
+    """
+
     grid: Grid
     coeffs: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.coeffs.shape[0]
 
     @cached_property
     def samples(self) -> np.ndarray:
@@ -153,30 +166,9 @@ class _Field:
         out.flags.writeable = False
         return out
 
-
-@dataclass(frozen=True)
-class SpectralField(_Field):
-    """One real scalar periodic field stored as complex Fourier coefficients."""
-
-
-@dataclass(frozen=True)
-class StateField(_Field):
-    """Vector of n scalar fields on one shared grid, stacked along axis 0.
-
-    The coefficients of each component are Hermitian (the field is real);
-    the transforms read only their half spectrum.
-    """
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.shape[0]
-
-    def component(self, i: int) -> SpectralField:
-        return SpectralField(self.grid, self.coeffs[i])
-
-    @property
-    def components(self) -> tuple[SpectralField, ...]:
-        return tuple(self.component(i) for i in range(self.n))
+    def component(self, i: int) -> "StateField":
+        """Component i as a one-component state."""
+        return StateField(self.grid, self.coeffs[i][None])
 
     def __add__(self, other: "StateField") -> "StateField":
         return StateField(self.grid, self.coeffs + other.coeffs)
@@ -238,46 +230,28 @@ def half_to_full(grid: Grid, half: np.ndarray) -> np.ndarray:
     return full
 
 
-def _full_from_samples(grid: Grid, values, lead: int) -> np.ndarray:
+def state_from_samples(grid: Grid, values: np.ndarray) -> StateField:
+    """Transform a stack of real sample arrays (n, *grid.shape) into a state."""
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != grid.d + lead or values.shape[lead:] != grid.shape:
+    if values.ndim != grid.d + 1 or values.shape[1:] != grid.shape:
         raise ValueError(f"sample shape {values.shape} does not match grid {grid.shape}")
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite sample values")
-    return half_to_full(grid, samples_to_half(grid, values))
+    return StateField(grid, half_to_full(grid, samples_to_half(grid, values)))
 
 
-def field_from_samples(grid: Grid, values: np.ndarray) -> SpectralField:
-    """Transform real samples at the collocation points into a field."""
-    return SpectralField(grid, _full_from_samples(grid, values, 0))
-
-
-def state_from_samples(grid: Grid, values: np.ndarray) -> StateField:
-    """Transform a stack of real sample arrays (n, *grid.shape) into a state."""
-    return StateField(grid, _full_from_samples(grid, values, 1))
-
-
-def state_from_fields(fields: Sequence[SpectralField]) -> StateField:
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise ValueError("all components must share one grid")
-    return StateField(grid, np.stack([f.coeffs for f in fields]))
-
-
-def from_function(grid: Grid, f: Callable[..., np.ndarray]) -> SpectralField:
-    """Sample a real function of d coordinates at the collocation points."""
+def from_function(grid: Grid, f: Callable[..., np.ndarray]) -> StateField:
+    """Sample a real function of d coordinates at the collocation points (n=1)."""
     values = np.asarray(f(*grid.mesh), dtype=np.float64)
-    values = np.broadcast_to(values, grid.shape)
-    return field_from_samples(grid, values)
+    return state_from_samples(grid, np.broadcast_to(values, grid.shape)[None])
 
 
-def to_samples(x: SpectralField | StateField) -> np.ndarray:
+def to_samples(x: StateField) -> np.ndarray:
     """Real values at the collocation points: the field's one read-only sample array."""
     return x.samples
 
 
-def differentiate(x: SpectralField | StateField, axis: int = 0):
+def differentiate(x: StateField, axis: int = 0):
     """Spectral derivative along a grid axis (0-based); Nyquist plane zeroed."""
     grid = x.grid
     if not 0 <= axis < grid.d:
@@ -285,7 +259,7 @@ def differentiate(x: SpectralField | StateField, axis: int = 0):
     return replace(x, coeffs=x.coeffs * grid.diff_mult[axis])
 
 
-def apply_lambda(x: SpectralField | StateField, s: float):
+def apply_lambda(x: StateField, s: float):
     """Apply the Bessel multiplier (1 + |k|^2)^(s/2)."""
     grid = x.grid
     return replace(x, coeffs=x.coeffs * (1.0 + grid.k_sq) ** (s / 2.0))
@@ -338,11 +312,11 @@ def filter_multiplier(spec: FilterSpec, grid: Grid) -> np.ndarray:
     return mult
 
 
-def apply_filter(x: SpectralField | StateField, spec: FilterSpec):
+def apply_filter(x: StateField, spec: FilterSpec):
     return replace(x, coeffs=x.coeffs * filter_multiplier(spec, x.grid))
 
 
-def dealias(x: SpectralField | StateField):
+def dealias(x: StateField):
     """Zero the top third of modes: sharp cutoff at N = floor(2M/3)."""
     return replace(x, coeffs=x.coeffs * x.grid.dealias_mask)
 
@@ -351,7 +325,7 @@ def dealias(x: SpectralField | StateField):
 # Norms and inner products
 
 
-def sobolev_norm(x: SpectralField | StateField, s: float) -> float:
+def sobolev_norm(x: StateField, s: float) -> float:
     """H^s norm, matching the continuous norm on the 2pi-periodic torus.
 
     Computed from the coefficients as
@@ -365,7 +339,7 @@ def sobolev_norm(x: SpectralField | StateField, s: float) -> float:
     return float(np.sqrt(total * (2.0 * np.pi) ** grid.d))
 
 
-def l2_inner(a: SpectralField | StateField, b: SpectralField | StateField) -> float:
+def l2_inner(a: StateField, b: StateField) -> float:
     """L^2 inner product on the torus, summed over components."""
     if a.grid != b.grid:
         raise ValueError("inner product requires a shared grid")
@@ -375,12 +349,12 @@ def l2_inner(a: SpectralField | StateField, b: SpectralField | StateField) -> fl
     return float(np.real(total) * (2.0 * np.pi) ** a.grid.d)
 
 
-def linf(x: SpectralField | StateField) -> float:
+def linf(x: StateField) -> float:
     """Max absolute value over collocation points and components."""
     return float(np.max(np.abs(to_samples(x))))
 
 
-def max_mode_support(x: SpectralField | StateField, tol: float = 1e-13) -> int:
+def max_mode_support(x: StateField, tol: float = 1e-13) -> int:
     """Largest max_j|k_j| carrying a coefficient above tol (relative)."""
     mag = np.abs(x.coeffs)
     if mag.ndim > x.grid.d:

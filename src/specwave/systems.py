@@ -32,7 +32,6 @@ __all__ = [
     "check_symmetrizer",
     "check_compatibility_AS",
     "check_factorization",
-    "hyperbolicity_margin",
     "hamiltonian_energy",
     "sample_hyperbolic_points",
 ]
@@ -296,14 +295,6 @@ def check_factorization(sys: SystemDef) -> CheckReport:
 
 # ---------------------------------------------------------------------------
 # State-level diagnostics
-
-
-def hyperbolicity_margin(sys: SystemDef, state: StateField) -> dict[str, float]:
-    """Minimum of each named predicate over the collocation points."""
-    if state.n != sys.n:
-        raise ValueError(f"state has {state.n} components, system expects {sys.n}")
-    samples = to_samples(state)
-    return {name: float(np.min(p.eval_on(samples))) for name, p in sys.predicates}
 
 
 def hamiltonian_energy(state: StateField) -> float:

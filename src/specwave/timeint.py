@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "rk4_step",
     "evolve",
     "standard_monitors",
+    "second_derivative_max",
     "monitor_csv",
 ]
 
@@ -77,10 +78,13 @@ class EvolveConfig:
     blowup_threshold: float = 1e6  # L-infinity growth factor
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.T < 0:
-            raise ValueError("final time must be nonnegative")
+        # chained comparisons: NaN fails each, infinity the upper bound
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not 0.0 <= self.T < math.inf:
+            raise ValueError(f"final time T must be finite and nonnegative, got {self.T}")
+        if not 0.0 < self.blowup_threshold < math.inf:
+            raise ValueError(f"blowup_threshold must be finite and positive, got {self.blowup_threshold}")
         if self.monitor_stride is not None and self.monitor_stride < 1:
             raise ValueError(f"monitor_stride must be a positive integer, got {self.monitor_stride}")
 
@@ -114,10 +118,13 @@ def standard_monitors(sys: SystemDef) -> list[Monitor]:
         )
     if sys.n == sys.d + 1:
         monitors.append(("hamiltonian", hamiltonian_energy))
-    monitors.append(
-        ("max_d2u", lambda st: linf(differentiate(differentiate(st.component(1), 0), 0)))
-    )
+    monitors.append(("max_d2u", second_derivative_max))
     return monitors
+
+
+def second_derivative_max(state: StateField, component: int = 1, axis: int = 0) -> float:
+    """Max over collocation points of the second spectral derivative of one component."""
+    return linf(differentiate(differentiate(state.component(component), axis), axis))
 
 
 def _step_plan(T: float, dt: float) -> list[float]:

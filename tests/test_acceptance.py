@@ -24,7 +24,6 @@ from specwave.semidisc import SchemeSpec, rhs
 from specwave.spectral import (
     StateField,
     dealias,
-    field_from_samples,
     make_grid,
     sobolev_norm,
     state_from_samples,
@@ -252,9 +251,9 @@ def test_c05_dealiasing_oracle_equivalence():
         for _ in range(20):
             a = random_band_limited(rng, grid.two_m, n_cut)
             b = random_band_limited(rng, grid.two_m, n_cut)
-            fa = field_from_samples(grid, naive_inverse(a, grid.axis_points))
-            fb = field_from_samples(grid, naive_inverse(b, grid.axis_points))
-            prod = dealias(field_from_samples(grid, to_samples(fa) * to_samples(fb)))
+            fa = state_from_samples(grid, naive_inverse(a, grid.axis_points)[None])
+            fb = state_from_samples(grid, naive_inverse(b, grid.axis_points)[None])
+            prod = dealias(state_from_samples(grid, to_samples(fa) * to_samples(fb)))
             expected = coeffs_from_dict(truncate_dict(convolve_dicts(a, b), n_cut), grid.modes, 1)
             scale = max(np.max(np.abs(expected)), 1.0)
             worst = max(worst, np.max(np.abs(prod.coeffs - expected)) / scale)
@@ -272,7 +271,7 @@ def test_c05_dealiasing_oracle_equivalence():
         for _ in range(20):
             a = random_band_limited(rng, grid.two_m, n_cut, ndim=2)
             b = random_band_limited(rng, grid.two_m, n_cut, ndim=2)
-            prod = dealias(field_from_samples(grid, sample_2d(a) * sample_2d(b)))
+            prod = dealias(state_from_samples(grid, (sample_2d(a) * sample_2d(b))[None]))
             expected = coeffs_from_dict(truncate_dict(convolve_dicts(a, b), n_cut), grid.modes, 2)
             scale = max(np.max(np.abs(expected)), 1.0)
             worst = max(worst, np.max(np.abs(prod.coeffs - expected)) / scale)

@@ -28,7 +28,6 @@ from specwave.spectral import (
     from_function,
     make_grid,
     sobolev_norm,
-    state_from_fields,
     state_from_samples,
     to_samples,
 )
@@ -46,14 +45,12 @@ from oracles import (
 class TestRelativeError:
     def test_identical_states(self):
         g = make_grid(1, 32)
-        st = state_from_fields([from_function(g, np.sin)])
+        st = from_function(g, np.sin)
         assert relative_error(st, st, 0) == 0.0
 
     def test_projection_tail(self):
         g = make_grid(1, 256)
-        fine = state_from_fields(
-            [from_function(g, lambda x: np.exp(np.cos(x)) - 1.0)]
-        )
+        fine = from_function(g, lambda x: np.exp(np.cos(x)) - 1.0)
         n_cut = 20
         coarse_grid = make_grid(1, 64)
         # coarse state = truncation of the fine one onto the coarse mode set
@@ -67,8 +64,8 @@ class TestRelativeError:
 
     def test_single_mode_weighting(self):
         g = make_grid(1, 32)
-        ref = state_from_fields([from_function(g, lambda x: np.sin(x) + np.sin(5 * x))])
-        cand = state_from_fields([from_function(g, np.sin)])
+        ref = from_function(g, lambda x: np.sin(x) + np.sin(5 * x))
+        cand = from_function(g, np.sin)
         r0 = relative_error(cand, ref, 0)
         r1 = relative_error(cand, ref, 1)
         # the difference lives on mode 5 only
@@ -77,15 +74,15 @@ class TestRelativeError:
         assert np.isclose(r1 / r0, w * norm_ratio, rtol=1e-12)
 
     def test_coarser_reference_rejected(self):
-        fine = state_from_fields([from_function(make_grid(1, 64), np.sin)])
-        coarse = state_from_fields([from_function(make_grid(1, 32), np.sin)])
+        fine = from_function(make_grid(1, 64), np.sin)
+        coarse = from_function(make_grid(1, 32), np.sin)
         with pytest.raises(ValueError):
             relative_error(fine, coarse, 0)
 
     def test_zero_iff_padded_equal(self):
         g = make_grid(1, 16)
         fine = make_grid(1, 64)
-        st = state_from_fields([from_function(g, lambda x: np.cos(3 * x))])
+        st = from_function(g, lambda x: np.cos(3 * x))
         padded_ref = embed(st, fine)
         assert relative_error(st, padded_ref, 0) == 0.0
         bumped = padded_ref.coeffs.copy()
@@ -230,9 +227,7 @@ class TestJnProbe:
 class TestSecondDerivativeMax:
     def test_sine(self):
         g = make_grid(1, 32)
-        st = state_from_fields(
-            [from_function(g, np.cos), from_function(g, np.sin)]
-        )
+        st = state_from_samples(g, np.stack([np.cos(g.mesh[0]), np.sin(g.mesh[0])]))
         assert np.isclose(second_derivative_max(st, component=1, axis=0), 1.0)
 
     def test_scaled_high_mode(self):

@@ -1,16 +1,18 @@
 """Command-line interface: subcommands, artifacts, determinism, exit codes."""
 
+import argparse
 import os
+from importlib.resources import files
 
 import numpy as np
 import pytest
 
-from specwave.cli import main, parse_config_text
-from specwave.presets import PRESETS, preset_names
+from specwave.cli import _build_config, _parser, main, parse_config_text
+from specwave.presets import CONFIG_KEYS, get_preset, preset_names
 from specwave.sysio import serialize_system
 from specwave.systems import saint_venant_1d
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FLAG_SUBCOMMANDS = ("run", "converge", "probe-jn")
 
 
 def read(path):
@@ -103,6 +105,27 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "monitor_stride" in err
 
+    @pytest.mark.parametrize("flag, value", [("--T", "inf"), ("--dt", "nan")])
+    def test_nonfinite_time_is_input_error(self, tmp_path, capsys, flag, value):
+        code = main(
+            ["run", "--system", "saint-venant-1d", "--initial", "init1", "--M", "16",
+             "--dt", "1e-3", "--T", "0.002", flag, value, "--out", str(tmp_path)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag[2:] in err
+
+    def test_nan_blowup_threshold_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "system = saint-venant-1d\nscheme = sharp\ninitial = init1\n"
+            "M = 16\ndt = 1e-3\nT = 0.002\nblowup_threshold = nan\n"
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "blowup_threshold" in err
+        assert not (tmp_path / "out").exists()
+
     def test_deterministic_bytes(self, tmp_path):
         args = [
             "run", "--system", "saint-venant-1d", "--scheme", "smooth-nl",
@@ -161,6 +184,17 @@ class TestConverge:
         lines = read(tmp_path / "report.csv").splitlines()
         assert lines[1:] == ["32,sharp,,,,,reference-blowup", "32,smooth-nl,,,,,reference-blowup"]
         assert "reference run blew up at t=1.0" in read(tmp_path / "report.txt")
+
+    @pytest.mark.parametrize("flag, value", [("--T", "inf"), ("--dt", "nan")])
+    def test_nonfinite_time_is_input_error(self, tmp_path, capsys, flag, value):
+        code = main(
+            ["converge", "--system", "saint-venant-1d", "--initial", "init1",
+             "--M-list", "8", "--M-ref", "16", "--dt", "1e-3", "--T", "0.01",
+             flag, value, "--out", str(tmp_path)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag[2:] in err
 
     def test_requires_m_list(self, tmp_path):
         code = main(
@@ -237,15 +271,37 @@ class TestPresets:
     def test_catalog_covers_experiments(self):
         # one preset per published experiment family
         assert len(preset_names()) >= 8
-        kinds = {PRESETS[n].kind for n in preset_names()}
+        kinds = {get_preset(n).kind for n in preset_names()}
         assert kinds == {"run", "converge", "probe-jn"}
 
     def test_config_files_ship_and_match(self):
+        # each preset is read from its file in the package's configs/ data
         for name in preset_names():
-            path = os.path.join(REPO_ROOT, "configs", f"{name}.cfg")
-            assert os.path.exists(path), f"missing config file for preset {name}"
-            parsed = parse_config_text(read(path), source=path)
-            assert parsed == PRESETS[name].config
+            path = files("specwave").joinpath("configs", f"{name}.cfg")
+            assert path.is_file(), f"missing config file for preset {name}"
+            assert parse_config_text(path.read_text(encoding="utf-8")) == get_preset(name).config
+
+    def test_header_names_file_and_subcommand(self):
+        configs = files("specwave").joinpath("configs").iterdir()
+        stems = sorted(e.name.removesuffix(".cfg") for e in configs if e.name.endswith(".cfg"))
+        assert preset_names() == stems  # the header names, in file-name order
+        for name in stems:
+            preset = get_preset(name)
+            assert preset.kind in FLAG_SUBCOMMANDS
+            assert preset.description and not preset.description.startswith("#")
+
+    def test_every_preset_builds(self):
+        needs = {"run": {"M"}, "converge": {"M_list", "M_ref"}, "probe-jn": {"N_list"}}
+        for name in preset_names():
+            preset = get_preset(name)
+            assert needs[preset.kind] <= set(preset.config), name
+            _build_config(dict(preset.config))
+
+    def test_every_flag_is_a_config_key(self):
+        subs = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for command in FLAG_SUBCOMMANDS:
+            dests = {a.dest for a in subs.choices[command]._actions} - {"help", "config", "preset"}
+            assert dests and dests <= set(CONFIG_KEYS), (command, dests - set(CONFIG_KEYS))
 
     def test_preset_kind_mismatch_rejected(self, tmp_path):
         code = main(["run", "--preset", "converge-1d-heap", "--out", str(tmp_path)])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specwave.semidisc import SCHEME_KINDS, SchemeSpec, rhs
-from specwave.spectral import StateField, dealias, field_from_samples, make_grid, state_from_samples, to_samples
+from specwave.spectral import StateField, dealias, make_grid, state_from_samples, to_samples
 from specwave.systems import saint_venant_1d, saint_venant_2d_hamiltonian, saint_venant_2d_standard
 
 from oracles import coeffs_from_dict, convolve_dicts, dict_from_coeffs, truncate_dict
@@ -57,7 +57,7 @@ def test_dealiased_product_is_truncated_convolution(dm, seed):
     n = g.dealias_N
     rng = np.random.default_rng(seed)
     a, b = (random_hermitian(rng, g, 1, n) for _ in range(2))
-    prod = dealias(field_from_samples(g, to_samples(a)[0] * to_samples(b)[0]))
+    prod = dealias(state_from_samples(g, to_samples(a) * to_samples(b)))
     exact = convolve_dicts(dict_from_coeffs(a.coeffs[0], g.modes), dict_from_coeffs(b.coeffs[0], g.modes))
     expected = coeffs_from_dict(truncate_dict(exact, n), g.modes, g.d)
     assert np.max(np.abs(prod.coeffs - expected)) <= 1e-13 * max(1.0, np.max(np.abs(expected)))

@@ -11,9 +11,7 @@ from specwave.poly import Poly, PolyMatrix
 from specwave.semidisc import (
     SCHEME_KINDS,
     SchemeSpec,
-    advective_term,
     irrotational_equivalence_check,
-    matrix_advective,
     rhs,
     rhs_plan,
 )
@@ -25,7 +23,6 @@ from specwave.spectral import (
     l2_inner,
     make_grid,
     smooth_ramp,
-    state_from_fields,
     state_from_samples,
     to_samples,
     zero_state,
@@ -108,19 +105,21 @@ def rhs_oracle_1d(sys, state, kind):
 
 
 class TestAdvectiveTerm:
+    """The dealiased advective term P_N(A(U) d_x U), read as -rhs of the sharp scheme."""
+
     def test_sv1d_single_mode(self):
         g = make_grid(1, 32)
         x = g.mesh[0]
         sv = saint_venant_1d()
         st = state_from_samples(g, np.stack([np.zeros_like(x), np.sin(x)]))
-        adv = to_samples(advective_term(sv, st, 0))
+        adv = to_samples(-rhs(SchemeSpec("sharp"), sv, st))
         assert np.max(np.abs(adv[0] - np.cos(x))) < 1e-12
         assert np.max(np.abs(adv[1] - np.sin(x) * np.cos(x))) < 1e-12
 
     def test_zero_state(self):
         g = make_grid(1, 16)
         sv = saint_venant_1d()
-        adv = advective_term(sv, zero_state(g, 2), 0)
+        adv = -rhs(SchemeSpec("sharp"), sv, zero_state(g, 2))
         assert np.max(np.abs(adv.coeffs)) == 0.0
 
     def test_constant_state(self):
@@ -128,7 +127,7 @@ class TestAdvectiveTerm:
         x = g.mesh[0]
         sv = saint_venant_1d()
         st = state_from_samples(g, np.stack([0.3 * np.ones_like(x), np.zeros_like(x)]))
-        adv = advective_term(sv, st, 0)
+        adv = -rhs(SchemeSpec("sharp"), sv, st)
         assert np.max(np.abs(adv.coeffs)) < 1e-14
 
 
@@ -279,7 +278,8 @@ class TestHigherDegreeCoefficients:
         rng = np.random.default_rng(7)
         spec = random_band_limited(rng, g.two_m, n_cut)
         st = state_from_samples(g, naive_inverse(spec, g.axis_points)[None])
-        out = matrix_advective(P, st, 0, n_cut)
+        sysd = SystemDef(name="square-test", d=1, n=1, A=(P,))
+        out = -rhs(SchemeSpec("sharp", n_cut), sysd, st)
 
         # the coefficient field u*u is assembled first (projected), then
         # multiplied with the derivative and projected again
@@ -305,7 +305,7 @@ class TestEnergyCancellation:
         g = make_grid(1, 32)
         for _ in range(10):
             st = random_state(rng, g, 2, g.dealias_N // 3)
-            lhs = l2_inner(advective_term(sysd, st, 0), st)
+            lhs = l2_inner(-rhs(SchemeSpec("sharp"), sysd, st), st)
             du = to_samples(differentiate(st, 0))
             samp = to_samples(st)
             # (dx A) U = dx(u) * U entrywise through the matrix structure

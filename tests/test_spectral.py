@@ -11,7 +11,6 @@ from specwave.spectral import (
     dealias,
     differentiate,
     embed,
-    field_from_samples,
     filter_multiplier,
     filter_symbol,
     from_function,
@@ -21,7 +20,6 @@ from specwave.spectral import (
     max_mode_support,
     smooth_ramp,
     sobolev_norm,
-    state_from_fields,
     state_from_samples,
     to_samples,
 )
@@ -73,56 +71,56 @@ class TestTransforms:
     def test_constant_field(self):
         g = make_grid(1, 8)
         f = from_function(g, lambda x: np.ones_like(x))
-        assert np.isclose(f.coeffs[0], 1.0)
-        assert np.max(np.abs(f.coeffs[1:])) < 1e-14
+        assert np.isclose(f.coeffs[0, 0], 1.0)
+        assert np.max(np.abs(f.coeffs[0, 1:])) < 1e-14
 
     def test_single_mode(self):
         g = make_grid(1, 8)
         f = from_function(g, lambda x: np.sin(3 * x))
-        assert np.allclose(f.coeffs[3], -0.5j, atol=1e-14)
-        assert np.allclose(f.coeffs[-3], 0.5j, atol=1e-14)
+        assert np.allclose(f.coeffs[0, 3], -0.5j, atol=1e-14)
+        assert np.allclose(f.coeffs[0, -3], 0.5j, atol=1e-14)
 
     def test_gaussian_matches_direct_sum(self):
         g = make_grid(1, 64)
         f = from_function(g, lambda x: np.exp(-4 * x**2))
-        oracle = naive_dft(to_samples(f), g.axis_points, g.modes)
+        oracle = naive_dft(to_samples(f)[0], g.axis_points, g.modes)
         scale = max(abs(v) for v in oracle.values())
         for idx, k in enumerate(g.modes):
-            assert abs(f.coeffs[idx] - oracle[int(k)]) < 1e-12 * scale
+            assert abs(f.coeffs[0, idx] - oracle[int(k)]) < 1e-12 * scale
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(0)
         g = make_grid(1, 16)
         vals = rng.normal(size=g.shape)
-        f = field_from_samples(g, vals)
+        f = state_from_samples(g, vals[None])
         assert np.max(np.abs(to_samples(f) - vals)) < 1e-12 * np.max(np.abs(vals))
 
     def test_roundtrip_2d(self):
         rng = np.random.default_rng(1)
         g = make_grid(2, 8)
         vals = rng.normal(size=g.shape)
-        f = field_from_samples(g, vals)
+        f = state_from_samples(g, vals[None])
         assert np.max(np.abs(to_samples(f) - vals)) < 1e-12
 
     def test_inverse_matches_direct_summation(self):
         rng = np.random.default_rng(2)
         g = make_grid(1, 8)
         spec = random_band_limited(rng, g.two_m, 5)
-        f = field_from_samples(g, naive_inverse(spec, g.axis_points))
-        recon = naive_inverse(dict_from_coeffs(f.coeffs, g.modes), g.axis_points)
+        f = state_from_samples(g, naive_inverse(spec, g.axis_points)[None])
+        recon = naive_inverse(dict_from_coeffs(f.coeffs[0], g.modes), g.axis_points)
         assert np.max(np.abs(to_samples(f) - recon)) < 1e-12
 
     def test_nonfinite_rejected(self):
         g = make_grid(1, 8)
         bad = np.full(g.shape, np.nan)
         with pytest.raises(ValueError):
-            field_from_samples(g, bad)
+            state_from_samples(g, bad[None])
 
     def test_hermitian_symmetry_enforced(self):
         rng = np.random.default_rng(3)
         g = make_grid(1, 8)
-        f = field_from_samples(g, rng.normal(size=g.shape))
-        c = f.coeffs
+        f = state_from_samples(g, rng.normal(size=(1,) + g.shape))
+        c = f.coeffs[0]
         for idx, k in enumerate(g.modes):
             if abs(k) < g.M:
                 assert np.isclose(c[idx], np.conj(c[(-idx) % g.two_m]), atol=1e-14)
@@ -172,7 +170,7 @@ class TestFilters:
         g = make_grid(1, 8)
         f = from_function(g, lambda x: np.sin(3 * x))
         out = apply_filter(f, FilterSpec("smooth", 4))
-        assert np.isclose(abs(out.coeffs[3]) / abs(f.coeffs[3]), 0.25)
+        assert np.isclose(abs(out.coeffs[0, 3]) / abs(f.coeffs[0, 3]), 0.25)
 
     def test_symbol_values(self):
         smooth = FilterSpec("smooth", 8)
@@ -198,7 +196,7 @@ class TestFilters:
     def test_sharp_idempotent(self):
         rng = np.random.default_rng(4)
         g = make_grid(1, 16)
-        f = field_from_samples(g, rng.normal(size=g.shape))
+        f = state_from_samples(g, rng.normal(size=(1,) + g.shape))
         spec = FilterSpec("sharp", 9)
         once = apply_filter(f, spec)
         twice = apply_filter(once, spec)
@@ -207,7 +205,7 @@ class TestFilters:
     def test_smooth_not_idempotent_but_supported_inside_sharp(self):
         rng = np.random.default_rng(5)
         g = make_grid(1, 16)
-        f = field_from_samples(g, rng.normal(size=g.shape))
+        f = state_from_samples(g, rng.normal(size=(1,) + g.shape))
         n = 10
         smooth = apply_filter(f, FilterSpec("smooth", n))
         # S_N o S_N != S_N in general
@@ -221,7 +219,7 @@ class TestFilters:
         # S_{N/2} o (Id - S_N) = 0 exactly for the tensor profile
         rng = np.random.default_rng(6)
         g = make_grid(2, 8)
-        f = field_from_samples(g, rng.normal(size=g.shape))
+        f = state_from_samples(g, rng.normal(size=(1,) + g.shape))
         n = 8
         comp = f.coeffs - apply_filter(f, FilterSpec("smooth", n)).coeffs
         killed = comp * filter_multiplier(FilterSpec("smooth", n // 2), g)
@@ -230,7 +228,7 @@ class TestFilters:
     def test_dealias_matches_sharp_two_thirds(self):
         rng = np.random.default_rng(7)
         g = make_grid(1, 16)
-        f = field_from_samples(g, rng.normal(size=g.shape))
+        f = state_from_samples(g, rng.normal(size=(1,) + g.shape))
         manual = apply_filter(f, FilterSpec("sharp", 10))
         assert np.array_equal(dealias(f).coeffs, manual.coeffs)
 
@@ -251,13 +249,13 @@ class TestFilters:
 class TestNorms:
     def test_sin_mode_l2(self):
         g = make_grid(1, 8)
-        st = state_from_fields([from_function(g, lambda x: np.sin(4 * x))])
+        st = from_function(g, lambda x: np.sin(4 * x))
         assert np.isclose(sobolev_norm(st, 0), np.sqrt(np.pi))
 
     def test_sin_mode_hs(self):
         g = make_grid(1, 8)
         for k in (1, 3, 5):
-            st = state_from_fields([from_function(g, lambda x, k=k: np.sin(k * x))])
+            st = from_function(g, lambda x, k=k: np.sin(k * x))
             for s in (0.5, 1, 2):
                 assert np.isclose(sobolev_norm(st, s), (1 + k * k) ** (s / 2) * np.sqrt(np.pi))
 
@@ -271,7 +269,7 @@ class TestNorms:
 
     def test_negative_index_rejected(self):
         g = make_grid(1, 8)
-        st = state_from_fields([from_function(g, np.sin)])
+        st = from_function(g, np.sin)
         with pytest.raises(ValueError):
             sobolev_norm(st, -1)
 
@@ -286,8 +284,8 @@ class TestNorms:
 
     def test_inner_product_orthogonality(self):
         g = make_grid(1, 8)
-        a = state_from_fields([from_function(g, np.sin)])
-        b = state_from_fields([from_function(g, np.cos)])
+        a = from_function(g, np.sin)
+        b = from_function(g, np.cos)
         assert abs(l2_inner(a, b)) < 1e-14
         assert np.isclose(l2_inner(a, a), np.pi)
 
@@ -301,8 +299,8 @@ class TestNorms:
         assert np.isclose(l2_inner(a, b), quadrature_inner(fa, fb, 1), rtol=1e-12)
 
     def test_inner_product_grid_mismatch(self):
-        a = state_from_fields([from_function(make_grid(1, 8), np.sin)])
-        b = state_from_fields([from_function(make_grid(1, 16), np.sin)])
+        a = from_function(make_grid(1, 8), np.sin)
+        b = from_function(make_grid(1, 16), np.sin)
         with pytest.raises(ValueError):
             l2_inner(a, b)
 
@@ -318,9 +316,9 @@ class TestDealiasedProducts:
         for _ in range(20):
             a = random_band_limited(rng, g.two_m, n)
             b = random_band_limited(rng, g.two_m, n)
-            fa = field_from_samples(g, naive_inverse(a, g.axis_points))
-            fb = field_from_samples(g, naive_inverse(b, g.axis_points))
-            prod = dealias(field_from_samples(g, to_samples(fa) * to_samples(fb)))
+            fa = state_from_samples(g, naive_inverse(a, g.axis_points)[None])
+            fb = state_from_samples(g, naive_inverse(b, g.axis_points)[None])
+            prod = dealias(state_from_samples(g, to_samples(fa) * to_samples(fb)))
             expected = coeffs_from_dict(truncate_dict(convolve_dicts(a, b), n), g.modes, 1)
             scale = max(np.max(np.abs(expected)), 1.0)
             assert np.max(np.abs(prod.coeffs - expected)) < 1e-11 * scale
@@ -340,7 +338,7 @@ class TestDealiasedProducts:
         for _ in range(5):
             a = random_band_limited(rng, g.two_m, n, ndim=2)
             b = random_band_limited(rng, g.two_m, n, ndim=2)
-            prod = dealias(field_from_samples(g, sample_2d(a) * sample_2d(b)))
+            prod = dealias(state_from_samples(g, (sample_2d(a) * sample_2d(b))[None]))
             expected = coeffs_from_dict(truncate_dict(convolve_dicts(a, b), n), g.modes, 2)
             scale = max(np.max(np.abs(expected)), 1.0)
             assert np.max(np.abs(prod.coeffs - expected)) < 1e-11 * scale
@@ -351,10 +349,10 @@ class TestDealiasedProducts:
         n = 8
         g = make_grid(1, 12)
         f = from_function(g, lambda x: np.sin(n * x))
-        sq = dealias(field_from_samples(g, to_samples(f) ** 2))
-        assert np.isclose(sq.coeffs[0].real, 0.5)
+        sq = dealias(state_from_samples(g, to_samples(f) ** 2))
+        assert np.isclose(sq.coeffs[0, 0].real, 0.5)
         rest = sq.coeffs.copy()
-        rest[0] = 0.0
+        rest[0, 0] = 0.0
         assert np.max(np.abs(rest)) < 1e-13
 
 
@@ -402,11 +400,11 @@ class TestCommutatorScaling:
         out = []
         for n in (8, 16, 32, 64, 128):
             spec = FilterSpec(kind, n)
-            fg = field_from_samples(g, f_samp * g_samp)
+            fg = state_from_samples(g, (f_samp * g_samp)[None])
             sn_fg = apply_filter(fg, spec)
-            sn_g = apply_filter(field_from_samples(g, g_samp), spec)
-            f_sng = field_from_samples(g, f_samp * to_samples(sn_g))
-            comm = state_from_fields([field_from_samples(g, to_samples(sn_fg) - to_samples(f_sng))])
+            sn_g = apply_filter(state_from_samples(g, g_samp[None]), spec)
+            f_sng = state_from_samples(g, f_samp * to_samples(sn_g))
+            comm = state_from_samples(g, to_samples(sn_fg) - to_samples(f_sng))
             out.append(sobolev_norm(comm, s))
         return out
 
@@ -424,7 +422,7 @@ class TestCachedSamples:
 
     def test_operations_build_fields_with_their_own_samples(self):
         g = make_grid(1, 16)
-        st = state_from_fields([from_function(g, np.sin)])
+        st = from_function(g, np.sin)
         base = to_samples(st)
         doubled = to_samples(st * 2.0)
         assert doubled is not base
@@ -436,7 +434,7 @@ class TestHelpers:
     def test_embed_preserves_content(self):
         g = make_grid(1, 8)
         fine = make_grid(1, 32)
-        st = state_from_fields([from_function(g, lambda x: np.sin(3 * x) + np.cos(5 * x))])
+        st = from_function(g, lambda x: np.sin(3 * x) + np.cos(5 * x))
         up = embed(st, fine)
         assert np.isclose(sobolev_norm(up, 0), sobolev_norm(st, 0), rtol=1e-13)
         x = fine.mesh[0]
@@ -461,7 +459,7 @@ class TestHelpers:
 
     def test_max_mode_support(self):
         g = make_grid(1, 16)
-        st = state_from_fields([from_function(g, lambda x: np.sin(7 * x))])
+        st = from_function(g, lambda x: np.sin(7 * x))
         assert max_mode_support(st) == 7
 
     def test_hermitian_symmetrize_projects(self):

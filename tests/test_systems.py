@@ -7,7 +7,6 @@ from specwave.poly import Poly, PolyMatrix
 from specwave.spectral import (
     StateField,
     dealias,
-    field_from_samples,
     hermitian_symmetrize,
     l2_inner,
     make_grid,
@@ -21,13 +20,13 @@ from specwave.systems import (
     check_symmetrizer,
     eval_matrix,
     hamiltonian_energy,
-    hyperbolicity_margin,
     saint_venant_1d,
     saint_venant_2d_hamiltonian,
     saint_venant_2d_standard,
     sample_hyperbolic_points,
     standard_symmetrizer_1d,
 )
+from specwave.timeint import standard_monitors
 
 from oracles import quadrature_inner
 
@@ -190,13 +189,18 @@ class TestStructuralChecks:
         assert all(sv.in_domain(p) for p in a)
 
 
+def margins(sys, state):
+    """The margin_<name> monitors of a state, keyed by predicate name."""
+    return {name[len("margin_"):]: fn(state) for name, fn in standard_monitors(sys) if name.startswith("margin_")}
+
+
 class TestMargins:
     def test_init1_margins(self):
         from specwave.initial import build_initial
 
         g = make_grid(1, 64)
         st = build_initial("init1", {"alpha": 1.5}, g)
-        m = hyperbolicity_margin(saint_venant_1d(), st)
+        m = margins(saint_venant_1d(), st)
         assert m["U"] >= 0.5
         assert m["UH"] >= 0.5
 
@@ -205,7 +209,7 @@ class TestMargins:
 
         g = make_grid(1, 64)
         st = build_initial("init2", {}, g)
-        m = hyperbolicity_margin(saint_venant_1d(), st)
+        m = margins(saint_venant_1d(), st)
         assert m["U"] > 0.49
         assert m["UH"] <= 0.0
 
@@ -213,7 +217,7 @@ class TestMargins:
         g = make_grid(1, 8)
         x = g.mesh[0]
         st = state_from_samples(g, np.stack([-np.ones_like(x), np.zeros_like(x)]))
-        m = hyperbolicity_margin(saint_venant_1d(), st)
+        m = margins(saint_venant_1d(), st)
         assert abs(m["U"]) < 1e-12
 
 
@@ -263,7 +267,7 @@ class TestHamiltonianEnergy:
             total = l2_inner(eta, eta)
             for i in range(1, state.n):
                 ui = state.component(i)
-                sq = dealias(field_from_samples(state.grid, samp[i] * samp[i]))
+                sq = dealias(state_from_samples(state.grid, (samp[i] * samp[i])[None]))
                 total += l2_inner(ui, ui) + l2_inner(eta, sq)
             return 0.5 * total
 

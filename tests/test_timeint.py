@@ -15,7 +15,6 @@ from specwave.spectral import (
     from_function,
     make_grid,
     sobolev_norm,
-    state_from_fields,
     state_from_samples,
     zero_state,
 )
@@ -33,7 +32,7 @@ from specwave.timeint import (
 class TestRK4Step:
     def test_zero_rhs_identity(self):
         g = make_grid(1, 8)
-        st = state_from_fields([from_function(g, np.sin)])
+        st = from_function(g, np.sin)
         out = rk4_step(lambda s: zero_state(g, 1), st, 0.1)
         assert np.allclose(out.coeffs, st.coeffs)
 
@@ -41,7 +40,7 @@ class TestRK4Step:
         # one step of du/dt = -du/dx multiplies mode k by the degree-4
         # Taylor polynomial of exp(-ik dt)
         g = make_grid(1, 8)
-        st = state_from_fields([from_function(g, np.sin)])
+        st = from_function(g, np.sin)
         dt = 0.1
         out = rk4_step(lambda s: StateField(g, -differentiate(s, 0).coeffs), st, dt)
         amp = out.coeffs[0][1] / st.coeffs[0][1]
@@ -68,7 +67,7 @@ class TestRK4Step:
 
     def test_nonfinite_stage_raises(self):
         g = make_grid(1, 8)
-        st = state_from_fields([from_function(g, np.sin)])
+        st = from_function(g, np.sin)
 
         def bad_rhs(s):
             c = np.full_like(s.coeffs, np.nan)
@@ -99,8 +98,8 @@ class TestRK4Step:
     def test_shared_stage_result_is_not_written(self):
         # a constant rhs_fn returns one object for all four stages
         g = make_grid(1, 8)
-        st = state_from_fields([from_function(g, np.sin)])
-        k = state_from_fields([from_function(g, np.cos)])
+        st = from_function(g, np.sin)
+        k = from_function(g, np.cos)
         k_before, st_before = k.coeffs.copy(), st.coeffs.copy()
         out = rk4_step(lambda s: k, st, 0.1)
         assert np.array_equal(k.coeffs, k_before)
