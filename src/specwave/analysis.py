@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,10 +240,10 @@ class ConvergenceReport:
 
 
 def _run_case(args) -> tuple[int, str, str, np.ndarray | None]:
-    sys, scheme_kind, initial_name, params, M, dt, T = args
+    sys, scheme_kind, initial_name, params, M, cfg = args
     grid = make_grid(sys.d, M)
     state0 = build_initial(initial_name, params, grid)
-    result = evolve(SchemeSpec(scheme_kind), sys, state0, EvolveConfig(dt=dt, T=T))
+    result = evolve(SchemeSpec(scheme_kind), sys, state0, cfg)
     coeffs = result.final_state.coeffs if result.completed else None
     return (M, scheme_kind, result.status, coeffs)
 
@@ -256,22 +255,23 @@ def convergence_study(
     initial_params: dict | None,
     M_list: list[int],
     M_ref: int,
-    dt: float,
-    T: float,
+    cfg: EvolveConfig,
     s_norms: tuple[float, ...] = (0.0, 1.0),
     jobs: int = 1,
 ) -> ConvergenceReport:
     """Errors and convergence orders against a fine sharp-filter reference.
 
-    If the reference run blows up, no case is run: every row gets status
-    'reference-blowup' and the report's reference line gives the time.
+    Every run, the reference included, evolves under ``cfg``, so its
+    blow-up threshold and monitor stride apply throughout.  If the reference
+    run blows up, no case is run: every row gets status 'reference-blowup'
+    and the report's reference line gives the time.
     """
     if M_ref <= max(M_list):
         raise ValueError("reference resolution must exceed every tested resolution")
     ref_grid = make_grid(sys.d, M_ref)
     ref0 = build_initial(initial_name, initial_params, ref_grid)
-    ref_result = evolve(SchemeSpec("sharp"), sys, ref0, EvolveConfig(dt=dt, T=T))
-    reference = f"sharp filter, 2M={2 * M_ref}, dt={dt}, T={T}"
+    ref_result = evolve(SchemeSpec("sharp"), sys, ref0, cfg)
+    reference = f"sharp filter, 2M={2 * M_ref}, dt={cfg.dt}, T={cfg.T}"
     if not ref_result.completed:
         rows = [
             ConvergenceRow(M=M, scheme=kind, status="reference-blowup")
@@ -283,11 +283,13 @@ def convergence_study(
     ref = ref_result.final_state
 
     cases = [
-        (sys, kind, initial_name, initial_params, M, dt, T)
+        (sys, kind, initial_name, initial_params, M, cfg)
         for M in M_list
         for kind in schemes
     ]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # on demand: it loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_case, cases))
     else:

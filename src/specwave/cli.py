@@ -96,6 +96,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         if kind not in SCHEME_KINDS:
             raise ConfigError(f"unknown scheme {kind!r}; choices: {', '.join(SCHEME_KINDS)}")
     _evolve_config(cfg)
+    if cfg.jobs < 1:
+        raise ConfigError(f"jobs must be a positive integer, got {cfg.jobs}")
     for m in [cfg.M, cfg.M_ref, *(cfg.M_list or [])]:
         if m is None:
             continue
@@ -233,8 +235,7 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
         cfg.init_params,
         cfg.M_list,
         cfg.M_ref,
-        cfg.dt,
-        cfg.T,
+        _evolve_config(cfg),
         s_norms=cfg.s_norms,
         jobs=cfg.jobs,
     )

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .poly import Poly, PolyMatrix
 from .spectral import StateField, to_samples
@@ -28,7 +27,6 @@ __all__ = [
     "standard_symmetrizer_1d",
     "builtin_system",
     "BUILTIN_SYSTEMS",
-    "eval_matrix",
     "check_symmetrizer",
     "check_compatibility_AS",
     "check_factorization",
@@ -70,14 +68,6 @@ class SystemDef:
 
     def in_domain(self, point: Sequence[float]) -> bool:
         return all(p(point) > 0.0 for _, p in self.predicates)
-
-
-def eval_matrix(P: PolyMatrix, u: Sequence[float]) -> np.ndarray:
-    """Entrywise polynomial evaluation of a matrix at a state point."""
-    u = np.asarray(u, dtype=np.float64)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("evaluation point must be finite")
-    return P.eval(u)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +204,8 @@ def sample_hyperbolic_points(
     max_draws: int = 20000,
 ) -> np.ndarray:
     """Deterministic low-discrepancy samples inside the hyperbolicity domain."""
+    from scipy.stats import qmc  # on demand: it takes longer to import than the whole package
+
     sampler = qmc.Halton(d=sys.n, scramble=False)
     lo, hi = box
     accepted: list[np.ndarray] = []

@@ -66,8 +66,7 @@ def study_1d():
         {"alpha": 1.5},
         M_list=[16, 32, 64, 128, 256],
         M_ref=1024,
-        dt=1e-4,
-        T=0.1,
+        cfg=EvolveConfig(dt=1e-4, T=0.1),
     )
 
 

@@ -32,6 +32,7 @@ from specwave.spectral import (
     to_samples,
 )
 from specwave.systems import saint_venant_1d, saint_venant_2d_hamiltonian
+from specwave.timeint import EvolveConfig
 
 from oracles import (
     convolve_dicts,
@@ -250,8 +251,7 @@ def small_study():
         {"alpha": 1.5},
         M_list=[8, 16, 32],
         M_ref=128,
-        dt=1e-3,
-        T=0.02,
+        cfg=EvolveConfig(dt=1e-3, T=0.02),
     )
 
 
@@ -296,8 +296,7 @@ class TestConvergenceStudy:
             initial_params={"alpha": 1.5},
             M_list=[8, 16],
             M_ref=64,
-            dt=1e-3,
-            T=0.01,
+            cfg=EvolveConfig(dt=1e-3, T=0.01),
         )
         serial = convergence_study(sv, **kwargs, jobs=1)
         parallel = convergence_study(sv, **kwargs, jobs=2)
@@ -307,7 +306,8 @@ class TestConvergenceStudy:
         sv = saint_venant_1d()
         with pytest.raises(ValueError):
             convergence_study(
-                sv, ["sharp"], "init1", {}, M_list=[16], M_ref=16, dt=1e-3, T=0.01
+                sv, ["sharp"], "init1", {}, M_list=[16], M_ref=16,
+                cfg=EvolveConfig(dt=1e-3, T=0.01),
             )
 
 

@@ -1,12 +1,17 @@
 """Command-line interface: subcommands, artifacts, determinism, exit codes."""
 
 import argparse
+import json
 import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specwave
 from specwave.cli import _build_config, _parser, main, parse_config_text
 from specwave.presets import CONFIG_KEYS, get_preset, preset_names
 from specwave.sysio import serialize_system
@@ -202,6 +207,33 @@ class TestConverge:
         )
         assert code == 1
 
+    def test_blowup_threshold_applies_to_every_run(self, tmp_path, capsys):
+        # growth past half the initial max-norm counts as blow-up at the first check
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "system = saint-venant-1d\nscheme = sharp smooth-nl\ninitial = init1\n"
+            "M = 16\nM_list = 8 16\nM_ref = 32\ndt = 1e-3\nT = 0.002\n"
+            "blowup_threshold = 0.5\n"
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert "sharp: blowup at t=0.001" in capsys.readouterr().out
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "conv")]) == 0
+        rows = read(tmp_path / "conv" / "report.csv").splitlines()[1:]
+        assert len(rows) == 4
+        assert all(row.endswith(",reference-blowup") for row in rows)
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_nonpositive_jobs_is_input_error(self, tmp_path, capsys, jobs):
+        code = main(
+            ["converge", "--system", "saint-venant-1d", "--initial", "init1",
+             "--M-list", "8", "--M-ref", "16", "--dt", "1e-3", "--T", "0.002",
+             "--jobs", jobs, "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "jobs" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCheckSystem:
     def test_builtins_pass(self, capsys):
@@ -229,6 +261,54 @@ class TestCheckSystem:
 
     def test_unknown_name(self, capsys):
         assert main(["check-system", "not-a-system"]) == 1
+
+
+# Runs in a fresh interpreter: which modules a command loads is a property of
+# the process, and this test process has imported everything already.
+_STARTUP_SCRIPT = """
+import json, sys
+import specwave.cli
+
+def lazy_loaded():
+    return [m for m in ("scipy.stats", "concurrent.futures.process") if m in sys.modules]
+
+loaded = {"import": lazy_loaded()}
+common = ["--system", "saint-venant-1d", "--initial", "init1", "--dt", "1e-3", "--T", "0.002"]
+assert specwave.cli.main(["run", *common, "--M", "16", "--out", "run"]) == 0
+loaded["run"] = lazy_loaded()
+assert specwave.cli.main(
+    ["converge", *common, "--M-list", "8", "--M-ref", "16", "--jobs", "1", "--out", "conv"]
+) == 0
+loaded["converge"] = lazy_loaded()
+print("--- check-system")
+assert specwave.cli.main(["check-system", "saint-venant-1d"]) == 0
+loaded["check-system"] = lazy_loaded()
+print(json.dumps(loaded), file=sys.stderr)
+"""
+
+
+class TestStartup:
+    def test_commands_import_only_what_they_run(self, tmp_path):
+        env = dict(os.environ)
+        pkg_root = str(Path(specwave.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _STARTUP_SCRIPT],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stderr.splitlines()[-1])
+        assert loaded["import"] == []
+        assert loaded["run"] == []
+        assert loaded["converge"] == []
+        assert loaded["check-system"] == ["scipy.stats"]
+        check_lines = proc.stdout.split("--- check-system\n", 1)[1].splitlines()
+        assert check_lines == [
+            "polynomial-entries: PASS (max degree 1)",
+            "symmetrizer: PASS (200 samples)",
+            "compatibility-split: PASS (200 samples)",
+            "constant-factorization: PASS",
+        ]
 
 
 class TestProbeJn:

@@ -18,7 +18,6 @@ from specwave.systems import (
     check_compatibility_AS,
     check_factorization,
     check_symmetrizer,
-    eval_matrix,
     hamiltonian_energy,
     saint_venant_1d,
     saint_venant_2d_hamiltonian,
@@ -36,20 +35,15 @@ ALL_SYSTEMS = [saint_venant_1d, saint_venant_2d_standard, saint_venant_2d_hamilt
 class TestEvalMatrix:
     def test_sv1d_at_origin(self):
         sv = saint_venant_1d()
-        assert np.allclose(eval_matrix(sv.A[0], [0, 0]), [[0, 1], [1, 0]])
+        assert np.allclose(sv.A[0].eval([0, 0]), [[0, 1], [1, 0]])
 
     def test_sv1d_at_point(self):
         sv = saint_venant_1d()
-        assert np.allclose(eval_matrix(sv.A[0], [0.5, 0.2]), [[0.2, 1.5], [1.0, 0.2]])
+        assert np.allclose(sv.A[0].eval([0.5, 0.2]), [[0.2, 1.5], [1.0, 0.2]])
 
     def test_zero_matrix(self):
         z = PolyMatrix.zero(2, 2)
-        assert np.allclose(eval_matrix(z, [3.0, -1.0]), np.zeros((2, 2)))
-
-    def test_nonfinite_point_rejected(self):
-        sv = saint_venant_1d()
-        with pytest.raises(ValueError):
-            eval_matrix(sv.A[0], [np.nan, 0.0])
+        assert np.allclose(z.eval([3.0, -1.0]), np.zeros((2, 2)))
 
 
 class TestSaintVenant1D:
