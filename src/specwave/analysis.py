@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .initial import build_initial
-from .poly import PolyMatrix
+from .poly import Poly, PolyMatrix
 from .semidisc import SchemeSpec, poly_coefficient_samples
 from .spectral import (
     FilterSpec,
@@ -25,7 +25,7 @@ from .spectral import (
     state_from_samples,
     to_samples,
 )
-from .systems import SystemDef, standard_symmetrizer_1d
+from .systems import SystemDef
 from .timeint import EvolveConfig, evolve, second_derivative_max
 
 __all__ = [
@@ -82,19 +82,25 @@ def fit_loglog_slope(xs, ys) -> float:
 def energy_symmetrizer(sys: SystemDef, variant: str) -> PolyMatrix:
     """Resolve the symmetrizer backing an energy functional variant.
 
-    'hamiltonian' needs the factorized structure; 'standard' uses the
-    diagonal-type symmetrizer (for the 1D shallow-water system this is not
-    the registered one, which realizes the factorization instead).
+    'hamiltonian' needs the factorized structure, and uses the registered S.
+    'standard' uses S when the system has no factorization; otherwise the
+    diagonal part of S, when it symmetrizes every A_j on its own (for the 1D
+    shallow-water system, diag(1, 1+eta)).
     """
+    if sys.S is None:
+        raise ValueError(f"system {sys.name!r} has no symmetrizer")
     if variant == "hamiltonian":
-        if sys.S is None or sys.SJ0 is None:
+        if sys.SJ0 is None:
             raise ValueError(f"system {sys.name!r} has no factorized (Hamiltonian) symmetrizer")
         return sys.S
     if variant == "standard":
-        if sys.name == "saint-venant-1d":
-            return standard_symmetrizer_1d()
-        if sys.S is not None and sys.SJ0 is None:
+        if sys.SJ0 is None:
             return sys.S
+        rows = [[p if i == j else Poly.zero(sys.n) for j, p in enumerate(row)]
+                for i, row in enumerate(sys.S.entries)]
+        diag = PolyMatrix.build(sys.n, rows)
+        if all((diag @ Aj).is_symmetric() for Aj in sys.A):
+            return diag
         raise ValueError(f"system {sys.name!r} has no standard symmetrizer")
     raise ValueError(f"variant must be 'standard' or 'hamiltonian', got {variant!r}")
 

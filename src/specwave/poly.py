@@ -86,6 +86,13 @@ class Poly:
     def equals(self, other: "Poly", tol: float = COEFF_TOL) -> bool:
         return (self - other).is_zero(tol)
 
+    def diff(self, i: int) -> "Poly":
+        """Partial derivative with respect to variable i."""
+        return Poly.from_terms(
+            self.nvars,
+            [(e[:i] + (e[i] - 1,) + e[i + 1 :], e[i] * c) for e, c in self.terms if e[i]],
+        )
+
     def __call__(self, point: Sequence[float]) -> float:
         point = np.asarray(point, dtype=np.float64)
         total = 0.0
@@ -147,12 +154,7 @@ class PolyMatrix:
         return np.array([[p.constant() for p in row] for row in self.entries])
 
     def minus_constant(self) -> "PolyMatrix":
-        nv = self.nvars
-        rows = [
-            [p - Poly.const(nv, p.constant()) for p in row]
-            for row in self.entries
-        ]
-        return PolyMatrix.build(self.n, rows)
+        return self - PolyMatrix.from_constant(self.constant_part(), self.nvars)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         rows = [
@@ -180,9 +182,6 @@ class PolyMatrix:
                 row.append(acc)
             rows.append(row)
         return PolyMatrix.build(self.n, rows)
-
-    def left_mul_constant(self, mat: np.ndarray) -> "PolyMatrix":
-        return PolyMatrix.from_constant(mat, self.nvars) @ self
 
     def transpose(self) -> "PolyMatrix":
         rows = [[self.entries[j][i] for j in range(self.n)] for i in range(self.n)]

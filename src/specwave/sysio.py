@@ -19,6 +19,7 @@ the coefficient); indices are 1-based.  Example::
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -53,11 +54,9 @@ def _tokenize_monomials(tokens: list[str], nvars: int, line_no: int) -> list[tup
             expo_t = tuple(int(e) for e in expo)
         except ValueError:
             raise SystemFormatError(line_no, f"non-integer exponent in ({expo_text})") from None
-        try:
-            coeff = float(coeff_text)
-        except ValueError:
-            raise SystemFormatError(line_no, f"bad coefficient {coeff_text!r}") from None
-        out.append((expo_t, coeff))
+        if any(e < 0 for e in expo_t):
+            raise SystemFormatError(line_no, f"negative exponent in ({expo_text})")
+        out.append((expo_t, _parse_float(coeff_text, line_no, "coefficient")))
     return out
 
 
@@ -105,15 +104,15 @@ def parse_system_text(text: str) -> SystemDef:
             s_terms.setdefault((row, col), []).extend(_tokenize_monomials(tokens[3:], n, line_no))
         elif key == "SJ0":
             _require_header(d, n, line_no)
+            if len(tokens) < 2:
+                raise SystemFormatError(line_no, "SJ0 needs a direction and its entries")
             j = _to_index(tokens[1], line_no)
+            if not 1 <= j <= d:
+                raise SystemFormatError(line_no, f"direction {j} out of range 1..{d}")
             vals = tokens[2:]
             if len(vals) != n * n:
                 raise SystemFormatError(line_no, f"SJ0 needs {n * n} entries, got {len(vals)}")
-            try:
-                mat = np.array([float(v) for v in vals]).reshape(n, n)
-            except ValueError:
-                raise SystemFormatError(line_no, "bad SJ0 entry") from None
-            sj0[j] = mat
+            sj0[j] = np.array([_parse_float(v, line_no, "SJ0 entry") for v in vals]).reshape(n, n)
         elif key == "pred":
             _require_header(d, n, line_no)
             if len(tokens) < 3:
@@ -151,7 +150,22 @@ def parse_system(path: str) -> SystemDef:
 def _parse_int(tokens: list[str], line_no: int, what: str) -> int:
     if len(tokens) != 2:
         raise SystemFormatError(line_no, f"{what} takes exactly one value")
-    return _to_index(tokens[1], line_no)
+    value = _to_index(tokens[1], line_no)
+    if value < 1:
+        raise SystemFormatError(line_no, f"{what} must be a positive integer, got {value}")
+    return value
+
+
+def _parse_float(token: str, line_no: int, what: str) -> float:
+    # a non-finite value would vanish from the coefficient comparisons: inf - inf
+    # is NaN, and a NaN coefficient is dropped like a zero one
+    try:
+        value = float(token)
+    except ValueError:
+        raise SystemFormatError(line_no, f"bad {what} {token!r}") from None
+    if not math.isfinite(value):
+        raise SystemFormatError(line_no, f"non-finite {what} {token!r}")
+    return value
 
 
 def _to_index(token: str, line_no: int) -> int:

@@ -3,9 +3,12 @@
 A system is d coefficient matrices A_j(U) with polynomial entries,
 optionally a polynomial symmetrizer S(U) (and a constant factorization
 A_j = SJ0_j S(U) when the system has Hamiltonian structure), plus named
-hyperbolicity predicates that must stay positive.  The two shallow-water
-variants used throughout are built here, together with executable checks
-of the structural conditions they are supposed to satisfy.
+hyperbolicity predicates that must stay positive.  Derived, not declared:
+the constant/varying split of each A_j, and the energy density H with
+S = D^2 H when S is a Hessian (Godunov-Mock: such an S comes with the
+conserved density H).  The three shallow-water variants are built here,
+with checks of their structure: polynomial identities are proved on
+coefficients, and only positive definiteness of S is sampled.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ __all__ = [
     "saint_venant_1d",
     "saint_venant_2d_standard",
     "saint_venant_2d_hamiltonian",
-    "standard_symmetrizer_1d",
     "builtin_system",
     "BUILTIN_SYSTEMS",
     "check_symmetrizer",
@@ -33,9 +35,6 @@ __all__ = [
     "hamiltonian_energy",
     "sample_hyperbolic_points",
 ]
-
-SYM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SystemDef:
@@ -59,15 +58,31 @@ class SystemDef:
                 raise AssertionError("constant/varying split does not reproduce A_j")
         object.__setattr__(self, "A0", A0)
         object.__setattr__(self, "A1", A1)
-        if self.S is not None:
-            object.__setattr__(self, "S0", self.S.constant_part())
-            object.__setattr__(self, "S1", self.S.minus_constant())
-        else:
-            object.__setattr__(self, "S0", None)
-            object.__setattr__(self, "S1", None)
+        object.__setattr__(self, "H", None if self.S is None else _energy_density(self.S))
 
     def in_domain(self, point: Sequence[float]) -> bool:
         return all(p(point) > 0.0 for _, p in self.predicates)
+
+
+def _energy_density(S: PolyMatrix) -> Poly | None:
+    """The density H with D^2 H = S and H(0) = DH(0) = 0, or None if S is no Hessian.
+
+    The candidate is Taylor's H(U) = int_0^1 (1-t) U^T S(tU) U dt, in which
+    a monomial of S of degree m enters with weight 1/((m+1)(m+2)); it is
+    kept only when its Hessian equals S coefficient by coefficient.
+    """
+    terms = []
+    for a, row in enumerate(S.entries):
+        for b, p in enumerate(row):
+            for e, c in p.terms:
+                expo = list(e)
+                expo[a] += 1
+                expo[b] += 1
+                m = sum(e)
+                terms.append((expo, c / ((m + 1) * (m + 2))))
+    H = Poly.from_terms(S.nvars, terms)
+    hessian = PolyMatrix.build(S.n, [[H.diff(a).diff(b) for b in range(S.n)] for a in range(S.n)])
+    return H if hessian.equals(S) else None
 
 
 # ---------------------------------------------------------------------------
@@ -152,18 +167,6 @@ def saint_venant_2d_hamiltonian() -> SystemDef:
     )
 
 
-def standard_symmetrizer_1d() -> PolyMatrix:
-    """The diagonal symmetrizer diag(1, 1+eta) of the 1D system.
-
-    Distinct from the one registered on saint_venant_1d(); it does not
-    factor A(U) but is the one for which the filter-commutator pairing
-    grows linearly in the cutoff.
-    """
-    nv = 2
-    one, eta = Poly.const(nv, 1.0), Poly.var(nv, 0)
-    return PolyMatrix.build(2, [[one, Poly.zero(nv)], [Poly.zero(nv), one + eta]])
-
-
 BUILTIN_SYSTEMS = {
     "saint-venant-1d": saint_venant_1d,
     "saint-venant-2d-standard": saint_venant_2d_standard,
@@ -223,51 +226,40 @@ def sample_hyperbolic_points(
 
 
 def check_symmetrizer(sys: SystemDef, samples: np.ndarray | None = None) -> CheckReport:
-    """S(U) symmetric positive definite with S(U)A_j(U) symmetric, sampled."""
+    """S(U) and every S(U)A_j(U) symmetric, proved on coefficients; S(U)
+    positive definite, sampled inside the hyperbolicity domain."""
     if sys.S is None:
         raise ValueError(f"system {sys.name!r} has no symmetrizer registered")
     if samples is None:
         samples = sample_hyperbolic_points(sys)
     report = CheckReport("symmetrizer", True, len(samples))
+    if not sys.S.is_symmetric():
+        report.add_failure("S not symmetric")
+    for j, Aj in enumerate(sys.A):
+        if not (sys.S @ Aj).is_symmetric():
+            report.add_failure(f"S*A_{j} not symmetric")
     for p in samples:
-        S = sys.S.eval(p)
-        if np.max(np.abs(S - S.T)) > SYM_TOL:
-            report.add_failure(f"S not symmetric at {tuple(p)}")
-            continue
-        lam = np.linalg.eigvalsh(S)
+        lam = np.linalg.eigvalsh(sys.S.eval(p))
         if lam[0] <= 0.0:
             report.add_failure(f"S not positive definite at {tuple(p)} (min eig {lam[0]:.3e})")
-        for j, Aj in enumerate(sys.A):
-            SA = S @ Aj.eval(p)
-            asym = np.max(np.abs(SA - SA.T))
-            if asym > SYM_TOL:
-                report.add_failure(f"S*A_{j} asymmetry {asym:.3e} at {tuple(p)}")
     return report
 
 
-def check_compatibility_AS(sys: SystemDef, samples: np.ndarray | None = None) -> CheckReport:
-    """Symmetry of S0 A0_j, S0 A1_j(U) + S1(U) A0_j and S1(U) A1_j(U)."""
+def check_compatibility_AS(sys: SystemDef) -> CheckReport:
+    """Symmetry of S0 A0_j, S0 A1_j(U) + S1(U) A0_j and S1(U) A1_j(U), proved on coefficients."""
     if sys.S is None:
         raise ValueError(f"system {sys.name!r} has no symmetrizer registered")
-    if samples is None:
-        samples = sample_hyperbolic_points(sys)
-    report = CheckReport("compatibility", True, len(samples))
-    S0, S1 = sys.S0, sys.S1
-    for j, (A0j, A1j) in enumerate(zip(sys.A0, sys.A1)):
-        M0 = S0 @ A0j
-        if np.max(np.abs(M0 - M0.T)) > SYM_TOL:
+    report = CheckReport("compatibility", True, 0)
+    S0 = PolyMatrix.from_constant(sys.S.constant_part(), sys.n)
+    S1 = sys.S.minus_constant()
+    for j, (a0, A1j) in enumerate(zip(sys.A0, sys.A1)):
+        A0j = PolyMatrix.from_constant(a0, sys.n)
+        if not (S0 @ A0j).is_symmetric():
             report.add_failure(f"S0*A0_{j} not symmetric")
-        for p in samples:
-            A1p = A1j.eval(p)
-            S1p = S1.eval(p)
-            mixed = S0 @ A1p + S1p @ A0j
-            if np.max(np.abs(mixed - mixed.T)) > SYM_TOL:
-                report.add_failure(f"S0*A1_{j} + S1*A0_{j} asymmetric at {tuple(p)}")
-                break
-            quad = S1p @ A1p
-            if np.max(np.abs(quad - quad.T)) > SYM_TOL:
-                report.add_failure(f"S1*A1_{j} asymmetric at {tuple(p)}")
-                break
+        if not (S0 @ A1j + S1 @ A0j).is_symmetric():
+            report.add_failure(f"S0*A1_{j} + S1*A0_{j} not symmetric")
+        if not (S1 @ A1j).is_symmetric():
+            report.add_failure(f"S1*A1_{j} not symmetric")
     return report
 
 
@@ -280,7 +272,7 @@ def check_factorization(sys: SystemDef) -> CheckReport:
     for j, (sj0, Aj) in enumerate(zip(sys.SJ0, sys.A)):
         if np.max(np.abs(sj0 - sj0.T)) > 0.0:
             report.add_failure(f"SJ0_{j} not symmetric")
-        if not sys.S.left_mul_constant(sj0).equals(Aj):
+        if not (PolyMatrix.from_constant(sj0, sys.n) @ sys.S).equals(Aj):
             report.add_failure(f"A_{j} != SJ0_{j} * S as polynomials")
     return report
 
@@ -289,16 +281,13 @@ def check_factorization(sys: SystemDef) -> CheckReport:
 # State-level diagnostics
 
 
-def hamiltonian_energy(state: StateField) -> float:
-    """Shallow-water energy (integral of eta^2 + (1+eta)|u|^2, halved).
+def hamiltonian_energy(sys: SystemDef, state: StateField) -> float:
+    """Energy: the integral of the system's density H (sys.H, derived from S).
 
-    The collocation sum of the density over the state's samples.  It is
-    the exact integral when eta is supported in |k| <= N with 3N < 2M
-    (every state evolve produces): the quadratic terms by discrete
-    Parseval, and the cubic one because the 2M grid folds the aliases of
-    |u|^2 onto modes above N, where eta has none.
+    The collocation sum cell_volume * sum H(U) over the state's samples.
+    For a state supported in |k| <= N it is the exact integral when
+    deg(H) N < 2M: H(U) then has modes up to deg(H) N, and the 2M grid
+    folds none of them onto k = 0.  Every state evolve produces has
+    3N < 2M, which covers the cubic shallow-water density.
     """
-    samp = to_samples(state)
-    eta = samp[0]
-    density = eta * eta + (1.0 + eta) * np.sum(samp[1:] * samp[1:], axis=0)
-    return 0.5 * state.grid.cell_volume * float(np.sum(density))
+    return state.grid.cell_volume * float(np.sum(sys.H.eval_on(to_samples(state))))

@@ -105,6 +105,9 @@ class EvolveResult:
 def standard_monitors(sys: SystemDef) -> list[Monitor]:
     """Default diagnostics: Sobolev norms, domain margins, energy, curvature.
 
+    The energy column is present when the system has a density H, i.e. when
+    its symmetrizer is a Hessian (see SystemDef).
+
     The margins and the energy read the state's cached samples, so with the
     blow-up check they share one inverse transform of each sampled state.
     """
@@ -116,8 +119,8 @@ def standard_monitors(sys: SystemDef) -> list[Monitor]:
         monitors.append(
             (f"margin_{name}", lambda st, _p=p: float(np.min(_p.eval_on(to_samples(st)))))
         )
-    if sys.n == sys.d + 1:
-        monitors.append(("hamiltonian", hamiltonian_energy))
+    if sys.H is not None:
+        monitors.append(("hamiltonian", lambda st: hamiltonian_energy(sys, st)))
     monitors.append(("max_d2u", second_derivative_max))
     return monitors
 

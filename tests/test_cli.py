@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import specwave
 from specwave.cli import _build_config, _parser, main, parse_config_text
@@ -86,6 +87,30 @@ class TestRun:
         assert len(csvs) == 8
         for path in csvs:
             assert "np." not in read(path), path
+
+    def test_inverse_transforms_per_run(self, tmp_path, monkeypatch):
+        # Each evolve: 4 rhs per step, each n(d+1) = 4 component transforms,
+        # and per monitor sample one of the state (n) plus one for max_d2u.
+        # Outside evolve: the projected initial state and its curvature once
+        # per run, and the curvature of each final state once.
+        irfftn = scipy.fft.irfftn
+        count = [0]
+
+        def counted(*args, **kwargs):
+            out = irfftn(*args, **kwargs)
+            count[0] += out.size // 32  # one transform per component, 2M = 32
+            return out
+
+        monkeypatch.setattr(scipy.fft, "irfftn", counted)
+        code = main(
+            ["run", "--system", "saint-venant-1d", "--scheme", "sharp smooth-all smooth-nl",
+             "--initial", "init1", "--M", "16", "--dt", "1e-3", "--T", "0.002",
+             "--out", str(tmp_path)]
+        )
+        assert code == 0
+        n, steps, samples, schemes = 2, 2, 3, 3
+        per_evolve = steps * 4 * 2 * n + samples * (n + 1)
+        assert count[0] == schemes * (per_evolve + 1) + (n + 1)
 
     def test_unknown_initial_exits_nonzero(self, tmp_path, capsys):
         code = main(
@@ -247,6 +272,7 @@ class TestCheckSystem:
         main(["check-system", "saint-venant-2d-standard"])
         out = capsys.readouterr().out
         assert "constant-factorization: SKIP" in out
+        assert "energy-density: SKIP (S is not a Hessian)" in out.splitlines()
 
     def test_definition_file(self, tmp_path):
         path = tmp_path / "sys.txt"
@@ -261,6 +287,59 @@ class TestCheckSystem:
 
     def test_unknown_name(self, capsys):
         assert main(["check-system", "not-a-system"]) == 1
+
+
+class TestBadSystemFile:
+    @pytest.mark.parametrize(
+        "line",
+        ["SJ0", "SJ0 2 0 1 1 0", "SJ0 1 0 nan 1 0", "A 1 1 1 (0 1) nan", "S 1 1 (0 0) inf"],
+    )
+    @pytest.mark.parametrize("command", ["check-system", "run"])
+    def test_rejected_with_line_number(self, tmp_path, capsys, command, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(serialize_system(saint_venant_1d()).replace("SJ0 1 0.0 1.0 1.0 0.0", line))
+        line_no = read(path).splitlines().index(line) + 1
+        argv = ["check-system", str(path)] if command == "check-system" else [
+            "run", "--system", str(path), "--initial", "init1", "--M", "16",
+            "--dt", "1e-3", "--T", "0.002", "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line_no}:"), err
+
+
+# Built-in systems are not special: a renamed copy of the 1D system gives the
+# same outputs, and the energy column follows the symmetrizer, not the shape.
+class TestDerivedStructure:
+    def test_renamed_builtin_gives_identical_outputs(self, tmp_path):
+        path = tmp_path / "sys.txt"
+        path.write_text(serialize_system(saint_venant_1d()).replace("saint-venant-1d", "my-shallow-water"))
+        run = ["run", "--scheme", "sharp smooth-nl", "--initial", "init1", "--M", "16",
+               "--dt", "1e-3", "--T", "0.003"]
+        probe = ["probe-jn", "--N-list", "16 32", "--p", "1", "--q", "0"]
+        for name, system in (("builtin", "saint-venant-1d"), ("file", str(path))):
+            assert main(run + ["--system", system, "--out", str(tmp_path / name / "run")]) == 0
+            assert main(probe + ["--system", system, "--out", str(tmp_path / name / "probe")]) == 0
+        files_seen = 0
+        for dirpath, _, names in os.walk(tmp_path / "builtin"):
+            for name in names:
+                rel = os.path.relpath(os.path.join(dirpath, name), tmp_path / "builtin")
+                assert read(tmp_path / "builtin" / rel) == read(tmp_path / "file" / rel), rel
+                files_seen += 1
+        assert files_seen == 2 * 3 + 1 + 2
+
+    def test_energy_column_only_with_hessian_symmetrizer(self, tmp_path):
+        burgers = tmp_path / "burgers.txt"
+        burgers.write_text("name decoupled-burgers\ndim 1\nsize 2\nA 1 1 1 (1 0) 1.0\nA 1 2 2 (0 1) 1.0\n")
+        cases = [
+            (str(burgers), "init1", "time,Hs0,Hs1,max_d2u"),
+            ("saint-venant-2d-standard", "init2D", "time,Hs0,Hs1,margin_U,max_d2u"),
+            ("saint-venant-2d-hamiltonian", "init2D", "time,Hs0,Hs1,margin_UH,hamiltonian,max_d2u"),
+        ]
+        for i, (system, initial, header) in enumerate(cases):
+            out = tmp_path / str(i)
+            assert main(["run", "--system", system, "--initial", initial, "--M", "8",
+                         "--dt", "1e-3", "--T", "0.002", "--out", str(out)]) == 0
+            assert read(out / "sharp" / "monitors.csv").splitlines()[0] == header
 
 
 # Runs in a fresh interpreter: which modules a command loads is a property of
@@ -305,9 +384,10 @@ class TestStartup:
         check_lines = proc.stdout.split("--- check-system\n", 1)[1].splitlines()
         assert check_lines == [
             "polynomial-entries: PASS (max degree 1)",
-            "symmetrizer: PASS (200 samples)",
-            "compatibility-split: PASS (200 samples)",
-            "constant-factorization: PASS",
+            "symmetrizer: PASS (symmetry exact; positive definite at 200 samples)",
+            "compatibility-split: PASS (exact)",
+            "constant-factorization: PASS (exact)",
+            "energy-density: PASS (exact: S = D^2 H)",
         ]
 
 

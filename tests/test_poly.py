@@ -25,6 +25,14 @@ def test_evaluation():
     assert p((0.0, 5.0)) == 2.0
 
 
+def test_diff():
+    # d/dx0 of 2 + 3*x0*x1^2 - x0^3 is 3*x1^2 - 3*x0^2; d/dx1 is 6*x0*x1
+    p = Poly.from_terms(2, {(0, 0): 2.0, (1, 2): 3.0, (3, 0): -1.0})
+    assert p.diff(0).terms == (((0, 2), 3.0), ((2, 0), -3.0))
+    assert p.diff(1).terms == (((1, 1), 6.0),)
+    assert Poly.const(2, 5.0).diff(0).is_zero()
+
+
 def test_eval_on_arrays():
     p = Poly.from_terms(2, {(1, 0): 1.0, (0, 2): -1.0})
     a = np.array([1.0, 2.0, 3.0])

@@ -97,3 +97,32 @@ def test_bad_coefficient():
 def test_sj0_entry_count():
     with pytest.raises(SystemFormatError, match="entries"):
         parse_system_text("name x\ndim 1\nsize 2\nA 1 1 1 (0 0) 1.0\nSJ0 1 1 0\n")
+
+
+SV1D_HEADER = "name x\ndim 1\nsize 2\nA 1 1 1 (0 1) 1.0\n"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("SJ0", "SJ0 needs a direction"),
+        ("SJ0 2 0 1 1 0", "direction 2 out of range"),
+        ("SJ0 1 0 nan 1 0", "non-finite SJ0 entry"),
+        ("SJ0 1 0 x 1 0", "bad SJ0 entry"),
+        ("A 1 1 2 (0 1) nan", "non-finite coefficient"),
+        ("S 1 1 (0 0) inf", "non-finite coefficient"),
+        ("S 1 1 (0 0) 1.0 (1 0) -inf", "non-finite coefficient"),
+        ("pred U (0 0) NaN", "non-finite coefficient"),
+        ("A 1 1 2 (-1 0) 1.0", "negative exponent"),
+    ],
+)
+def test_bad_entry_names_its_line(line, message):
+    with pytest.raises(SystemFormatError, match=f"^line 5: {message}"):
+        parse_system_text(SV1D_HEADER + line + "\n")
+
+
+@pytest.mark.parametrize("text", ["name x\ndim 0\n", "name x\ndim 1\nsize 0\n", "name x\nsize -1\n"])
+def test_nonpositive_dimensions_rejected(text):
+    line_no = len(text.splitlines())
+    with pytest.raises(SystemFormatError, match=f"^line {line_no}: .* must be a positive integer"):
+        parse_system_text(text)

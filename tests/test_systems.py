@@ -23,8 +23,8 @@ from specwave.systems import (
     saint_venant_2d_hamiltonian,
     saint_venant_2d_standard,
     sample_hyperbolic_points,
-    standard_symmetrizer_1d,
 )
+from specwave.analysis import energy_symmetrizer
 from specwave.timeint import standard_monitors
 
 from oracles import quadrature_inner
@@ -135,6 +135,19 @@ class TestStructuralChecks:
         rep = check_symmetrizer(ham, samples=np.array([[0.0, 0.9, 0.9]]))
         assert not rep.passed
 
+    def test_asymmetry_proved_without_samples(self):
+        # S = [[1, x], [0, 1]] is not symmetric, and with A = [[0, 0], [x, 0]]
+        # neither is S*A = [[x^2, 0], [x, 0]]
+        x = Poly.var(2, 0)
+        zero, one = Poly.zero(2), Poly.const(2, 1.0)
+        s = PolyMatrix.build(2, [[one, x], [zero, one]])
+        a = PolyMatrix.build(2, [[zero, zero], [x, zero]])
+        from specwave.systems import SystemDef
+
+        sysd = SystemDef(name="synthetic", d=1, n=2, A=(a,), S=s)
+        rep = check_symmetrizer(sysd, samples=np.empty((0, 2)))
+        assert rep.failures == ["S not symmetric", "S*A_0 not symmetric"]
+
     def test_synthetic_asymmetric_system_fails_third_condition(self):
         # A = [[0, x], [x, 0]], S = diag(1+x, 1): A0 = 0 and A1 symmetric keep
         # the first two conditions, while S1*A1 = [[0, x^2], [0, 0]] is not
@@ -145,9 +158,9 @@ class TestStructuralChecks:
         from specwave.systems import SystemDef
 
         sysd = SystemDef(name="synthetic", d=1, n=2, A=(a,), S=s)
-        rep = check_compatibility_AS(sysd, samples=np.array([[0.5, 0.3]]))
-        assert not rep.passed
-        assert any("S1*A1" in msg for msg in rep.failures)
+        rep = check_compatibility_AS(sysd)  # proved on coefficients, no samples
+        assert not rep.passed and rep.n_samples == 0
+        assert rep.failures == ["S1*A1_0 not symmetric"]
 
     def test_zero_system_passes(self):
         from specwave.systems import SystemDef
@@ -159,7 +172,7 @@ class TestStructuralChecks:
             A=(PolyMatrix.zero(2, 2),),
             S=PolyMatrix.from_constant(np.eye(2), 2),
         )
-        assert check_compatibility_AS(sysd, samples=np.array([[0.1, 0.2]])).passed
+        assert check_compatibility_AS(sysd).passed
 
     def test_split_exactness(self):
         for factory in ALL_SYSTEMS:
@@ -215,17 +228,20 @@ class TestMargins:
         assert abs(m["U"]) < 1e-12
 
 
+SV1D, SV2D = saint_venant_1d(), saint_venant_2d_hamiltonian()
+
+
 class TestHamiltonianEnergy:
     def test_zero_state(self):
         g = make_grid(1, 8)
         st = state_from_samples(g, np.zeros((2,) + g.shape))
-        assert hamiltonian_energy(st) == 0.0
+        assert hamiltonian_energy(SV1D, st) == 0.0
 
     def test_flat_depth_sine_velocity(self):
         g = make_grid(1, 32)
         x = g.mesh[0]
         st = state_from_samples(g, np.stack([np.zeros_like(x), np.sin(x)]))
-        assert np.isclose(hamiltonian_energy(st), 0.5 * np.pi)
+        assert np.isclose(hamiltonian_energy(SV1D, st), 0.5 * np.pi)
 
     def test_cubic_term_against_quadrature(self):
         g = make_grid(1, 64)
@@ -233,11 +249,11 @@ class TestHamiltonianEnergy:
         eta = -0.5 * np.cos(x)
         u = np.sin(x)
         st = state_from_samples(g, np.stack([eta, u]))
-        assert np.isclose(hamiltonian_energy(st), 5 * np.pi / 8)
+        assert np.isclose(hamiltonian_energy(SV1D, st), 5 * np.pi / 8)
         direct = 0.5 * quadrature_inner(eta, eta, 1) + 0.5 * quadrature_inner(
             (1 + eta) * u, u, 1
         )
-        assert np.isclose(hamiltonian_energy(st), direct, rtol=1e-12)
+        assert np.isclose(hamiltonian_energy(SV1D, st), direct, rtol=1e-12)
 
     def test_2d_energy(self):
         g = make_grid(2, 16)
@@ -249,7 +265,7 @@ class TestHamiltonianEnergy:
         direct = 0.5 * quadrature_inner(eta, eta, 2)
         direct += 0.5 * quadrature_inner((1 + eta) * u, u, 2)
         direct += 0.5 * quadrature_inner((1 + eta) * v, v, 2)
-        assert np.isclose(hamiltonian_energy(st), direct, rtol=1e-12)
+        assert np.isclose(hamiltonian_energy(SV2D, st), direct, rtol=1e-12)
 
 
     @pytest.mark.parametrize("d, m", [(1, 16), (1, 48), (2, 8), (2, 24)])
@@ -271,17 +287,44 @@ class TestHamiltonianEnergy:
             c = rng.normal(size=(d + 1,) + g.shape) + 1j * rng.normal(size=(d + 1,) + g.shape)
             c = hermitian_symmetrize(c, d) * (g.k_inf <= g.dealias_N) / g.two_m
             st = StateField(g, c)
-            assert np.isclose(hamiltonian_energy(st), former_energy(st), rtol=1e-13, atol=0.0)
+            sysd = SV1D if d == 1 else SV2D
+            assert np.isclose(hamiltonian_energy(sysd, st), former_energy(st), rtol=1e-13, atol=0.0)
+
+
+class TestDerivedEnergyDensity:
+    @pytest.mark.parametrize("factory", [saint_venant_1d, saint_venant_2d_hamiltonian])
+    def test_shallow_water_density(self, factory):
+        # H = (eta^2 + (1+eta)|u|^2) / 2, coefficient by coefficient
+        sysd = factory()
+        eta = Poly.var(sysd.n, 0)
+        speed2 = Poly.zero(sysd.n)
+        for i in range(1, sysd.n):
+            speed2 = speed2 + Poly.var(sysd.n, i) * Poly.var(sysd.n, i)
+        expected = 0.5 * (eta * eta + (Poly.const(sysd.n, 1.0) + eta) * speed2)
+        assert sysd.H.terms == expected.terms
+
+    def test_standard_2d_symmetrizer_is_no_hessian(self):
+        assert saint_venant_2d_standard().H is None
+
+    def test_no_symmetrizer_no_density(self):
+        from specwave.systems import SystemDef
+
+        assert SystemDef(name="bare", d=1, n=2, A=(PolyMatrix.zero(2, 2),)).H is None
 
 
 class TestStandardSymmetrizer1D:
     def test_diagonal_form(self):
-        s = standard_symmetrizer_1d()
+        s = energy_symmetrizer(saint_venant_1d(), "standard")
         assert np.allclose(s.eval([0.3, 0.7]), [[1.0, 0.0], [0.0, 1.3]])
+
+    def test_same_entries_as_diag(self):
+        one, eta, zero = Poly.const(2, 1.0), Poly.var(2, 0), Poly.zero(2)
+        expected = PolyMatrix.build(2, [[one, zero], [zero, one + eta]])
+        assert energy_symmetrizer(saint_venant_1d(), "standard") == expected
 
     def test_symmetrizes_a(self):
         sv = saint_venant_1d()
-        s = standard_symmetrizer_1d()
+        s = energy_symmetrizer(sv, "standard")
         rng = np.random.default_rng(2)
         for _ in range(20):
             p = rng.uniform(-0.5, 0.5, size=2)
