@@ -26,7 +26,7 @@ from .spectral import (
     to_samples,
 )
 from .systems import SystemDef
-from .timeint import EvolveConfig, evolve, second_derivative_max
+from .timeint import EvolveConfig, csv_table, evolve, second_derivative_max
 
 __all__ = [
     "relative_error",
@@ -183,7 +183,7 @@ def _matvec_exact(P: PolyMatrix, coeff_state: StateField, vec: StateField) -> St
             entry = P.entries[i][c]
             if not entry.terms:
                 continue
-            acc = acc + poly_coefficient_samples(entry, u_samp, grid, None) * v_samp[c]
+            acc = acc + entry.eval_on(u_samp) * v_samp[c]
         rows[i] = acc
     return state_from_samples(grid, rows)
 
@@ -330,23 +330,13 @@ def _fmt_s(s: float) -> str:
 
 
 def report_csv(report: ConvergenceReport) -> str:
-    cols = ["two_M", "scheme"]
-    for s in report.s_norms:
-        cols.append(f"E{_fmt_s(s)}")
-    for s in report.s_norms:
-        cols.append(f"EOC{_fmt_s(s)}")
-    cols.append("status")
-    lines = [",".join(cols)]
-    for row in report.rows:
-        cells = [str(row.two_m), row.scheme]
-        for s in report.s_norms:
-            cells.append(repr(row.errors[s]) if s in row.errors else "")
-        for s in report.s_norms:
-            v = row.eocs.get(s)
-            cells.append(repr(v) if v is not None else "")
-        cells.append(row.status)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    s_norms = report.s_norms
+    header = ["two_M", "scheme", *(f"{col}{_fmt_s(s)}" for col in ("E", "EOC") for s in s_norms), "status"]
+    rows = [
+        (r.two_m, r.scheme, *(r.errors.get(s) for s in s_norms), *(r.eocs.get(s) for s in s_norms), r.status)
+        for r in report.rows
+    ]
+    return csv_table(header, list(zip(*rows)))
 
 
 def report_table(report: ConvergenceReport) -> str:

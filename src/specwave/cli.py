@@ -10,7 +10,6 @@ error, 2 unexpected numerical fault.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys as _sys
 from dataclasses import dataclass, field
@@ -21,15 +20,7 @@ from .analysis import convergence_study, jn_study, report_csv, report_table
 from .initial import build_initial
 from .presets import CONFIG_KEYS, ConfigError, get_preset, parse_config_text, preset_names
 from .semidisc import SCHEME_KINDS, SchemeSpec
-from .spectral import (
-    FilterSpec,
-    StateField,
-    apply_filter,
-    differentiate,
-    make_grid,
-    sobolev_norm,
-    to_samples,
-)
+from .spectral import FilterSpec, StateField, apply_filter, linf, make_grid, sobolev_norm, to_samples
 from .sysio import SystemFormatError, parse_system
 from .systems import (
     BUILTIN_SYSTEMS,
@@ -39,7 +30,7 @@ from .systems import (
     check_factorization,
     check_symmetrizer,
 )
-from .timeint import EvolveConfig, evolve, monitor_csv
+from .timeint import EvolveConfig, csv_table, curvature, evolve, monitor_csv
 
 __all__ = ["main"]
 
@@ -124,38 +115,30 @@ def _write(path: str, text: str) -> None:
 
 
 def _spectrum_csv(state: StateField) -> str:
-    # float() first: numpy 2 scalars repr as np.float64(x)
+    """Final coefficients on the retained band, modes ascending (row-major in 2D)."""
     grid = state.grid
-    header = ["k" if grid.d == 1 else "k1,k2"] + [f"c{i}_re,c{i}_im" for i in range(state.n)]
-    lines = [",".join(header)]
-    modes = np.asarray(grid.modes)
-    kept = [idx for idx in np.argsort(modes) if abs(int(modes[idx])) <= grid.dealias_N]
-    for index in itertools.product(kept, repeat=grid.d):
-        cells = [",".join(str(int(modes[idx])) for idx in index)]
-        cells += [f"{float(c.real)!r},{float(c.imag)!r}" for c in state.coeffs[(slice(None), *index)]]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    order = np.argsort(grid.modes)
+    order = order[np.abs(grid.modes[order]) <= grid.dealias_N]
+    kept = state.coeffs[(slice(None), *np.ix_(*[order] * grid.d))].reshape(state.n, -1)
+    ks = [k.ravel() for k in np.meshgrid(*[grid.modes[order]] * grid.d, indexing="ij")]
+    header = ["k"] if grid.d == 1 else ["k1", "k2"]
+    header += [f"c{i}_{part}" for i in range(state.n) for part in ("re", "im")]
+    return csv_table(header, [*ks, *(part for c in kept for part in (c.real, c.imag))])
 
 
-def _curvature(state: StateField) -> np.ndarray:
-    """Samples of the second x-derivative of component 1 (the velocity)."""
-    return to_samples(differentiate(differentiate(state.component(1), 0), 0))[0]
-
-
-def _snapshot_csv(snapshots: list[tuple[float, StateField, np.ndarray]]) -> str:
-    # rows (t, state, _curvature(state)); float() first: numpy 2 scalars repr as np.float64(x)
-    grid = snapshots[0][1].grid
-    n = snapshots[0][1].n
-    coord_cols = "x" if grid.d == 1 else "x,y"
-    lines = [f"time,{coord_cols}," + ",".join(f"comp{i}" for i in range(n)) + ",d2_comp1"]
-    coords = [x.ravel() for x in grid.mesh]  # row-major: the last axis varies fastest
-    for t, state, d2 in snapshots:
-        samples = to_samples(state).reshape(n, -1)
-        d2 = d2.ravel()
-        for j in range(grid.npoints):
-            cells = [t, *(x[j] for x in coords), *samples[:, j], d2[j]]
-            lines.append(",".join(repr(float(v)) for v in cells))
-    return "\n".join(lines) + "\n"
+def _snapshot_csv(snapshots: list[tuple[float, StateField, StateField]]) -> str:
+    """Collocation values of each (t, state, curvature(state)), one row per point and time."""
+    grid, n = snapshots[0][1].grid, snapshots[0][1].n
+    coord_cols = ["x"] if grid.d == 1 else ["x", "y"]
+    header = ["time", *coord_cols, *(f"comp{i}" for i in range(n)), "d2_comp1"]
+    times = np.repeat([t for t, _, _ in snapshots], grid.npoints)
+    # row-major: the last axis varies fastest
+    coords = [np.tile(x.ravel(), len(snapshots)) for x in grid.mesh]
+    values = np.concatenate(
+        [np.concatenate([to_samples(st), to_samples(d2)]).reshape(n + 1, -1) for _, st, d2 in snapshots],
+        axis=1,
+    )
+    return csv_table(header, [times, *coords, *values])
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
@@ -167,31 +150,23 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     evolve_cfg = _evolve_config(cfg)
     # evolve's projection of the data: every scheme's cutoff is the default one
     projected0 = apply_filter(state0, FilterSpec("sharp", grid.dealias_N))
-    initial = (0.0, projected0, _curvature(projected0))
-    summary = ["scheme,status,blowup_time,Hs0,Hs1,max_d2u"]
+    initial = (0.0, projected0, curvature(projected0))
+    summary = []
     for kind in cfg.schemes:
         result = evolve(SchemeSpec(kind), system, state0, evolve_cfg)
         outdir = os.path.join(cfg.out, kind)
         final = result.final_state
-        d2 = _curvature(final)
+        d2 = curvature(final)
         _write(os.path.join(outdir, "monitors.csv"), monitor_csv(result))
         _write(os.path.join(outdir, "spectrum.csv"), _spectrum_csv(final))
-        _write(os.path.join(outdir, "snapshots.csv"), _snapshot_csv([initial, (cfg.T, final, d2)]))
-        summary.append(
-            ",".join(
-                [
-                    kind,
-                    result.status,
-                    repr(result.blowup_time) if result.blowup_time is not None else "",
-                    repr(sobolev_norm(final, 0)),
-                    repr(sobolev_norm(final, 1)),
-                    repr(float(np.max(np.abs(d2)))),
-                ]
-            )
-        )
+        snapshots = [initial, (result.final_time, final, d2)]
+        _write(os.path.join(outdir, "snapshots.csv"), _snapshot_csv(snapshots))
+        summary.append((kind, result.status, result.blowup_time,
+                        sobolev_norm(final, 0), sobolev_norm(final, 1), linf(d2)))
         print(f"{kind}: {result.status}"
               + (f" at t={result.blowup_time}" if result.blowup_time is not None else ""))
-    _write(os.path.join(cfg.out, "summary.csv"), "\n".join(summary) + "\n")
+    header = ["scheme", "status", "blowup_time", "Hs0", "Hs1", "max_d2u"]
+    _write(os.path.join(cfg.out, "summary.csv"), csv_table(header, list(zip(*summary))))
     return 0
 
 
@@ -265,10 +240,7 @@ def cmd_probe_jn(cfg: ExperimentConfig) -> int:
         raise ConfigError("probe-jn requires N_list")
     system = _resolve_system(cfg.system)
     study = jn_study(system, cfg.N_list, p=cfg.p, q=cfg.q)
-    lines = ["N,J"]
-    for n_val, j_val in zip(study["N"], study["J"]):
-        lines.append(f"{n_val},{repr(j_val)}")
-    _write(os.path.join(cfg.out, "jn.csv"), "\n".join(lines) + "\n")
+    _write(os.path.join(cfg.out, "jn.csv"), csv_table(["N", "J"], [study["N"], study["J"]]))
     if study["slope"] is not None:
         _write(os.path.join(cfg.out, "slope.txt"), repr(study["slope"]) + "\n")
         print(f"fitted slope: {study['slope']}")
@@ -299,10 +271,10 @@ def _gather_config(args: argparse.Namespace) -> ExperimentConfig:
                 raw.update(parse_config_text(fh.read(), source=args.config))
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
-    for key in CONFIG_KEYS:  # each flag's dest is its config key
+    for key in CONFIG_KEYS:  # each flag's dest is its config key; its text goes to the key's parser
         value = getattr(args, key, None)
         if value is not None:
-            raw[key] = str(value)
+            raw[key] = value
     return _build_config(raw)
 
 
@@ -310,19 +282,27 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key-value config file")
     sub.add_argument("--preset", help="named preset from the catalog")
     sub.add_argument("--out", help="output directory")
-    sub.add_argument("--jobs", type=int, help="worker processes for independent runs")
+    sub.add_argument("--jobs", help="worker processes for independent runs")
     sub.add_argument("--system", help="built-in system name or definition file path")
     sub.add_argument("--scheme", help="scheme(s): sharp | smooth-all | smooth-nl")
     sub.add_argument("--initial", help="initial data catalog name")
-    sub.add_argument("--M", type=int, help="grid half-resolution (2M points per axis)")
-    sub.add_argument("--M-ref", dest="M_ref", type=int, help="reference half-resolution")
+    sub.add_argument("--M", help="grid half-resolution (2M points per axis)")
+    sub.add_argument("--M-ref", dest="M_ref", help="reference half-resolution")
     sub.add_argument("--M-list", dest="M_list", help="space/comma separated half-resolutions")
-    sub.add_argument("--dt", type=float, help="time step")
-    sub.add_argument("--T", type=float, help="final time")
+    sub.add_argument("--dt", help="time step")
+    sub.add_argument("--T", help="final time")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors are usage errors: exit 1, as documented (argparse exits 2)."""
+
+    def error(self, message: str):
+        self.print_usage(_sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specwave",
         description="pseudospectral experiments for quasilinear hyperbolic systems",
     )
@@ -337,8 +317,8 @@ def _parser() -> argparse.ArgumentParser:
     sub_probe = subs.add_parser("probe-jn", help="sharp-projection pairing growth probe")
     _add_common(sub_probe)
     sub_probe.add_argument("--N-list", dest="N_list", help="ascending cutoffs")
-    sub_probe.add_argument("--p", type=int, help="bandwidth of the background state")
-    sub_probe.add_argument("--q", type=int, help="offset of the probe mode (0 <= q < p)")
+    sub_probe.add_argument("--p", help="bandwidth of the background state")
+    sub_probe.add_argument("--q", help="offset of the probe mode (0 <= q < p)")
     subs.add_parser("list-presets", help="show the experiment catalog")
     return parser
 

@@ -101,15 +101,17 @@ class Poly:
         return total
 
     def eval_on(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
-        """Evaluate pointwise on a stack of component sample arrays."""
+        """Evaluate pointwise on a stack of component sample arrays; each
+        monomial is formed in one scratch buffer and added to the output."""
         out = np.zeros_like(arrays[0])
+        term = np.empty_like(out)
         for e, c in self.terms:
-            term = np.full_like(arrays[0], c)
+            term.fill(c)
             for i, p in enumerate(e):
                 if p == 1:
-                    term = term * arrays[i]
+                    term *= arrays[i]
                 elif p > 1:
-                    term = term * arrays[i] ** p
+                    term *= arrays[i] ** p
             out += term
         return out
 

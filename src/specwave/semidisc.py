@@ -69,22 +69,16 @@ def _half_mask(grid: Grid, N: int) -> np.ndarray:
     return (grid.k_inf[..., : grid.M + 1] <= N).astype(np.float64)
 
 
-def poly_coefficient_samples(
-    poly: Poly,
-    comp_samples: np.ndarray,
-    grid: Grid,
-    N: int | None,
-) -> np.ndarray:
+def poly_coefficient_samples(poly: Poly, comp_samples: np.ndarray, grid: Grid, N: int) -> np.ndarray:
     """Collocation values of a polynomial coefficient field.
 
     Degree <= 1 entries are evaluated directly (exact on the grid).  Higher
     degrees are built monomial by monomial with a projection onto modes
-    <= N after each pairwise product; N=None skips the projections, which
-    is exact only when the working grid resolves the full product.
+    <= N after each pairwise product.
     """
     if poly.degree() <= 1:
-        return poly.eval_on(list(comp_samples))
-    mask = _half_mask(grid, N) if N is not None else None
+        return poly.eval_on(comp_samples)
+    mask = _half_mask(grid, N)
     out = np.zeros(grid.shape)
     for expo, coeff in poly.terms:
         cur = None
@@ -92,8 +86,6 @@ def poly_coefficient_samples(
             for _ in range(p):
                 if cur is None:
                     cur = comp_samples[i]
-                elif mask is None:
-                    cur = cur * comp_samples[i]
                 else:
                     cur = half_to_samples(grid, samples_to_half(grid, cur * comp_samples[i]) * mask)
         out = out + (coeff if cur is None else coeff * cur)

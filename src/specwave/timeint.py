@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,7 +27,9 @@ __all__ = [
     "rk4_step",
     "evolve",
     "standard_monitors",
+    "curvature",
     "second_derivative_max",
+    "csv_table",
     "monitor_csv",
 ]
 
@@ -92,6 +94,7 @@ class EvolveConfig:
 @dataclass
 class EvolveResult:
     final_state: StateField
+    final_time: float  # time of final_state: T when completed
     status: str  # 'completed' | 'blowup'
     blowup_time: float | None
     monitor_names: list[str]
@@ -125,9 +128,14 @@ def standard_monitors(sys: SystemDef) -> list[Monitor]:
     return monitors
 
 
-def second_derivative_max(state: StateField, component: int = 1, axis: int = 0) -> float:
-    """Max over collocation points of the second spectral derivative of one component."""
-    return linf(differentiate(differentiate(state.component(component), axis), axis))
+def curvature(state: StateField) -> StateField:
+    """The second spectral x-derivative of component 1 (the velocity), a scalar field."""
+    return differentiate(differentiate(state.component(1), 0), 0)
+
+
+def second_derivative_max(state: StateField) -> float:
+    """Max over collocation points of the curvature."""
+    return linf(curvature(state))
 
 
 def _step_plan(T: float, dt: float) -> list[float]:
@@ -185,20 +193,41 @@ def evolve(
         try:
             new_state = rk4_step(rhs_fn, state, h)
         except BlowUpError:
-            return EvolveResult(state, "blowup", t + h, names, rows)
+            return EvolveResult(state, t, "blowup", t + h, names, rows)
         t = t + h
         state = new_state
         last = i == len(steps) - 1
         if (i + 1) % stride == 0 or last:
             if exploded(state):
-                return EvolveResult(state, "blowup", t, names, rows)
+                return EvolveResult(state, t, "blowup", t, names, rows)
             sample(t, state)
-    return EvolveResult(state, "completed", None, names, rows)
+    return EvolveResult(state, cfg.T, "completed", None, names, rows)
+
+
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v
+    return repr(v.item() if isinstance(v, np.generic) else v)  # numpy 2 would write np.float64(x)
+
+
+def csv_table(header: Sequence[str], columns: Sequence) -> str:
+    """CSV text of whole columns (deterministic byte-for-byte).
+
+    A column is a numeric array or a sequence, all of one length (else
+    ValueError).  Numbers are written with repr, numpy scalars as the
+    Python number they hold, text as it is and None as an empty cell.
+    """
+    cells = [
+        # np.float64 is a float: float.__repr__ writes its plain digits, one
+        # scalar at a time (tolist() would hold every column's floats at once)
+        map(float.__repr__, c) if isinstance(c, np.ndarray) and c.dtype == np.float64 else map(_cell, c)
+        for c in columns
+    ]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells, strict=True))]) + "\n"
 
 
 def monitor_csv(result: EvolveResult) -> str:
     """Monitor series as CSV text (deterministic byte-for-byte)."""
-    lines = ["time," + ",".join(result.monitor_names)]
-    for row in result.monitor_rows:
-        lines.append(",".join(repr(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return csv_table(["time", *result.monitor_names], list(zip(*result.monitor_rows)))

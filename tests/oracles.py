@@ -115,3 +115,15 @@ def quadrature_inner(f_samples: np.ndarray, g_samples: np.ndarray, ndim: int) ->
     """Trapezoid-on-torus quadrature of the product of two sample arrays."""
     n_points = f_samples.size
     return float(np.sum(f_samples * g_samples) * (2.0 * np.pi) ** ndim / n_points)
+
+
+def csv_cell(v) -> str:
+    """One CSV cell formatted value by value: None empty, text as it is,
+    integers in decimal and every other number as repr(float(v))."""
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return repr(float(v))

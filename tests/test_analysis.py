@@ -229,7 +229,7 @@ class TestSecondDerivativeMax:
     def test_sine(self):
         g = make_grid(1, 32)
         st = state_from_samples(g, np.stack([np.cos(g.mesh[0]), np.sin(g.mesh[0])]))
-        assert np.isclose(second_derivative_max(st, component=1, axis=0), 1.0)
+        assert np.isclose(second_derivative_max(st), 1.0)
 
     def test_scaled_high_mode(self):
         g = make_grid(1, 64)
@@ -238,7 +238,7 @@ class TestSecondDerivativeMax:
             g,
             np.stack([np.zeros(g.shape), np.sin(n * g.mesh[0]) / n**2]),
         )
-        assert np.isclose(second_derivative_max(st, component=1, axis=0), 1.0)
+        assert np.isclose(second_derivative_max(st), 1.0)
 
 
 @pytest.fixture(scope="module")

@@ -156,6 +156,21 @@ class TestRun:
         assert err.startswith("error:") and "blowup_threshold" in err
         assert not (tmp_path / "out").exists()
 
+    def test_blowup_snapshot_is_labelled_with_its_time(self, tmp_path):
+        # the final snapshot holds the state the detector stopped at, not one at T
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "system = saint-venant-1d\nscheme = sharp\ninitial = init_zero_depth\n"
+            "M = 64\ndt = 1e-3\nT = 2\nblowup_threshold = 1.05\n"
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        summary = read(tmp_path / "out" / "summary.csv").splitlines()[1].split(",")
+        assert summary[:2] == ["sharp", "blowup"]
+        snapshots = read(tmp_path / "out" / "sharp" / "snapshots.csv").splitlines()[1:]
+        snapshot_times = [line.split(",")[0] for line in snapshots]
+        assert set(snapshot_times) == {"0.0", summary[2]}
+        assert snapshot_times[-1] == summary[2] != "2.0"
+
     def test_deterministic_bytes(self, tmp_path):
         args = [
             "run", "--system", "saint-venant-1d", "--scheme", "smooth-nl",
@@ -476,6 +491,19 @@ class TestPresets:
         assert code == 0
         assert (tmp_path / "sharp" / "monitors.csv").exists()
         assert (tmp_path / "smooth-nl" / "monitors.csv").exists()
+
+
+class TestUsageErrors:
+    def test_bad_flag_value(self, tmp_path, capsys):
+        assert main(["run", "--M", "abc", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad value for 'M':")
+
+    @pytest.mark.parametrize("argv", [["run", "--bogus", "1"], []], ids=["unknown-flag", "no-subcommand"])
+    def test_argument_errors_exit_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestConfigParsing:

@@ -23,10 +23,13 @@ from specwave.timeint import (
     BlowUpError,
     EvolveConfig,
     EvolveResult,
+    csv_table,
     evolve,
     monitor_csv,
     rk4_step,
 )
+
+from oracles import csv_cell
 
 
 class TestRK4Step:
@@ -179,6 +182,7 @@ class TestEvolve:
         res = evolve(SchemeSpec("sharp"), sv, st0, EvolveConfig(dt=3e-4, T=0.001))
         assert res.completed
         assert np.isclose(res.monitor_rows[-1][0], 0.001, atol=1e-15)
+        assert res.final_time == 0.001
 
     def test_determinism(self):
         sv = saint_venant_1d()
@@ -213,6 +217,7 @@ class TestEvolve:
         )
         assert res.status == "blowup"
         assert res.blowup_time is not None
+        assert res.final_time == res.blowup_time  # the state that tripped the detector
         assert np.all(np.isfinite(res.final_state.coeffs))
 
     def test_hamiltonian_drift_sharp_scheme(self):
@@ -237,3 +242,29 @@ class TestEvolve:
         for stride in (0, -2):
             with pytest.raises(ValueError, match="monitor_stride"):
                 EvolveConfig(dt=1e-3, T=1.0, monitor_stride=stride)
+
+
+class TestCsvTable:
+    def test_cells_match_reference(self):
+        columns = [
+            np.array([0.1, -0.0, 1e-300, np.pi]),
+            np.array([3, -7, 0, 2**40]),
+            [np.float64(2.5), np.float64(-0.0), np.float32(0.1), np.float64(1.0) / 3],
+            [np.int64(5), 1, -2, np.int32(0)],
+            ["sharp", "smooth-nl", "", "reference-blowup"],
+            [None, 1.5, None, -0.0],
+            (1.0 / 3, 2, None, "completed"),
+        ]
+        header = [f"col{j}" for j in range(len(columns))]
+        text = csv_table(header, columns)
+        assert text.endswith("\n")
+        lines = text[:-1].split("\n")
+        assert lines[0] == ",".join(header)
+        assert [line.split(",") for line in lines[1:]] == [
+            [csv_cell(column[i]) for column in columns] for i in range(4)
+        ]
+        assert "np." not in text
+
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(ValueError):
+            csv_table(["a", "b"], [[1.0, 2.0], [1.0]])
