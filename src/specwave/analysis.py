@@ -105,19 +105,13 @@ def energy_symmetrizer(sys: SystemDef, variant: str) -> PolyMatrix:
     raise ValueError(f"variant must be 'standard' or 'hamiltonian', got {variant!r}")
 
 
-def energy_functional(
-    sys: SystemDef,
-    state: StateField,
-    s: float,
-    variant: str = "standard",
-    symmetrizer: PolyMatrix | None = None,
-) -> float:
+def energy_functional(sys: SystemDef, state: StateField, s: float, variant: str = "standard") -> float:
     """Quadratic form of the symmetrizer applied to the Bessel-smoothed state.
 
     Products are dealiased pairwise so the collocation quadrature is exact
     for the trigonometric polynomials involved.
     """
-    S = symmetrizer if symmetrizer is not None else energy_symmetrizer(sys, variant)
+    S = energy_symmetrizer(sys, variant)
     grid = state.grid
     n = state.n
     v = apply_lambda(state, s)
@@ -139,24 +133,17 @@ def energy_functional(
 # Counterexample probe
 
 
-def jn_probe(
-    sys: SystemDef,
-    U: StateField,
-    V: StateField,
-    N: int,
-    axis: int = 0,
-    symmetrizer: PolyMatrix | None = None,
-) -> float:
-    """Pairing that measures how the sharp projection defeats a symmetrizer.
+def jn_probe(sys: SystemDef, U: StateField, V: StateField, N: int) -> float:
+    """Pairing that measures how the sharp projection defeats the standard symmetrizer.
 
     Computes the inner product of P_N(S(U) (Id-P_N)(A_j(U) d_j P_N V))
-    with V, all products evaluated exactly (the working grid must resolve
+    with V, for j the first axis (x), all products evaluated exactly (the working grid must resolve
     the full mode content, 2M >= 3(N + p) for data of bandwidth p).
     """
     grid = U.grid
     if V.grid != grid:
         raise ValueError("probe states must share one grid")
-    S = symmetrizer if symmetrizer is not None else energy_symmetrizer(sys, "standard")
+    S = energy_symmetrizer(sys, "standard")
     p = max(max_mode_support(U), 1)
     if 2 * grid.M < 3 * (N + p):
         raise ValueError(
@@ -164,7 +151,7 @@ def jn_probe(
         )
     pn = FilterSpec("sharp", N)
     w = apply_filter(V, pn)
-    t = _matvec_exact(sys.A[axis], U, differentiate(w, axis))
+    t = _matvec_exact(sys.A[0], U, differentiate(w, 0))
     t2 = t - apply_filter(t, pn)
     t3 = _matvec_exact(S, U, t2)
     t4 = apply_filter(t3, pn)

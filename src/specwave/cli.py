@@ -10,6 +10,7 @@ error, 2 unexpected numerical fault.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys as _sys
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from .analysis import convergence_study, jn_study, report_csv, report_table
 from .initial import build_initial
 from .presets import CONFIG_KEYS, ConfigError, get_preset, parse_config_text, preset_names
 from .semidisc import SCHEME_KINDS, SchemeSpec
-from .spectral import FilterSpec, StateField, apply_filter, linf, make_grid, sobolev_norm, to_samples
+from .spectral import StateField, dealias, linf, make_grid, sobolev_norm, to_samples
 from .sysio import SystemFormatError, parse_system
 from .systems import (
     BUILTIN_SYSTEMS,
@@ -90,6 +91,13 @@ def _validate(cfg: ExperimentConfig) -> None:
     _evolve_config(cfg)
     if cfg.jobs < 1:
         raise ConfigError(f"jobs must be a positive integer, got {cfg.jobs}")
+    for s in cfg.s_norms:
+        if not 0.0 <= s < math.inf:  # NaN fails both bounds
+            raise ConfigError(f"s_norms entries must be finite and nonnegative, got {s}")
+    for key, values in (("scheme", cfg.schemes), ("M_list", cfg.M_list or [])):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise ConfigError(f"{key} repeats {', '.join(map(str, repeated))}")
     for m in [cfg.M, cfg.M_ref, *(cfg.M_list or [])]:
         if m is None:
             continue
@@ -148,8 +156,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     grid = make_grid(system.d, cfg.M)
     state0 = build_initial(cfg.initial, cfg.init_params, grid)
     evolve_cfg = _evolve_config(cfg)
-    # evolve's projection of the data: every scheme's cutoff is the default one
-    projected0 = apply_filter(state0, FilterSpec("sharp", grid.dealias_N))
+    projected0 = dealias(state0)  # the data as evolve projects them
     initial = (0.0, projected0, curvature(projected0))
     summary = []
     for kind in cfg.schemes:

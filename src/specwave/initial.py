@@ -7,26 +7,17 @@ the retained band.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .spectral import Grid, StateField, state_from_samples
 
-__all__ = ["build_initial", "INITIAL_NAMES", "initial_params_doc"]
-
-_DOCS = {
-    "init1": "localized heap of water: eta = exp(-|x|^alpha) exp(-4 x^2) / 2, u = 0 (params: alpha > 0)",
-    "init2": "eta = -cos(x)/2, u = sin(x) + sin(Nx)/N^2 (inside 1+eta>0, outside 1+eta-u^2>0)",
-    "init_zero_depth": "eta = -cos(x), u = sin(x) + sin(Nx)/N^2 (touches zero depth at x=0)",
-    "init2D": "separable 2D data with an N-mode perturbation (params: h0, u_l, v_l, u_h, v_h, s)",
-}
-INITIAL_NAMES = tuple(_DOCS)
-
-
-def initial_params_doc(name: str) -> str:
-    return _DOCS[name]
+__all__ = ["build_initial", "INITIAL_NAMES"]
 
 
 def _init1(grid: Grid, alpha: float) -> StateField:
+    """Localized heap of water: eta = exp(-|x|^alpha) exp(-4 x^2) / 2, u = 0 (alpha > 0)."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     x = grid.mesh[0]
@@ -34,18 +25,15 @@ def _init1(grid: Grid, alpha: float) -> StateField:
     return state_from_samples(grid, np.stack([eta, np.zeros_like(x)]))
 
 
-def _init2(grid: Grid) -> StateField:
+def _init_dip(grid: Grid, depth: float) -> StateField:
+    """eta = -depth cos(x), u = sin(x) + sin(Nx)/N^2.
+
+    With depth 1/2 (init2) the data lie inside 1+eta>0 and outside
+    1+eta-u^2>0; with depth 1 (init_zero_depth) they touch zero depth at x=0.
+    """
     x = grid.mesh[0]
     n = grid.dealias_N
-    eta = -0.5 * np.cos(x)
-    u = np.sin(x) + np.sin(n * x) / n**2
-    return state_from_samples(grid, np.stack([eta, u]))
-
-
-def _init_zero_depth(grid: Grid) -> StateField:
-    x = grid.mesh[0]
-    n = grid.dealias_N
-    eta = -np.cos(x)
+    eta = -depth * np.cos(x)
     u = np.sin(x) + np.sin(n * x) / n**2
     return state_from_samples(grid, np.stack([eta, u]))
 
@@ -59,6 +47,7 @@ def _init2d(
     v_h: float,
     s: float,
 ) -> StateField:
+    """Separable 2D data with an N-mode perturbation of amplitude N^-s."""
     x, y = grid.mesh
     n = grid.dealias_N
     eta = (h0 - 1.0) * np.cos(x) * np.cos(y)
@@ -67,31 +56,26 @@ def _init2d(
     return state_from_samples(grid, np.stack([eta, u, v]))
 
 
+# name -> (grid dimension, the function that makes the data, its parameters with their defaults)
+_CATALOG = {
+    "init1": (1, _init1, {"alpha": 1.5}),
+    "init2": (1, partial(_init_dip, depth=0.5), {}),
+    "init_zero_depth": (1, partial(_init_dip, depth=1.0), {}),
+    "init2D": (2, _init2d, {"h0": 0.5, "u_l": 0.5, "v_l": -0.5, "u_h": 1.0, "v_h": -1.0, "s": 2.0}),
+}
+INITIAL_NAMES = tuple(_CATALOG)
+
+
 def build_initial(name: str, params: dict | None, grid: Grid) -> StateField:
-    """Build a catalog entry on the given grid."""
-    if name not in INITIAL_NAMES:
+    """Build a catalog entry on the given grid; params override its defaults."""
+    if name not in _CATALOG:
         known = ", ".join(INITIAL_NAMES)
         raise ValueError(f"unknown initial data {name!r}; catalog: {known}")
-    want_d = 2 if name == "init2D" else 1
+    want_d, make, defaults = _CATALOG[name]
     if grid.d != want_d:
         raise ValueError(f"{name} requires a {want_d}-dimensional grid, got d={grid.d}")
-    params = dict(params or {})
-    if name == "init1":
-        state = _init1(grid, alpha=float(params.pop("alpha", 1.5)))
-    elif name == "init2":
-        state = _init2(grid)
-    elif name == "init_zero_depth":
-        state = _init_zero_depth(grid)
-    else:
-        state = _init2d(
-            grid,
-            h0=float(params.pop("h0", 0.5)),
-            u_l=float(params.pop("u_l", 0.5)),
-            v_l=float(params.pop("v_l", -0.5)),
-            u_h=float(params.pop("u_h", 1.0)),
-            v_h=float(params.pop("v_h", -1.0)),
-            s=float(params.pop("s", 2.0)),
-        )
-    if params:
-        raise ValueError(f"unused parameters for {name}: {sorted(params)}")
-    return state
+    params = params or {}
+    unused = sorted(set(params) - set(defaults))
+    if unused:
+        raise ValueError(f"unused parameters for {name}: {unused}")
+    return make(grid, **{key: float(params.get(key, value)) for key, value in defaults.items()})

@@ -49,16 +49,16 @@ class Poly:
         return cls.from_terms(nvars, {(0,) * nvars: c})
 
     @classmethod
-    def var(cls, nvars: int, i: int, coeff: float = 1.0) -> "Poly":
+    def var(cls, nvars: int, i: int) -> "Poly":
         expo = [0] * nvars
         expo[i] = 1
-        return cls.from_terms(nvars, {tuple(expo): coeff})
+        return cls.from_terms(nvars, {tuple(expo): 1.0})
 
     def degree(self) -> int:
         return max((sum(e) for e, _ in self.terms), default=0)
 
-    def is_zero(self, tol: float = COEFF_TOL) -> bool:
-        return all(abs(c) <= tol for _, c in self.terms)
+    def is_zero(self) -> bool:
+        return all(abs(c) <= COEFF_TOL for _, c in self.terms)
 
     def constant(self) -> float:
         zero_expo = (0,) * self.nvars
@@ -83,8 +83,8 @@ class Poly:
                 out.append((tuple(a + b for a, b in zip(e1, e2)), c1 * c2))
         return Poly.from_terms(self.nvars, out)
 
-    def equals(self, other: "Poly", tol: float = COEFF_TOL) -> bool:
-        return (self - other).is_zero(tol)
+    def equals(self, other: "Poly") -> bool:
+        return (self - other).is_zero()
 
     def diff(self, i: int) -> "Poly":
         """Partial derivative with respect to variable i."""
@@ -94,11 +94,8 @@ class Poly:
         )
 
     def __call__(self, point: Sequence[float]) -> float:
-        point = np.asarray(point, dtype=np.float64)
-        total = 0.0
-        for e, c in self.terms:
-            total += c * float(np.prod(point ** np.asarray(e)))
-        return total
+        """Value at one point: eval_on on a one-point stack, so the same bits as in a batch."""
+        return float(self.eval_on(np.asarray(point, dtype=np.float64)[:, None])[0])
 
     def eval_on(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
         """Evaluate pointwise on a stack of component sample arrays; each
@@ -189,11 +186,11 @@ class PolyMatrix:
         rows = [[self.entries[j][i] for j in range(self.n)] for i in range(self.n)]
         return PolyMatrix.build(self.n, rows)
 
-    def is_zero(self, tol: float = COEFF_TOL) -> bool:
-        return all(p.is_zero(tol) for row in self.entries for p in row)
+    def is_zero(self) -> bool:
+        return all(p.is_zero() for row in self.entries for p in row)
 
-    def is_symmetric(self, tol: float = COEFF_TOL) -> bool:
-        return (self - self.transpose()).is_zero(tol)
+    def is_symmetric(self) -> bool:
+        return (self - self.transpose()).is_zero()
 
-    def equals(self, other: "PolyMatrix", tol: float = COEFF_TOL) -> bool:
-        return (self - other).is_zero(tol)
+    def equals(self, other: "PolyMatrix") -> bool:
+        return (self - other).is_zero()

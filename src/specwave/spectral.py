@@ -75,8 +75,8 @@ class Grid:
     Collocation points are x_n = -pi + pi*n/M for n = 1..2M (the grid
     excludes -pi and includes +pi); the represented mode set is
     {-M+1, ..., M}^d.  Derived arrays (meshes, wavenumber grids, phase
-    factors, dealiasing mask, and the half-spectrum phase and derivative
-    multipliers) are precomputed once.
+    factors and derivative multipliers) and the dealiasing cutoff
+    dealias_N are precomputed once.
     """
 
     d: int
@@ -102,8 +102,7 @@ class Grid:
         phase = axis_phase.copy()
         for _ in range(self.d - 1):
             phase = np.multiply.outer(phase, axis_phase)
-        half = (Ellipsis, slice(0, self.M + 1))
-        half_phase = phase[half].copy()
+        half_phase = phase[..., : self.M + 1].copy()
         # The grid keeps only the conjugate, made in place: freeing a
         # full-size array here raises glibc's dynamic mmap threshold, which
         # cost a 2D convergence study up to M=128 1.3 MB of peak RSS.
@@ -131,9 +130,7 @@ class Grid:
         object.__setattr__(self, "diff_mult", tuple(diff_mult))
         object.__setattr__(self, "half_phase", half_phase)
         object.__setattr__(self, "half_phase_conj", np.conj(half_phase))
-        object.__setattr__(self, "half_diff_mult", tuple(dk[half].copy() for dk in diff_mult))
         object.__setattr__(self, "dealias_N", n_dealias)
-        object.__setattr__(self, "dealias_mask", (k_inf <= n_dealias).astype(np.float64))
         object.__setattr__(self, "cell_volume", (2.0 * np.pi / two_m) ** self.d)
 
 
@@ -315,8 +312,8 @@ def apply_filter(x: StateField, spec: FilterSpec):
 
 
 def dealias(x: StateField):
-    """Zero the top third of modes: sharp cutoff at N = floor(2M/3)."""
-    return replace(x, coeffs=x.coeffs * x.grid.dealias_mask)
+    """Zero the top third of modes: the sharp filter at the grid's cutoff dealias_N."""
+    return apply_filter(x, FilterSpec("sharp", x.grid.dealias_N))
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +349,15 @@ def linf(x: StateField) -> float:
     return float(np.max(np.abs(to_samples(x))))
 
 
-def max_mode_support(x: StateField, tol: float = 1e-13) -> int:
-    """Largest max_j|k_j| carrying a coefficient above tol (relative)."""
+def max_mode_support(x: StateField) -> int:
+    """Largest max_j|k_j| carrying a coefficient above 1e-13 of the largest."""
     mag = np.abs(x.coeffs)
     if mag.ndim > x.grid.d:
         mag = mag.max(axis=0)
     scale = mag.max()
     if scale == 0.0:
         return 0
-    active = mag > tol * scale
+    active = mag > 1e-13 * scale
     if not np.any(active):
         return 0
     return int(np.max(x.grid.k_inf[active]))

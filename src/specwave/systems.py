@@ -200,28 +200,26 @@ class CheckReport:
         self.failures.append(msg)
 
 
-def sample_hyperbolic_points(
-    sys: SystemDef,
-    count: int = 200,
-    box: tuple[float, float] = (-0.9, 0.9),
-    max_draws: int = 20000,
-) -> np.ndarray:
-    """Deterministic low-discrepancy samples inside the hyperbolicity domain."""
+def sample_hyperbolic_points(sys: SystemDef, count: int = 200) -> np.ndarray:
+    """Deterministic low-discrepancy samples inside the hyperbolicity domain.
+
+    Halton points in the box [-0.9, 0.9]^n, drawn in batches of 256 until
+    count are accepted or 20000 are drawn; each batch is kept where every
+    predicate is positive, in draw order.
+    """
     from scipy.stats import qmc  # on demand: it takes longer to import than the whole package
 
     sampler = qmc.Halton(d=sys.n, scramble=False)
-    lo, hi = box
+    lo, hi = -0.9, 0.9
     accepted: list[np.ndarray] = []
     drawn = 0
-    while len(accepted) < count and drawn < max_draws:
-        batch = sampler.random(256)
+    while len(accepted) < count and drawn < 20000:
+        pts = lo + (hi - lo) * sampler.random(256)
         drawn += 256
-        pts = lo + (hi - lo) * batch
-        for p in pts:
-            if sys.in_domain(p):
-                accepted.append(p)
-                if len(accepted) == count:
-                    break
+        inside = np.ones(len(pts), dtype=bool)
+        for _, p in sys.predicates:
+            inside &= p.eval_on(pts.T) > 0.0
+        accepted.extend(pts[inside][: count - len(accepted)])
     return np.array(accepted)
 
 

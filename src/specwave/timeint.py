@@ -9,15 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .semidisc import SchemeSpec, rhs, rhs_plan
-from .spectral import (
-    FilterSpec,
-    StateField,
-    apply_filter,
-    differentiate,
-    linf,
-    sobolev_norm,
-    to_samples,
-)
+from .spectral import StateField, dealias, differentiate, linf, sobolev_norm, to_samples
 from .systems import SystemDef, hamiltonian_energy
 
 __all__ = [
@@ -165,7 +157,7 @@ def evolve(
     growth factor.
     """
     plan = rhs_plan(scheme, sys, state0.grid)
-    state = apply_filter(state0, FilterSpec("sharp", plan.N))
+    state = dealias(state0)
     steps = _step_plan(cfg.T, cfg.dt)
     if cfg.monitor_stride is not None:
         stride = cfg.monitor_stride

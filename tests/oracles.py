@@ -127,3 +127,25 @@ def csv_cell(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return repr(float(v))
+
+
+def hyperbolic_points_by_point(sys, count: int) -> np.ndarray:
+    """Reference for systems.sample_hyperbolic_points: the same Halton draws
+    (box [-0.9, 0.9]^n, batches of 256, at most 20000 drawn), each point
+    accepted on its own through sys.in_domain."""
+    from scipy.stats import qmc
+
+    sampler = qmc.Halton(d=sys.n, scramble=False)
+    lo, hi = -0.9, 0.9
+    accepted: list[np.ndarray] = []
+    drawn = 0
+    while len(accepted) < count and drawn < 20000:
+        batch = sampler.random(256)
+        drawn += 256
+        pts = lo + (hi - lo) * batch
+        for p in pts:
+            if sys.in_domain(p):
+                accepted.append(p)
+                if len(accepted) == count:
+                    break
+    return np.array(accepted)

@@ -156,6 +156,18 @@ class TestRun:
         assert err.startswith("error:") and "blowup_threshold" in err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_scheme_is_input_error(self, tmp_path, capsys):
+        # each scheme writes out/<scheme>: a repeat would write one directory twice
+        code = main(
+            ["run", "--system", "saint-venant-1d", "--initial", "init1", "--M", "16",
+             "--dt", "1e-3", "--T", "0.002", "--scheme", "sharp smooth-nl sharp",
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "scheme repeats sharp" in err
+        assert not (tmp_path / "out").exists()
+
     def test_blowup_snapshot_is_labelled_with_its_time(self, tmp_path):
         # the final snapshot holds the state the detector stopped at, not one at T
         cfg = tmp_path / "exp.cfg"
@@ -272,6 +284,30 @@ class TestConverge:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "jobs" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_s_norms_is_input_error(self, tmp_path, capsys, value):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "system = saint-venant-1d\ninitial = init1\nM_list = 8 16\nM_ref = 32\n"
+            f"dt = 1e-3\nT = 0.002\ns_norms = 0 {value}\n"
+        )
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "s_norms" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_resolution_is_input_error(self, tmp_path, capsys):
+        # a repeated M would pair a run with itself for its EOC
+        code = main(
+            ["converge", "--system", "saint-venant-1d", "--initial", "init1",
+             "--M-list", "16 8 16", "--M-ref", "32", "--dt", "1e-3", "--T", "0.002",
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "M_list repeats 16" in err
         assert not (tmp_path / "out").exists()
 
 

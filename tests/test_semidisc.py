@@ -279,7 +279,7 @@ class TestHigherDegreeCoefficients:
         spec = random_band_limited(rng, g.two_m, n_cut)
         st = state_from_samples(g, naive_inverse(spec, g.axis_points)[None])
         sysd = SystemDef(name="square-test", d=1, n=1, A=(P,))
-        out = -rhs(SchemeSpec("sharp", n_cut), sysd, st)
+        out = -rhs(SchemeSpec("sharp"), sysd, st)
 
         # the coefficient field u*u is assembled first (projected), then
         # multiplied with the derivative and projected again

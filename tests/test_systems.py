@@ -1,5 +1,7 @@
 """Built-in shallow-water systems, structural checks, margins and energy."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from specwave.systems import (
 from specwave.analysis import energy_symmetrizer
 from specwave.timeint import standard_monitors
 
-from oracles import quadrature_inner
+from oracles import hyperbolic_points_by_point, quadrature_inner
 
 ALL_SYSTEMS = [saint_venant_1d, saint_venant_2d_standard, saint_venant_2d_hamiltonian]
 
@@ -194,6 +196,16 @@ class TestStructuralChecks:
         b = sample_hyperbolic_points(sv, count=50)
         assert np.array_equal(a, b)
         assert all(sv.in_domain(p) for p in a)
+
+    @pytest.mark.parametrize("count", [1, 50, 200])
+    @pytest.mark.parametrize("make", [*ALL_SYSTEMS, None], ids=[f.__name__ for f in ALL_SYSTEMS] + ["no-predicates"])
+    def test_batched_sampler_matches_point_loop(self, make, count):
+        # the batch keeps exactly the points a one-by-one in_domain loop keeps
+        sysd = replace(saint_venant_1d(), predicates=()) if make is None else make()
+        got = sample_hyperbolic_points(sysd, count=count)
+        want = hyperbolic_points_by_point(sysd, count)
+        assert got.shape == want.shape == (count, sysd.n)
+        assert np.array_equal(got, want)
 
 
 def margins(sys, state):
