@@ -124,7 +124,7 @@ def energy_functional(sys: SystemDef, state: StateField, s: float, variant: str 
             if not entry.terms:
                 continue
             w_ab = dealias(state_from_samples(grid, (v_samp[a] * v_samp[b])[None]))
-            coeff = poly_coefficient_samples(entry, u_samp, grid, grid.dealias_N)
+            coeff = poly_coefficient_samples(entry, u_samp, grid)
             total += l2_inner(state_from_samples(grid, coeff[None]), w_ab)
     return total
 
@@ -195,8 +195,8 @@ def jn_counterexample_states(N: int, p: int, q: int) -> tuple[StateField, StateF
 
 def jn_study(sys: SystemDef, N_list: list[int], p: int = 1, q: int = 0) -> dict:
     """Probe values over a range of cutoffs plus the fitted linear slope."""
-    if sorted(N_list) != list(N_list):
-        raise ValueError("N_list must be ascending")
+    if any(a >= b for a, b in zip(N_list, N_list[1:])):
+        raise ValueError("N_list must be strictly ascending")
     values = []
     for N in N_list:
         U, V, _ = jn_counterexample_states(N, p, q)
@@ -237,8 +237,8 @@ def _run_case(args) -> tuple[int, str, str, np.ndarray | None]:
     grid = make_grid(sys.d, M)
     state0 = build_initial(initial_name, params, grid)
     result = evolve(SchemeSpec(scheme_kind), sys, state0, cfg)
-    coeffs = result.final_state.coeffs if result.completed else None
-    return (M, scheme_kind, result.status, coeffs)
+    half = result.final_state.half if result.completed else None
+    return (M, scheme_kind, result.status, half)
 
 
 def convergence_study(
@@ -289,10 +289,10 @@ def convergence_study(
         outcomes = [_run_case(c) for c in cases]
 
     rows = []
-    for M, kind, status, coeffs in outcomes:
+    for M, kind, status, half in outcomes:
         row = ConvergenceRow(M=M, scheme=kind, status=status)
-        if coeffs is not None:
-            state = StateField(make_grid(sys.d, M), coeffs)
+        if half is not None:
+            state = StateField(make_grid(sys.d, M), half)
             for s in s_norms:
                 row.errors[s] = relative_error(state, ref, s)
         rows.append(row)

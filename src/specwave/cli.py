@@ -94,7 +94,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     for s in cfg.s_norms:
         if not 0.0 <= s < math.inf:  # NaN fails both bounds
             raise ConfigError(f"s_norms entries must be finite and nonnegative, got {s}")
-    for key, values in (("scheme", cfg.schemes), ("M_list", cfg.M_list or [])):
+    lists = (("scheme", cfg.schemes), ("M_list", cfg.M_list or []), ("N_list", cfg.N_list or []))
+    for key, values in lists:
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
             raise ConfigError(f"{key} repeats {', '.join(map(str, repeated))}")

@@ -27,7 +27,6 @@ from .spectral import (
     Grid,
     StateField,
     filter_multiplier,
-    half_to_full,
     half_to_samples,
     samples_to_half,
 )
@@ -61,16 +60,16 @@ class SchemeSpec:
         return grid.dealias_N
 
 
-def poly_coefficient_samples(poly: Poly, comp_samples: np.ndarray, grid: Grid, N: int) -> np.ndarray:
+def poly_coefficient_samples(poly: Poly, comp_samples: np.ndarray, grid: Grid) -> np.ndarray:
     """Collocation values of a polynomial coefficient field.
 
     Degree <= 1 entries are evaluated directly (exact on the grid).  Higher
     degrees are built monomial by monomial with a projection onto modes
-    <= N after each pairwise product.
+    <= grid.dealias_N after each pairwise product.
     """
     if poly.degree() <= 1:
         return poly.eval_on(comp_samples)
-    mask = filter_multiplier(FilterSpec("sharp", N), grid)[..., : grid.M + 1]
+    mask = filter_multiplier(FilterSpec("sharp", grid.dealias_N), grid)
     out = np.zeros(grid.shape)
     for expo, coeff in poly.terms:
         cur = None
@@ -99,9 +98,9 @@ def _entry_terms(mats) -> tuple[tuple[Poly, ...], tuple[tuple[int, int, int, int
     return tuple(polys), tuple(terms)
 
 
-def _collocated_half(grid: Grid, u: np.ndarray, du, polys, terms, N: int | None) -> np.ndarray:
+def _collocated_half(grid: Grid, u: np.ndarray, du, polys, terms) -> np.ndarray:
     """Half spectrum of sum over terms (i, j, c, p) of polys[p](U) * du[j][c] into row i."""
-    coeff = [poly_coefficient_samples(p, u, grid, N) for p in polys]
+    coeff = [poly_coefficient_samples(p, u, grid) for p in polys]
     rows = np.zeros_like(u)
     for i, j, c, p in terms:
         rows[i] += coeff[p] * du[j][c]
@@ -112,16 +111,14 @@ def _collocated_half(grid: Grid, u: np.ndarray, du, polys, terms, N: int | None)
 class RhsPlan:
     """What rhs needs for one (scheme, system, grid), built once by rhs_plan.
 
-    Multipliers live on the half spectrum.  lin_terms lists the nonzero
-    constant entries (row, axis, column, value) of the A0_j; polys and
-    terms list the distinct nonzero entries of the A1_j and where each
-    acts (row, axis, column, index into polys).
+    lin_terms lists the nonzero constant entries (row, axis, column,
+    value) of the A0_j; polys and terms list the distinct nonzero entries
+    of the A1_j and where each acts (row, axis, column, index into polys).
     """
 
     scheme: SchemeSpec
     sys: SystemDef
     grid: Grid
-    N: int
     m_lin: np.ndarray | float
     m_nl: np.ndarray
     lin_terms: tuple[tuple[int, int, int, float], ...]
@@ -133,18 +130,15 @@ def rhs_plan(scheme: SchemeSpec, sys: SystemDef, grid: Grid) -> RhsPlan:
     """Build the multipliers and entry lists of a scheme's right-hand side on a grid."""
     if grid.d != sys.d:
         raise ValueError(f"grid dimension {grid.d} does not match system d={sys.d}")
-    N = scheme.cutoff(grid)
-    spec = FilterSpec("sharp" if scheme.kind == "sharp" else "smooth", N)
-    # a view, not a copy: freeing the full array raised a 2D convergence
-    # study's peak RSS by 1.5 MB through glibc's dynamic mmap threshold
-    m_nl = filter_multiplier(spec, grid)[..., : grid.M + 1]
+    spec = FilterSpec("sharp" if scheme.kind == "sharp" else "smooth", scheme.cutoff(grid))
+    m_nl = filter_multiplier(spec, grid)
     m_lin = 1.0 if scheme.kind == "smooth-nl" else m_nl
     lin_terms = tuple(
         (i, j, c, float(A0j[i, c]))
         for j, A0j in enumerate(sys.A0)
         for i, c in zip(*np.nonzero(A0j))
     )
-    return RhsPlan(scheme, sys, grid, N, m_lin, m_nl, lin_terms, *_entry_terms(sys.A1))
+    return RhsPlan(scheme, sys, grid, m_lin, m_nl, lin_terms, *_entry_terms(sys.A1))
 
 
 def rhs(
@@ -166,15 +160,15 @@ def rhs(
         plan = rhs_plan(scheme, sys, grid)
     elif plan.scheme != scheme or plan.sys is not sys or plan.grid != grid:
         raise ValueError("plan was built for another scheme, system or grid")
-    half = state.coeffs[..., : grid.M + 1]
-    dhat = [half * dk[..., : grid.M + 1] for dk in grid.diff_mult]
+    half = state.half
+    dhat = [half * dk for dk in grid.diff_mult]
     lin = np.zeros_like(half)
     for i, j, c, a in plan.lin_terms:
         lin[i] += a * dhat[j][c]
     u = half_to_samples(grid, half)
     du = [half_to_samples(grid, dj) for dj in dhat]
-    nl = _collocated_half(grid, u, du, plan.polys, plan.terms, plan.N)
-    return StateField(grid, half_to_full(grid, -(plan.m_lin * lin + plan.m_nl * nl)))
+    nl = _collocated_half(grid, u, du, plan.polys, plan.terms)
+    return StateField(grid, -(plan.m_lin * lin + plan.m_nl * nl))
 
 
 def irrotational_equivalence_check(state: StateField) -> float:
@@ -189,4 +183,4 @@ def irrotational_equivalence_check(state: StateField) -> float:
     scheme = SchemeSpec("sharp")
     r_std = rhs(scheme, saint_venant_2d_standard(), state)
     r_ham = rhs(scheme, saint_venant_2d_hamiltonian(), state)
-    return float(np.max(np.abs(r_std.coeffs - r_ham.coeffs)))
+    return float(np.max(np.abs(r_std.half - r_ham.half)))

@@ -2,25 +2,21 @@
 
 Everything works on the torus [-pi, pi)^d with 2M uniformly spaced
 collocation points per axis and integer wavenumbers k in {-M+1, ..., M}.
-Fields are stored as true Fourier coefficients (the value c_k such that
-f(x) = sum_k c_k exp(i k.x)), kept in FFT index order with the Nyquist
-slot interpreted as +M.  A field is a StateField of n components; a
-scalar field is one with n=1.  All operations are pure; fields are treated
-as immutable, and each one keeps its collocation samples after the first
-to_samples call.
+A field is a StateField of n real components; a scalar field is one with
+n=1.  Its true Fourier coefficients (the c_k with f(x) = sum_k c_k
+exp(i k.x)) are Hermitian, c_{-k} = conj(c_k), so a state stores only the
+half spectrum: last-axis modes 0..M (the rfft layout), leading axes in FFT
+index order, the Nyquist slot read as +M.  The two transforms, the
+multipliers and the arithmetic act on that half.  The full spectrum
+(StateField.coeffs) is completed from it by conjugate reflection on first
+use; only the norms, embedding, the mode-support probe and the spectrum
+CSV read it.  No other module knows the layout.
 
-Fields are real, so their coefficients are Hermitian, c_{-k} = conj(c_k),
-with one exception: in 2D the forward transform (rfftn) leaves last-axis
-columns 0 and M, where k and -k both lie in the half spectrum, Hermitian
-only to rounding (at most 2.8e-17 measured on unit-variance samples); in
-1D those columns are the single modes 0 and M, which come out exactly real.
-Nothing here relies on the exact symmetry.  The transforms and
-half_to_full read only the half spectrum coeffs[..., :M+1] (last-axis
-modes 0..M, the rfft layout): the inverse transform reads the two
-self-paired columns through their Hermitian part, and half_to_full builds
-the other half by conjugate reflection.  Filters, derivatives, embedding
-and arithmetic with real scalars keep the symmetry as they find it; code
-that builds a field from raw coefficients must pass Hermitian ones.
+In 2D the last-axis columns 0 and M hold both k and -k.  The forward
+transform leaves them Hermitian only to rounding (at most 2.8e-17 measured
+on unit-variance samples), and the inverse transform reads them through
+their Hermitian part.  Fields are treated as immutable; each one keeps its
+samples and its full spectrum after first use.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ __all__ = [
     "to_samples",
     "samples_to_half",
     "half_to_samples",
-    "half_to_full",
     "differentiate",
     "apply_lambda",
     "filter_symbol",
@@ -74,9 +69,9 @@ class Grid:
 
     Collocation points are x_n = -pi + pi*n/M for n = 1..2M (the grid
     excludes -pi and includes +pi); the represented mode set is
-    {-M+1, ..., M}^d.  Derived arrays (meshes, wavenumber grids, phase
-    factors and derivative multipliers) and the dealiasing cutoff
-    dealias_N are precomputed once.
+    {-M+1, ..., M}^d.  Derived arrays (meshes, wavenumber grids, and the
+    phase factors and derivative multipliers on the half spectrum) and the
+    dealiasing cutoff dealias_N are precomputed once.
     """
 
     d: int
@@ -99,21 +94,16 @@ class Grid:
         x0 = axis_points[0]
         axis_phase = np.exp(-1j * modes * x0)
         axis_phase[self.M] = (-1.0) ** (self.M + 1)  # exact: real data keep a real Nyquist mode
-        phase = axis_phase.copy()
+        half_phase = axis_phase[: self.M + 1].copy()
         for _ in range(self.d - 1):
-            phase = np.multiply.outer(phase, axis_phase)
-        half_phase = phase[..., : self.M + 1].copy()
-        # The grid keeps only the conjugate, made in place: freeing a
-        # full-size array here raises glibc's dynamic mmap threshold, which
-        # cost a 2D convergence study up to M=128 1.3 MB of peak RSS.
-        phase_conj = np.conj(phase, out=phase)
+            half_phase = np.multiply.outer(axis_phase, half_phase)
         diff_mult = []
         for a in range(self.d):
             dk = 1j * modes.astype(np.float64)
             dk[self.M] = 0.0  # Nyquist plane carries no data; avoid ik*M artifact
             shape = [1] * self.d
             shape[a] = two_m
-            diff_mult.append(dk.reshape(shape))
+            diff_mult.append(dk.reshape(shape)[..., : self.M + 1])
         # Orszag two-thirds cutoff; when 3 | 2M the floor would let the top
         # product mode fold exactly onto the retained edge, so step back one.
         n_dealias = (two_m - 1) // 3 if two_m % 3 == 0 else two_m // 3
@@ -126,7 +116,6 @@ class Grid:
         object.__setattr__(self, "kmesh", tuple(kmesh))
         object.__setattr__(self, "k_inf", k_inf)
         object.__setattr__(self, "k_sq", k_sq)
-        object.__setattr__(self, "phase_conj", phase_conj)
         object.__setattr__(self, "diff_mult", tuple(diff_mult))
         object.__setattr__(self, "half_phase", half_phase)
         object.__setattr__(self, "half_phase_conj", np.conj(half_phase))
@@ -141,47 +130,66 @@ def make_grid(d: int, M: int) -> Grid:
 
 @dataclass(frozen=True)
 class StateField:
-    """Vector of n real periodic fields on one shared grid, stored as complex
-    Fourier coefficients stacked along axis 0; a scalar field has n=1.
-
-    The transforms read only the half spectrum of each component.
+    """Vector of n real periodic fields on one shared grid, stored as the half
+    spectrum of each component stacked along axis 0, shape (n, ..., M+1);
+    a scalar field has n=1.
     """
 
     grid: Grid
-    coeffs: np.ndarray
+    half: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.coeffs.shape[0]
+        return self.half.shape[0]
 
     @cached_property
     def samples(self) -> np.ndarray:
         """Read-only values at the collocation points, transformed on first use and kept."""
-        out = half_to_samples(self.grid, self.coeffs[..., : self.grid.M + 1])
+        out = half_to_samples(self.grid, self.half)
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """Read-only full spectrum in FFT order, completed on first use and kept.
+
+        The modes missing from the half are its conjugate reflection; adding
+        0.0 there keeps an exact +0.0 imaginary part from becoming -0.0.
+        """
+        m = self.grid.M
+        full = np.empty(self.half.shape[:-1] + (self.grid.two_m,), dtype=np.complex128)
+        full[..., : m + 1] = self.half
+        tail, src = full[..., m + 1 :], self.half[..., m - 1 : 0 : -1]
+        if self.grid.d == 1:
+            np.conjugate(src, out=tail)
+        else:  # -k1 of leading-axis slot i is slot (2M - i) mod 2M
+            np.conjugate(src[..., :1, :], out=tail[..., :1, :])
+            np.conjugate(src[..., :0:-1, :], out=tail[..., 1:, :])
+        tail += 0.0
+        full.flags.writeable = False
+        return full
+
     def component(self, i: int) -> "StateField":
         """Component i as a one-component state."""
-        return StateField(self.grid, self.coeffs[i][None])
+        return StateField(self.grid, self.half[i][None])
 
     def __add__(self, other: "StateField") -> "StateField":
-        return StateField(self.grid, self.coeffs + other.coeffs)
+        return StateField(self.grid, self.half + other.half)
 
     def __sub__(self, other: "StateField") -> "StateField":
-        return StateField(self.grid, self.coeffs - other.coeffs)
+        return StateField(self.grid, self.half - other.half)
 
     def __mul__(self, a: float) -> "StateField":
-        return StateField(self.grid, self.coeffs * a)
+        return StateField(self.grid, self.half * a)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "StateField":
-        return StateField(self.grid, -self.coeffs)
+        return StateField(self.grid, -self.half)
 
 
 def zero_state(grid: Grid, n: int) -> StateField:
-    return StateField(grid, np.zeros((n,) + grid.shape, dtype=np.complex128))
+    return StateField(grid, np.zeros((n,) + grid.shape[:-1] + (grid.M + 1,), dtype=np.complex128))
 
 
 def _grid_axes(grid: Grid) -> tuple[int, ...]:
@@ -211,20 +219,6 @@ def half_to_samples(grid: Grid, half: np.ndarray) -> np.ndarray:
     return scipy.fft.irfftn(z, s=grid.shape, axes=_grid_axes(grid), norm="forward")
 
 
-def half_to_full(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """Full FFT-ordered coefficients from the half spectrum, by conjugate reflection."""
-    m = grid.M
-    full = np.empty(half.shape[:-1] + (grid.two_m,), dtype=np.complex128)
-    full[..., : m + 1] = half
-    tail, src = full[..., m + 1 :], half[..., m - 1 : 0 : -1]
-    if grid.d == 1:
-        np.conjugate(src, out=tail)
-    else:  # -k1 of leading-axis slot i is slot (2M - i) mod 2M
-        np.conjugate(src[..., :1, :], out=tail[..., :1, :])
-        np.conjugate(src[..., :0:-1, :], out=tail[..., 1:, :])
-    return full
-
-
 def state_from_samples(grid: Grid, values: np.ndarray) -> StateField:
     """Transform a stack of real sample arrays (n, *grid.shape) into a state."""
     values = np.asarray(values, dtype=np.float64)
@@ -232,7 +226,7 @@ def state_from_samples(grid: Grid, values: np.ndarray) -> StateField:
         raise ValueError(f"sample shape {values.shape} does not match grid {grid.shape}")
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite sample values")
-    return StateField(grid, half_to_full(grid, samples_to_half(grid, values)))
+    return StateField(grid, samples_to_half(grid, values))
 
 
 def from_function(grid: Grid, f: Callable[..., np.ndarray]) -> StateField:
@@ -251,13 +245,13 @@ def differentiate(x: StateField, axis: int = 0):
     grid = x.grid
     if not 0 <= axis < grid.d:
         raise ValueError(f"axis {axis} out of range for d={grid.d}")
-    return replace(x, coeffs=x.coeffs * grid.diff_mult[axis])
+    return replace(x, half=x.half * grid.diff_mult[axis])
 
 
 def apply_lambda(x: StateField, s: float):
     """Apply the Bessel multiplier (1 + |k|^2)^(s/2)."""
     grid = x.grid
-    return replace(x, coeffs=x.coeffs * (1.0 + grid.k_sq) ** (s / 2.0))
+    return replace(x, half=x.half * (1.0 + grid.k_sq[..., : grid.M + 1]) ** (s / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +290,20 @@ def filter_symbol(spec: FilterSpec, k: Sequence[float]) -> float:
 
 
 def filter_multiplier(spec: FilterSpec, grid: Grid) -> np.ndarray:
-    """Multiplier array of the filter on the grid's mode set."""
+    """Multiplier array of the filter on the grid's half spectrum."""
     if spec.N > grid.M:
         raise ValueError(f"filter cutoff N={spec.N} exceeds resolved modes M={grid.M}")
+    half = (..., slice(grid.M + 1))
     if spec.kind == "sharp":
-        return (grid.k_inf <= spec.N).astype(np.float64)
-    mult = np.ones(grid.shape)
+        return (grid.k_inf[half] <= spec.N).astype(np.float64)
+    mult = 1.0
     for km in grid.kmesh:
-        mult = mult * smooth_ramp(km / spec.N)
+        mult = mult * smooth_ramp(km[half] / spec.N)
     return mult
 
 
 def apply_filter(x: StateField, spec: FilterSpec):
-    return replace(x, coeffs=x.coeffs * filter_multiplier(spec, x.grid))
+    return replace(x, half=x.half * filter_multiplier(spec, x.grid))
 
 
 def dealias(x: StateField):
@@ -382,4 +377,4 @@ def embed(x: StateField, fine: Grid) -> StateField:
     split = 0.5 * x.coeffs[:, nyq]
     tgt[(slice(None), *[np.mod(ka, fine.two_m) for ka in k])] = split
     tgt[(slice(None), *[np.mod(-ka, fine.two_m) for ka in k])] = np.conj(split)
-    return StateField(fine, tgt)
+    return StateField(fine, tgt[..., : fine.M + 1])

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys as _sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -37,7 +39,7 @@ class BlowUpError(RuntimeError):
 
 
 def _check_finite(state: StateField, stage: str) -> StateField:
-    if not np.all(np.isfinite(state.coeffs)):
+    if not np.all(np.isfinite(state.half)):
         raise BlowUpError(stage)
     return state
 
@@ -53,12 +55,12 @@ def rk4_step(rhs_fn: Callable[[StateField], StateField], state: StateField, dt: 
     k2 = _check_finite(rhs_fn(state + (0.5 * dt) * k1), "k2")
     k3 = _check_finite(rhs_fn(state + (0.5 * dt) * k2), "k3")
     k4 = _check_finite(rhs_fn(state + dt * k3), "k4")
-    acc = k2.coeffs * 2.0
-    acc += k1.coeffs
-    acc += k3.coeffs * 2.0
-    acc += k4.coeffs
+    acc = k2.half * 2.0
+    acc += k1.half
+    acc += k3.half * 2.0
+    acc += k4.half
     acc *= dt / 6.0
-    acc += state.coeffs
+    acc += state.half
     return StateField(state.grid, acc)
 
 
@@ -77,6 +79,8 @@ class EvolveConfig:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not 0.0 <= self.T < math.inf:
             raise ValueError(f"final time T must be finite and nonnegative, got {self.T}")
+        if self.T / self.dt >= _sys.maxsize:
+            raise ValueError(f"T/dt = {self.T / self.dt:.3g} steps exceed the largest step count {_sys.maxsize}")
         if not 0.0 < self.blowup_threshold < math.inf:
             raise ValueError(f"blowup_threshold must be finite and positive, got {self.blowup_threshold}")
         if self.monitor_stride is not None and self.monitor_stride < 1:
@@ -130,16 +134,14 @@ def second_derivative_max(state: StateField) -> float:
     return linf(curvature(state))
 
 
-def _step_plan(T: float, dt: float) -> list[float]:
-    """Step sizes covering [0, T] exactly: full dt steps plus a final partial."""
+def _step_plan(T: float, dt: float) -> tuple[int, list[float]]:
+    """Steps covering [0, T] exactly: the count of full dt steps and the
+    final partial step, if any, as a list of at most one size."""
     if T == 0.0:
-        return []
+        return 0, []
     n_full = int(math.floor(T / dt + 1e-9))
     remainder = T - n_full * dt
-    steps = [dt] * n_full
-    if remainder > 1e-9 * dt:
-        steps.append(remainder)
-    return steps
+    return n_full, [remainder] if remainder > 1e-9 * dt else []
 
 
 def evolve(
@@ -158,11 +160,12 @@ def evolve(
     """
     plan = rhs_plan(scheme, sys, state0.grid)
     state = dealias(state0)
-    steps = _step_plan(cfg.T, cfg.dt)
+    n_full, partial = _step_plan(cfg.T, cfg.dt)
+    n_steps = n_full + len(partial)
     if cfg.monitor_stride is not None:
         stride = cfg.monitor_stride
     else:
-        stride = max(1, math.ceil(len(steps) / 200))
+        stride = max(1, math.ceil(n_steps / 200))
     monitors = standard_monitors(sys)
     names = [name for name, _ in monitors]
     rows: list[tuple[float, ...]] = []
@@ -181,14 +184,14 @@ def evolve(
 
     sample(0.0, state)
     t = 0.0
-    for i, h in enumerate(steps):
+    for i, h in enumerate(itertools.chain(itertools.repeat(cfg.dt, n_full), partial)):
         try:
             new_state = rk4_step(rhs_fn, state, h)
         except BlowUpError:
             return EvolveResult(state, t, "blowup", t + h, names, rows)
         t = t + h
         state = new_state
-        last = i == len(steps) - 1
+        last = i == n_steps - 1
         if (i + 1) % stride == 0 or last:
             if exploded(state):
                 return EvolveResult(state, t, "blowup", t, names, rows)

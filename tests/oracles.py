@@ -8,6 +8,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from specwave.spectral import StateField
+
+
+def from_coeffs(grid, c: np.ndarray) -> StateField:
+    """State from full FFT-ordered Hermitian coefficients (n, *grid.shape): keeps their half spectrum."""
+    return StateField(grid, np.asarray(c)[..., : grid.M + 1])
+
+
+def phase_conj(grid) -> np.ndarray:
+    """Full-size factor exp(i k.x_1) turning true coefficients into FFT input on the
+    shifted grid (the Nyquist slot exact, as for real data)."""
+    axis = np.conj(np.exp(-1j * grid.modes * grid.axis_points[0]))
+    axis[grid.M] = (-1.0) ** (grid.M + 1)
+    out = axis
+    for _ in range(grid.d - 1):
+        out = np.multiply.outer(out, axis)
+    return out
+
 
 def naive_dft(samples: np.ndarray, points: np.ndarray, modes: np.ndarray) -> dict[int, complex]:
     """O(M^2) direct Fourier sum: c_k = (1/2M) sum_n f(x_n) exp(-i k x_n)."""

@@ -21,7 +21,6 @@ from specwave.analysis import (
 )
 from specwave.spectral import (
     FilterSpec,
-    StateField,
     apply_filter,
     apply_lambda,
     embed,
@@ -37,6 +36,7 @@ from specwave.timeint import EvolveConfig
 from oracles import (
     convolve_dicts,
     dict_from_coeffs,
+    from_coeffs,
     quadrature_inner,
     sobolev_from_dict,
     truncate_dict,
@@ -56,7 +56,7 @@ class TestRelativeError:
         coarse_grid = make_grid(1, 64)
         # coarse state = truncation of the fine one onto the coarse mode set
         idx = [np.where(g.modes == k)[0][0] for k in coarse_grid.modes]
-        coarse = StateField(coarse_grid, fine.coeffs[:, idx] * (np.abs(coarse_grid.kmesh[0]) <= n_cut))
+        coarse = from_coeffs(coarse_grid, fine.coeffs[:, idx] * (np.abs(coarse_grid.kmesh[0]) <= n_cut))
         err = relative_error(coarse, fine, 0)
         tail = dict_from_coeffs(fine.coeffs[0], g.modes)
         tail = {k: v for k, v in tail.items() if abs(k) > n_cut}
@@ -90,7 +90,7 @@ class TestRelativeError:
         i30 = np.where(fine.modes == 30)[0][0]
         bumped[0, i30] += 1e-3
         bumped[0, np.where(fine.modes == -30)[0][0]] += 1e-3
-        assert relative_error(st, StateField(fine, bumped), 0) > 0.0
+        assert relative_error(st, from_coeffs(fine, bumped), 0) > 0.0
 
 
 class TestEOC:
@@ -177,6 +177,10 @@ class TestJnProbe:
         U = state_from_samples(g, np.stack([0.2 * np.ones_like(x), 0.1 * np.ones_like(x)]))
         V = state_from_samples(g, np.stack([np.zeros_like(x), np.sin(16 * x)]))
         assert abs(jn_probe(sv, U, V, N=16)) < 1e-12
+
+    def test_cutoffs_must_strictly_ascend(self):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            jn_study(saint_venant_1d(), [32, 32])
 
     def test_linear_growth_and_slope(self):
         sv = saint_venant_1d()

@@ -168,6 +168,17 @@ class TestRun:
         assert err.startswith("error:") and "scheme repeats sharp" in err
         assert not (tmp_path / "out").exists()
 
+    def test_step_count_beyond_index_range_is_input_error(self, tmp_path, capsys):
+        # 1e299 steps: more than any step counter holds
+        code = main(
+            ["run", "--system", "saint-venant-1d", "--initial", "init1", "--M", "16",
+             "--dt", "1e-300", "--T", "0.1", "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "T/dt" in err
+        assert not (tmp_path / "out").exists()
+
     def test_blowup_snapshot_is_labelled_with_its_time(self, tmp_path):
         # the final snapshot holds the state the detector stopped at, not one at T
         cfg = tmp_path / "exp.cfg"
@@ -463,6 +474,17 @@ class TestProbeJn:
         assert code == 0
         assert len(read(tmp_path / "jn.csv").splitlines()) == 2
         assert not (tmp_path / "slope.txt").exists()
+
+    def test_repeated_cutoff_is_input_error(self, tmp_path, capsys):
+        # a repeated N would fit the slope to a rank-deficient system
+        code = main(
+            ["probe-jn", "--system", "saint-venant-1d", "--N-list", "32 32",
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "N_list repeats 32" in err
+        assert not (tmp_path / "out").exists()
 
     def test_degenerate_offset_rejected(self, tmp_path):
         code = main(

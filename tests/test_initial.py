@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from specwave.initial import INITIAL_NAMES, build_initial
-from specwave.spectral import StateField, make_grid, sobolev_norm, to_samples
+from specwave.spectral import make_grid, sobolev_norm, to_samples
+
+from oracles import from_coeffs
 
 
 def test_catalog_names():
@@ -88,7 +90,7 @@ def test_init1_projection_slope():
         for n in ns:
             tail = st.coeffs * (np.abs(g.kmesh[0]) > n)
             errs.append(
-                sobolev_norm(StateField(g, tail), s_norm) / sobolev_norm(st, s_norm)
+                sobolev_norm(from_coeffs(g, tail), s_norm) / sobolev_norm(st, s_norm)
             )
         slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
         assert abs(slope - slope_expected) < 0.25

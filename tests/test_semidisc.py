@@ -33,12 +33,15 @@ from specwave.systems import (
     saint_venant_2d_hamiltonian,
     saint_venant_2d_standard,
 )
+from specwave.timeint import rk4_step
 
 from oracles import (
     coeffs_from_dict,
     convolve_dicts,
     dict_from_coeffs,
+    from_coeffs,
     naive_inverse,
+    phase_conj,
     random_band_limited,
     truncate_dict,
 )
@@ -183,7 +186,7 @@ class TestRhsSchemes:
         st = random_state(rng, g, 2, g.dealias_N)
         for kind in ("sharp", "smooth-all", "smooth-nl"):
             out = rhs(SchemeSpec(kind), sv, st)
-            samples = np.fft.ifftn(out.coeffs * g.phase_conj, axes=(-1,)) * g.npoints
+            samples = np.fft.ifftn(out.coeffs * phase_conj(g), axes=(-1,)) * g.npoints
             assert np.max(np.abs(samples.imag)) < 1e-12 * max(np.max(np.abs(samples.real)), 1e-30)
 
     def test_sharp_equals_smooth_on_low_modes(self):
@@ -203,7 +206,7 @@ class TestRhsSchemes:
         sv = saint_venant_1d()
         c = np.zeros((2,) + g.shape, dtype=complex)
         c[0, 1] = np.nan
-        out = rhs(SchemeSpec("sharp"), sv, StateField(g, c))
+        out = rhs(SchemeSpec("sharp"), sv, from_coeffs(g, c))
         assert not np.all(np.isfinite(out.coeffs))
 
     def test_dimension_mismatch_rejected(self):
@@ -266,6 +269,28 @@ class TestTransformBudget:
             rhs(SchemeSpec("smooth-nl"), sv, zero_state(g, 2), plan)
         with pytest.raises(ValueError, match="plan"):
             rhs(SchemeSpec("sharp"), sv, zero_state(make_grid(1, 8), 2), plan)
+
+
+class TestStoredHalf:
+    """rhs and RK4 work on the stored half spectrum: neither completes the full one."""
+
+    @pytest.mark.parametrize(
+        "make_sys, M",
+        [(saint_venant_1d, 16), (saint_venant_2d_standard, 8), (saint_venant_2d_hamiltonian, 8)],
+    )
+    def test_stored_half_only(self, monkeypatch, make_sys, M):
+        sysd = make_sys()
+        g = make_grid(sysd.d, M)
+        st = random_state(np.random.default_rng(13), g, sysd.n, g.dealias_N)
+
+        def forbidden(self):
+            raise AssertionError("full spectrum completed")
+
+        monkeypatch.setattr(StateField, "coeffs", property(forbidden))
+        for kind in SCHEME_KINDS:
+            rhs(SchemeSpec(kind), sysd, st)
+        sharp = SchemeSpec("sharp")
+        rk4_step(lambda s: rhs(sharp, sysd, s), st, 1e-3)
 
 
 class TestHigherDegreeCoefficients:

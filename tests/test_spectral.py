@@ -5,7 +5,6 @@ import pytest
 
 from specwave.spectral import (
     FilterSpec,
-    StateField,
     apply_filter,
     apply_lambda,
     dealias,
@@ -28,8 +27,10 @@ from oracles import (
     coeffs_from_dict,
     convolve_dicts,
     dict_from_coeffs,
+    from_coeffs,
     naive_dft,
     naive_inverse,
+    phase_conj,
     quadrature_inner,
     random_band_limited,
     sobolev_from_dict,
@@ -155,7 +156,7 @@ class TestDifferentiate:
         g = make_grid(1, 8)
         c = np.zeros(g.shape, dtype=complex)
         c[g.M] = 1.0
-        d = differentiate(StateField(g, c[None]), 0)
+        d = differentiate(from_coeffs(g, c[None]), 0)
         assert np.max(np.abs(d.coeffs)) == 0.0
 
 
@@ -221,7 +222,7 @@ class TestFilters:
         g = make_grid(2, 8)
         f = state_from_samples(g, rng.normal(size=(1,) + g.shape))
         n = 8
-        comp = f.coeffs - apply_filter(f, FilterSpec("smooth", n)).coeffs
+        comp = f.half - apply_filter(f, FilterSpec("smooth", n)).half
         killed = comp * filter_multiplier(FilterSpec("smooth", n // 2), g)
         assert np.max(np.abs(killed)) == 0.0
 
@@ -366,13 +367,13 @@ class TestProjectionDecay:
             amp = (1.0 + k * k) ** (-(s + 0.5 + eps) / 2.0)
             c[k] = -0.5j * amp
             c[-k] = 0.5j * amp
-        st = StateField(g, c[None])
+        st = from_coeffs(g, c[None])
         ns = [32, 64, 128, 256, 512]
         for r in (0.0, 1.0):
             ratios = []
             for n in ns:
                 tail = st.coeffs * (np.abs(g.kmesh[0]) > n)
-                e = sobolev_norm(StateField(g, tail), r) / sobolev_norm(st, s)
+                e = sobolev_norm(from_coeffs(g, tail), r) / sobolev_norm(st, s)
                 ratios.append(e * n ** (s - r))
             # compensated error varies by less than a factor 3 over the range
             assert max(ratios) / min(ratios) < 3.0
@@ -430,6 +431,25 @@ class TestCachedSamples:
         assert np.max(np.abs(to_samples(differentiate(st, 0))[0] - np.cos(g.mesh[0]))) < 1e-13
 
 
+class TestStoredHalf:
+    @pytest.mark.parametrize("d, m", [(1, 8), (2, 6)])
+    def test_full_spectrum_is_the_exact_reflection(self, d, m):
+        g = make_grid(d, m)
+        rng = np.random.default_rng(60 + d)
+        c = rng.normal(size=(2,) + g.shape) + 1j * rng.normal(size=(2,) + g.shape)
+        k, minus_k = (0,) + (1,) * d, (0,) + (-1,) * d
+        c[k], c[minus_k] = c[k].real, c[minus_k].real  # exact zero imaginary part at k and -k
+        sym = hermitian_symmetrize(c, d)
+        assert sym[minus_k].imag == 0.0 and not np.signbit(sym[minus_k].imag)
+        st = from_coeffs(g, sym)
+        assert st.half.shape == (2,) + g.shape[:-1] + (m + 1,)
+        assert np.array_equal(st.coeffs.view(np.int64), sym.view(np.int64))  # bit for bit
+        assert not np.signbit(st.coeffs[minus_k].imag)
+        assert st.coeffs is st.coeffs and not st.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            st.coeffs[minus_k] = 1.0
+
+
 class TestHelpers:
     def test_embed_preserves_content(self):
         g = make_grid(1, 8)
@@ -453,7 +473,7 @@ class TestHelpers:
         g, fine = make_grid(d, m), make_grid(d, fine_m)
         for _ in range(5):
             c = rng.normal(size=(2,) + g.shape) + 1j * rng.normal(size=(2,) + g.shape)
-            st = StateField(g, hermitian_symmetrize(c, d))
+            st = from_coeffs(g, hermitian_symmetrize(c, d))
             assert np.all(st.coeffs[:, g.k_inf == g.M] != 0.0)
             assert np.array_equal(embed(st, fine).coeffs, former_embed(st, fine))
 
@@ -470,6 +490,6 @@ class TestHelpers:
         assert np.allclose(sym, again)
         # symmetric arrays invert to real samples
         g = make_grid(1, 8)
-        z = (sym * g.phase_conj)
+        z = (sym * phase_conj(g))
         vals = np.fft.ifft(z) * g.two_m
         assert np.max(np.abs(vals.imag)) < 1e-12 * max(np.max(np.abs(vals.real)), 1.0)

@@ -7,7 +7,6 @@ import pytest
 
 from specwave.poly import Poly, PolyMatrix
 from specwave.spectral import (
-    StateField,
     dealias,
     hermitian_symmetrize,
     l2_inner,
@@ -29,7 +28,7 @@ from specwave.systems import (
 from specwave.analysis import energy_symmetrizer
 from specwave.timeint import standard_monitors
 
-from oracles import hyperbolic_points_by_point, quadrature_inner
+from oracles import from_coeffs, hyperbolic_points_by_point, quadrature_inner
 
 ALL_SYSTEMS = [saint_venant_1d, saint_venant_2d_standard, saint_venant_2d_hamiltonian]
 
@@ -298,7 +297,7 @@ class TestHamiltonianEnergy:
         for _ in range(5):
             c = rng.normal(size=(d + 1,) + g.shape) + 1j * rng.normal(size=(d + 1,) + g.shape)
             c = hermitian_symmetrize(c, d) * (g.k_inf <= g.dealias_N) / g.two_m
-            st = StateField(g, c)
+            st = from_coeffs(g, c)
             sysd = SV1D if d == 1 else SV2D
             assert np.isclose(hamiltonian_energy(sysd, st), former_energy(st), rtol=1e-13, atol=0.0)
 

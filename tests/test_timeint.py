@@ -10,7 +10,6 @@ import scipy.fft
 from specwave.initial import build_initial
 from specwave.semidisc import SchemeSpec, rhs, rhs_plan
 from specwave.spectral import (
-    StateField,
     differentiate,
     from_function,
     make_grid,
@@ -27,9 +26,10 @@ from specwave.timeint import (
     evolve,
     monitor_csv,
     rk4_step,
+    _step_plan,
 )
 
-from oracles import csv_cell
+from oracles import csv_cell, from_coeffs
 
 
 class TestRK4Step:
@@ -45,7 +45,7 @@ class TestRK4Step:
         g = make_grid(1, 8)
         st = from_function(g, np.sin)
         dt = 0.1
-        out = rk4_step(lambda s: StateField(g, -differentiate(s, 0).coeffs), st, dt)
+        out = rk4_step(lambda s: -differentiate(s, 0), st, dt)
         amp = out.coeffs[0][1] / st.coeffs[0][1]
         expected = sum((-1j * dt) ** m / math.factorial(m) for m in range(5))
         assert abs(amp - expected) < 1e-14
@@ -74,7 +74,7 @@ class TestRK4Step:
 
         def bad_rhs(s):
             c = np.full_like(s.coeffs, np.nan)
-            return StateField(g, c)
+            return from_coeffs(g, c)
 
         with pytest.raises(BlowUpError) as err:
             rk4_step(bad_rhs, st, 0.1)
@@ -220,14 +220,10 @@ class TestEvolve:
         assert res.final_time == res.blowup_time  # the state that tripped the detector
         assert np.all(np.isfinite(res.final_state.coeffs))
 
-    def test_hamiltonian_drift_sharp_scheme(self):
+    def test_hamiltonian_drift_sharp_scheme(self, drift_run_1d):
         # semi-discrete energy is conserved up to integrator error
-        sv = saint_venant_1d()
-        g = make_grid(1, 128)
-        st0 = build_initial("init1", {"alpha": 1.5}, g)
-        res = evolve(
-            SchemeSpec("sharp"), sv, st0, EvolveConfig(dt=1e-5, T=0.1, monitor_stride=2000)
-        )
+        # (sharp, init1 alpha=1.5, 2M=256, dt=1e-5, T=0.1; see conftest)
+        res = drift_run_1d
         assert res.completed
         i_h = res.monitor_names.index("hamiltonian")
         h0 = res.monitor_rows[0][1 + i_h]
@@ -242,6 +238,15 @@ class TestEvolve:
         for stride in (0, -2):
             with pytest.raises(ValueError, match="monitor_stride"):
                 EvolveConfig(dt=1e-3, T=1.0, monitor_stride=stride)
+        for dt in (1e-300, 5e-324):  # T/dt = 1e299 and inf
+            with pytest.raises(ValueError, match="step count"):
+                EvolveConfig(dt=dt, T=0.1)
+
+    def test_step_plan_counts_full_steps(self):
+        # a count of full steps, not a list of T/dt step sizes
+        assert _step_plan(0.001, 3e-4) == (3, [0.001 - 3 * 3e-4])
+        assert _step_plan(0.05, 1e-5) == (5000, [])
+        assert _step_plan(0.0, 1e-3) == (0, [])
 
 
 class TestCsvTable:
