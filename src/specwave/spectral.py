@@ -10,7 +10,8 @@ index order, the Nyquist slot read as +M.  The two transforms, the
 multipliers and the arithmetic act on that half.  The full spectrum
 (StateField.coeffs) is completed from it by conjugate reflection on first
 use; only the norms, embedding, the mode-support probe and the spectrum
-CSV read it.  No other module knows the layout.
+CSV read it.  No other module knows the layout.  The transforms run
+through numpy.fft on 1D grids and scipy.fft on 2D grids, chosen in _fft.
 
 In 2D the last-axis columns 0 and M hold both k and -k.  The forward
 transform leaves them Hermitian only to rounding (at most 2.8e-17 measured
@@ -26,7 +27,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "Grid",
@@ -204,19 +204,30 @@ def hermitian_symmetrize(coeffs: np.ndarray, d: int) -> np.ndarray:
     return 0.5 * (coeffs + np.conj(rev))
 
 
+def _fft(grid: Grid):
+    """The transform library of a grid: numpy.fft in 1D, where it gives the
+    same bits as scipy.fft and loads in a fraction of the time; scipy.fft in
+    2D, where numpy's forward transform is about 2x slower."""
+    if grid.d == 1:
+        return np.fft
+    import scipy.fft
+
+    return scipy.fft
+
+
 def samples_to_half(grid: Grid, samples: np.ndarray) -> np.ndarray:
     """Half-spectrum coefficients of real samples (the one forward transform).
 
     No finiteness check: non-finite samples give non-finite coefficients.
     """
-    c = scipy.fft.rfftn(samples, axes=_grid_axes(grid), norm="forward")
+    c = _fft(grid).rfftn(samples, axes=_grid_axes(grid), norm="forward")
     return c * grid.half_phase
 
 
 def half_to_samples(grid: Grid, half: np.ndarray) -> np.ndarray:
     """Real values at the collocation points of Hermitian coefficients given by their half spectrum."""
     z = half * grid.half_phase_conj
-    return scipy.fft.irfftn(z, s=grid.shape, axes=_grid_axes(grid), norm="forward")
+    return _fft(grid).irfftn(z, s=grid.shape, axes=_grid_axes(grid), norm="forward")
 
 
 def state_from_samples(grid: Grid, values: np.ndarray) -> StateField:

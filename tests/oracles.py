@@ -6,7 +6,10 @@ convolutions) and shares no code path with the package internals.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
+import scipy.fft
 
 from specwave.spectral import StateField
 
@@ -25,6 +28,27 @@ def phase_conj(grid) -> np.ndarray:
     for _ in range(grid.d - 1):
         out = np.multiply.outer(out, axis)
     return out
+
+
+def count_transforms(monkeypatch, npoints: int) -> Counter:
+    """Count real transforms by component, whichever library performs them.
+
+    Wraps rfftn and irfftn of both numpy.fft and scipy.fft; the returned
+    counter gains 'forward' and 'inverse' entries as transforms of fields
+    with npoints collocation points run.
+    """
+    counts: Counter = Counter()
+    for lib in (np.fft, scipy.fft):
+        for name, kind in (("rfftn", "forward"), ("irfftn", "inverse")):
+
+            def counted(*args, _fn=getattr(lib, name), _kind=kind, **kwargs):
+                out = _fn(*args, **kwargs)
+                real = out if _kind == "inverse" else args[0]
+                counts[_kind] += real.size // npoints  # one transform per component
+                return out
+
+            monkeypatch.setattr(lib, name, counted)
+    return counts
 
 
 def naive_dft(samples: np.ndarray, points: np.ndarray, modes: np.ndarray) -> dict[int, complex]:

@@ -10,13 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.fft
 
 import specwave
 from specwave.cli import _build_config, _parser, main, parse_config_text
 from specwave.presets import CONFIG_KEYS, get_preset, preset_names
 from specwave.sysio import serialize_system
 from specwave.systems import saint_venant_1d
+
+from oracles import count_transforms
 
 FLAG_SUBCOMMANDS = ("run", "converge", "probe-jn")
 
@@ -93,15 +94,7 @@ class TestRun:
         # and per monitor sample one of the state (n) plus one for max_d2u.
         # Outside evolve: the projected initial state and its curvature once
         # per run, and the curvature of each final state once.
-        irfftn = scipy.fft.irfftn
-        count = [0]
-
-        def counted(*args, **kwargs):
-            out = irfftn(*args, **kwargs)
-            count[0] += out.size // 32  # one transform per component, 2M = 32
-            return out
-
-        monkeypatch.setattr(scipy.fft, "irfftn", counted)
+        counts = count_transforms(monkeypatch, 32)  # 2M = 32
         code = main(
             ["run", "--system", "saint-venant-1d", "--scheme", "sharp smooth-all smooth-nl",
              "--initial", "init1", "--M", "16", "--dt", "1e-3", "--T", "0.002",
@@ -110,7 +103,7 @@ class TestRun:
         assert code == 0
         n, steps, samples, schemes = 2, 2, 3, 3
         per_evolve = steps * 4 * 2 * n + samples * (n + 1)
-        assert count[0] == schemes * (per_evolve + 1) + (n + 1)
+        assert counts["inverse"] == schemes * (per_evolve + 1) + (n + 1)
 
     def test_unknown_initial_exits_nonzero(self, tmp_path, capsys):
         code = main(
@@ -417,6 +410,7 @@ loaded = {"import": lazy_loaded()}
 common = ["--system", "saint-venant-1d", "--initial", "init1", "--dt", "1e-3", "--T", "0.002"]
 assert specwave.cli.main(["run", *common, "--M", "16", "--out", "run"]) == 0
 loaded["run"] = lazy_loaded()
+loaded["1D scipy.fft"] = "scipy.fft" in sys.modules
 assert specwave.cli.main(
     ["converge", *common, "--M-list", "8", "--M-ref", "16", "--jobs", "1", "--out", "conv"]
 ) == 0
@@ -441,6 +435,7 @@ class TestStartup:
         loaded = json.loads(proc.stderr.splitlines()[-1])
         assert loaded["import"] == []
         assert loaded["run"] == []
+        assert loaded["1D scipy.fft"] is False  # 1D grids transform through numpy.fft
         assert loaded["converge"] == []
         assert loaded["check-system"] == ["scipy.stats"]
         check_lines = proc.stdout.split("--- check-system\n", 1)[1].splitlines()

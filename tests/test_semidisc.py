@@ -1,7 +1,5 @@
 """Semi-discrete right-hand sides: schemes, dealiasing exactness, invariants."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 import scipy.fft
@@ -38,6 +36,7 @@ from specwave.timeint import rk4_step
 from oracles import (
     coeffs_from_dict,
     convolve_dicts,
+    count_transforms,
     dict_from_coeffs,
     from_coeffs,
     naive_inverse,
@@ -232,24 +231,11 @@ class TestTransformBudget:
         scheme = SchemeSpec(kind)
         plan = rhs_plan(scheme, sysd, g)
         expected = rhs(scheme, sysd, st).coeffs
-        counts = Counter()
-
-        def counted(name):
-            fn = getattr(scipy.fft, name)
-
-            def wrapper(*args, **kwargs):
-                out = fn(*args, **kwargs)
-                real = out if name == "irfftn" else args[0]
-                counts[name] += real.size // g.npoints  # one transform per component
-                return out
-
-            return wrapper
+        counts = count_transforms(monkeypatch, g.npoints)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("not expected in rhs on a reused plan")
 
-        for name in ("rfftn", "irfftn"):
-            monkeypatch.setattr(scipy.fft, name, counted(name))
         for lib in (scipy.fft, np.fft):
             for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
                 monkeypatch.setattr(lib, name, forbidden)
@@ -258,7 +244,7 @@ class TestTransformBudget:
                 monkeypatch.setattr(mod, name, forbidden, raising=False)
         out = rhs(scheme, sysd, st, plan)
         # 2D Hamiltonian system: 9 + 3 = 12 real transforms
-        assert counts == {"irfftn": sysd.n * (sysd.d + 1), "rfftn": sysd.n}
+        assert counts == {"inverse": sysd.n * (sysd.d + 1), "forward": sysd.n}
         assert np.array_equal(out.coeffs, expected)
 
     def test_plan_for_another_scheme_rejected(self):
