@@ -8,11 +8,23 @@ with the multiplier pair (m_lin, m_nl) = (P_N, P_N) for 'sharp',
 (sigma_N, sigma_N) for 'smooth-all' and (1, sigma_N) for 'smooth-nl'
 (P_N the sharp cutoff, sigma_N the smooth filter).  The constant part
 A0_j acts exactly in Fourier space (a product with a constant does not
-alias, so this equals its collocation value for any state); the varying
-part A1_j(U) is evaluated pointwise at the collocation points on the
-2M-point grid and dealiased by zeroing the top third of the modes, which
-is exact for quadratic products; coefficient polynomials of degree above
-one are multiplied pairwise with a re-projection after every product.
+alias, so this equals its collocation value for any state).  The varying
+part is evaluated on the 2M-point grid and dealiased by zeroing the top
+third of the modes, which is exact for quadratic products, in one of two
+forms:
+
+- flux form, for a system with the structure A_j = SJ0_j D^2 H(U) (proved
+  on coefficients) and a cubic H: A1_j(U) d_j U = SJ0_j d_j Q(U) with the
+  quadratic Q = DH(U) - S(0) U, so F of the sum is
+  sum_j SJ0_j (i k_j) F[Q(U)];
+- collocated form otherwise: A1_j(U) d_j U at the collocation points;
+  coefficient polynomials of degree above one are multiplied pairwise
+  with a re-projection after every product.
+
+On a state supported in |k| <= N, which every state evolve makes is,
+both forms are exact on the retained modes, so they agree there to
+rounding.  The flux form needs 2n real transforms per call, the
+collocated form n(d+2).
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from .spectral import (
     half_to_samples,
     samples_to_half,
 )
-from .systems import SystemDef, saint_venant_2d_hamiltonian, saint_venant_2d_standard
+from .systems import SystemDef
 
 __all__ = [
     "SchemeSpec",
@@ -39,7 +51,6 @@ __all__ = [
     "poly_coefficient_samples",
     "rhs_plan",
     "rhs",
-    "irrotational_equivalence_check",
 ]
 
 SCHEME_KINDS = ("sharp", "smooth-all", "smooth-nl")
@@ -112,8 +123,12 @@ class RhsPlan:
     """What rhs needs for one (scheme, system, grid), built once by rhs_plan.
 
     lin_terms lists the nonzero constant entries (row, axis, column,
-    value) of the A0_j; polys and terms list the distinct nonzero entries
-    of the A1_j and where each acts (row, axis, column, index into polys).
+    value) of the A0_j.  On the flux path, flux holds the components of
+    sys.Q and flux_terms (row, column, m_nl * sum_j SJ0_j[row, column] i k_j)
+    for every nonzero (row, column); polys and terms are then empty.  On
+    the collocated path flux is empty, and polys and terms list the
+    distinct nonzero entries of the A1_j and where each acts (row, axis,
+    column, index into polys).
     """
 
     scheme: SchemeSpec
@@ -124,10 +139,13 @@ class RhsPlan:
     lin_terms: tuple[tuple[int, int, int, float], ...]
     polys: tuple[Poly, ...]
     terms: tuple[tuple[int, int, int, int], ...]
+    flux: tuple[Poly, ...]
+    flux_terms: tuple[tuple[int, int, np.ndarray], ...]
 
 
 def rhs_plan(scheme: SchemeSpec, sys: SystemDef, grid: Grid) -> RhsPlan:
-    """Build the multipliers and entry lists of a scheme's right-hand side on a grid."""
+    """Build the multipliers and entry lists of a scheme's right-hand side on a
+    grid; the flux path is taken whenever the system has a flux sys.Q."""
     if grid.d != sys.d:
         raise ValueError(f"grid dimension {grid.d} does not match system d={sys.d}")
     spec = FilterSpec("sharp" if scheme.kind == "sharp" else "smooth", scheme.cutoff(grid))
@@ -138,7 +156,13 @@ def rhs_plan(scheme: SchemeSpec, sys: SystemDef, grid: Grid) -> RhsPlan:
         for j, A0j in enumerate(sys.A0)
         for i, c in zip(*np.nonzero(A0j))
     )
-    return RhsPlan(scheme, sys, grid, m_lin, m_nl, lin_terms, *_entry_terms(sys.A1))
+    if sys.Q is None:
+        return RhsPlan(scheme, sys, grid, m_lin, m_nl, lin_terms, *_entry_terms(sys.A1), (), ())
+    flux_terms = []
+    for i, c in zip(*np.nonzero(sum(np.abs(sj) for sj in sys.SJ0))):
+        ik = sum(sj[i, c] * dk for sj, dk in zip(sys.SJ0, grid.diff_mult) if sj[i, c])
+        flux_terms.append((i, c, m_nl * ik))
+    return RhsPlan(scheme, sys, grid, m_lin, m_nl, lin_terms, (), (), sys.Q, tuple(flux_terms))
 
 
 def rhs(
@@ -150,8 +174,10 @@ def rhs(
     """Right-hand side of the chosen semi-discretization at a state.
 
     A plan from rhs_plan(scheme, sys, state.grid) saves rebuilding the
-    multipliers on every call.  Per call: one inverse transform of U and
-    of each d_j U, one forward transform of the nonlinear sum.
+    multipliers on every call.  Per call on the flux path: one inverse
+    transform of U and one forward transform of Q(U), 2n real transforms.
+    On the collocated path: one inverse transform of U and of each d_j U and
+    one forward transform of the nonlinear sum, n(d+2).
     """
     grid = state.grid
     if state.n != sys.n:
@@ -166,21 +192,12 @@ def rhs(
     for i, j, c, a in plan.lin_terms:
         lin[i] += a * dhat[j][c]
     u = half_to_samples(grid, half)
-    du = [half_to_samples(grid, dj) for dj in dhat]
-    nl = _collocated_half(grid, u, du, plan.polys, plan.terms)
-    return StateField(grid, -(plan.m_lin * lin + plan.m_nl * nl))
-
-
-def irrotational_equivalence_check(state: StateField) -> float:
-    """Max coefficient gap between the two 2D shallow-water sharp-scheme right-hand sides.
-
-    The advective forms (u.grad)u and grad(|u|^2)/2 agree exactly when the
-    velocity is curl-free, so the gap measures how far the given state is
-    from that regime.
-    """
-    if state.grid.d != 2 or state.n != 3:
-        raise ValueError("equivalence check expects a 2D three-component state")
-    scheme = SchemeSpec("sharp")
-    r_std = rhs(scheme, saint_venant_2d_standard(), state)
-    r_ham = rhs(scheme, saint_venant_2d_hamiltonian(), state)
-    return float(np.max(np.abs(r_std.half - r_ham.half)))
+    if plan.flux:
+        q = samples_to_half(grid, np.stack([p.eval_on(u) for p in plan.flux]))
+        nl = np.zeros_like(half)
+        for i, c, mult in plan.flux_terms:
+            nl[i] += mult * q[c]
+    else:
+        du = [half_to_samples(grid, dj) for dj in dhat]
+        nl = plan.m_nl * _collocated_half(grid, u, du, plan.polys, plan.terms)
+    return StateField(grid, -(plan.m_lin * lin + nl))

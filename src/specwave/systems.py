@@ -4,9 +4,10 @@ A system is d coefficient matrices A_j(U) with polynomial entries,
 optionally a polynomial symmetrizer S(U) (and a constant factorization
 A_j = SJ0_j S(U) when the system has Hamiltonian structure), plus named
 hyperbolicity predicates that must stay positive.  Derived, not declared:
-the constant/varying split of each A_j, and the energy density H with
+the constant/varying split of each A_j, the energy density H with
 S = D^2 H when S is a Hessian (Godunov-Mock: such an S comes with the
-conserved density H).  The three shallow-water variants are built here,
+conserved density H), and from both the quadratic flux Q of the
+Hamiltonian form.  The three shallow-water variants are built here,
 with checks of their structure: polynomial identities are proved on
 coefficients, and only positive definiteness of S is sampled.
 """
@@ -14,6 +15,7 @@ coefficients, and only positive definiteness of S is sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -59,6 +61,22 @@ class SystemDef:
         object.__setattr__(self, "A0", A0)
         object.__setattr__(self, "A1", A1)
         object.__setattr__(self, "H", None if self.S is None else _energy_density(self.S))
+
+    @cached_property
+    def Q(self) -> tuple[Poly, ...] | None:
+        """Components of the flux Q = DH(U) - S(0) U, or None.
+
+        Kept when SJ0 is registered, A_j = SJ0_j S(U) holds on coefficients
+        and deg H <= 3.  Then S = D^2 H gives the varying part of the system
+        as A1_j(U) d_j U = SJ0_j d_j Q(U), with Q a quadratic.  Derived on
+        first use and kept: the check multiplies polynomial matrices.
+        """
+        H = self.H
+        if H is None or self.SJ0 is None or H.degree() > 3 or not check_factorization(self).passed:
+            return None
+        S0 = self.S.constant_part()
+        unit = [tuple(e) for e in np.eye(self.n, dtype=int)]
+        return tuple(H.diff(c) - Poly.from_terms(self.n, zip(unit, S0[c])) for c in range(self.n))
 
     def in_domain(self, point: Sequence[float]) -> bool:
         return all(p(point) > 0.0 for _, p in self.predicates)

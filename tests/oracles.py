@@ -1,7 +1,9 @@
-"""Independent brute-force oracles used to freeze expected values.
+"""Independent brute-force oracles used to freeze expected values, and test helpers.
 
-Everything here is deliberately naive (dense sums, dict-based
-convolutions) and shares no code path with the package internals.
+The oracles are deliberately naive (dense sums, dict-based convolutions)
+and share no code path with the package internals.  The helpers build
+states, count transforms and compare two right-hand sides through the
+package's public API.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from collections import Counter
 import numpy as np
 import scipy.fft
 
+from specwave.semidisc import SchemeSpec, rhs
 from specwave.spectral import StateField
+from specwave.systems import saint_venant_2d_hamiltonian, saint_venant_2d_standard
 
 
 def from_coeffs(grid, c: np.ndarray) -> StateField:
@@ -49,6 +53,21 @@ def count_transforms(monkeypatch, npoints: int) -> Counter:
 
             monkeypatch.setattr(lib, name, counted)
     return counts
+
+
+def irrotational_equivalence_check(state: StateField) -> float:
+    """Max coefficient gap between the two 2D shallow-water sharp-scheme right-hand sides.
+
+    The advective forms (u.grad)u and grad(|u|^2)/2 agree exactly when the
+    velocity is curl-free, so the gap measures how far the given state is
+    from that regime.
+    """
+    if state.grid.d != 2 or state.n != 3:
+        raise ValueError("equivalence check expects a 2D three-component state")
+    scheme = SchemeSpec("sharp")
+    r_std = rhs(scheme, saint_venant_2d_standard(), state)
+    r_ham = rhs(scheme, saint_venant_2d_hamiltonian(), state)
+    return float(np.max(np.abs(r_std.half - r_ham.half)))
 
 
 def naive_dft(samples: np.ndarray, points: np.ndarray, modes: np.ndarray) -> dict[int, complex]:

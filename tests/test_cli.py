@@ -90,8 +90,9 @@ class TestRun:
             assert "np." not in read(path), path
 
     def test_inverse_transforms_per_run(self, tmp_path, monkeypatch):
-        # Each evolve: 4 rhs per step, each n(d+1) = 4 component transforms,
-        # and per monitor sample one of the state (n) plus one for max_d2u.
+        # Each evolve: 4 rhs per step, each inverse-transforming the n = 2
+        # components of U (flux path), and per monitor sample one of the
+        # state (n) plus one for max_d2u.
         # Outside evolve: the projected initial state and its curvature once
         # per run, and the curvature of each final state once.
         counts = count_transforms(monkeypatch, 32)  # 2M = 32
@@ -102,7 +103,7 @@ class TestRun:
         )
         assert code == 0
         n, steps, samples, schemes = 2, 2, 3, 3
-        per_evolve = steps * 4 * 2 * n + samples * (n + 1)
+        per_evolve = steps * 4 * n + samples * (n + 1)
         assert counts["inverse"] == schemes * (per_evolve + 1) + (n + 1)
 
     def test_unknown_initial_exits_nonzero(self, tmp_path, capsys):

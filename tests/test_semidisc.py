@@ -1,15 +1,17 @@
 """Semi-discrete right-hand sides: schemes, dealiasing exactness, invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.fft
 
 from specwave import semidisc, spectral
+from specwave.initial import build_initial
 from specwave.poly import Poly, PolyMatrix
 from specwave.semidisc import (
     SCHEME_KINDS,
     SchemeSpec,
-    irrotational_equivalence_check,
     rhs,
     rhs_plan,
 )
@@ -17,6 +19,7 @@ from specwave.spectral import (
     FilterSpec,
     StateField,
     apply_filter,
+    dealias,
     differentiate,
     l2_inner,
     make_grid,
@@ -25,6 +28,7 @@ from specwave.spectral import (
     to_samples,
     zero_state,
 )
+from specwave.sysio import parse_system_text
 from specwave.systems import (
     SystemDef,
     saint_venant_1d,
@@ -39,6 +43,7 @@ from oracles import (
     count_transforms,
     dict_from_coeffs,
     from_coeffs,
+    irrotational_equivalence_check,
     naive_inverse,
     phase_conj,
     random_band_limited,
@@ -217,14 +222,16 @@ class TestRhsSchemes:
 
 
 class TestTransformBudget:
-    """One rhs call on a reused plan: n(d+1) inverse and n forward real transforms."""
+    """One rhs call on a reused plan: on the flux path n inverse (U) and n
+    forward (Q(U)) real transforms; on the collocated path n(d+1) inverse
+    (U and each d_j U) and n forward."""
 
     @pytest.mark.parametrize("kind", SCHEME_KINDS)
     @pytest.mark.parametrize(
-        "make_sys, M",
-        [(saint_venant_1d, 16), (saint_venant_2d_standard, 8), (saint_venant_2d_hamiltonian, 8)],
+        "make_sys, M, flux",
+        [(saint_venant_1d, 16, True), (saint_venant_2d_standard, 8, False), (saint_venant_2d_hamiltonian, 8, True)],
     )
-    def test_transforms_per_call(self, monkeypatch, kind, make_sys, M):
+    def test_transforms_per_call(self, monkeypatch, kind, make_sys, M, flux):
         sysd = make_sys()
         g = make_grid(sysd.d, M)
         st = random_state(np.random.default_rng(12), g, sysd.n, g.dealias_N)
@@ -243,8 +250,9 @@ class TestTransformBudget:
             for name in ("hermitian_symmetrize", "filter_multiplier"):
                 monkeypatch.setattr(mod, name, forbidden, raising=False)
         out = rhs(scheme, sysd, st, plan)
-        # 2D Hamiltonian system: 9 + 3 = 12 real transforms
-        assert counts == {"inverse": sysd.n * (sysd.d + 1), "forward": sysd.n}
+        # 2D: 3 + 3 = 6 real transforms on the flux path, 9 + 3 = 12 collocated
+        inverse = sysd.n if flux else sysd.n * (sysd.d + 1)
+        assert counts == {"inverse": inverse, "forward": sysd.n}
         assert np.array_equal(out.coeffs, expected)
 
     def test_plan_for_another_scheme_rejected(self):
@@ -255,6 +263,77 @@ class TestTransformBudget:
             rhs(SchemeSpec("smooth-nl"), sv, zero_state(g, 2), plan)
         with pytest.raises(ValueError, match="plan"):
             rhs(SchemeSpec("sharp"), sv, zero_state(make_grid(1, 8), 2), plan)
+
+
+# saint-venant-1d as a user would write it, with an SJ0 that does not factorize A
+SV1D_WRONG_SJ0 = """\
+name sv1d-wrong-sj0
+dim 1
+size 2
+A 1 1 1 (0 1) 1.0
+A 1 1 2 (0 0) 1.0 (1 0) 1.0
+A 1 2 1 (0 0) 1.0
+A 1 2 2 (0 1) 1.0
+S 1 1 (0 0) 1.0
+S 1 2 (0 1) 1.0
+S 2 1 (0 1) 1.0
+S 2 2 (0 0) 1.0 (1 0) 1.0
+SJ0 1 1.0 0.0 0.0 1.0
+"""
+
+
+def quartic_energy_system():
+    """n=1 with S = 1 + u^2 and A = S: A = SJ0 S holds, but deg H = 4."""
+    one, u = Poly.const(1, 1.0), Poly.var(1, 0)
+    S = PolyMatrix.build(1, [[one + u * u]])
+    return SystemDef(name="quartic-energy", d=1, n=1, A=(S,), S=S, SJ0=(np.eye(1),))
+
+
+class TestFluxPath:
+    """The flux form SJ0_j d_j Q(U) against the collocated A1_j(U) d_j U."""
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    @pytest.mark.parametrize(
+        "make_sys, initial, M", [(saint_venant_1d, "init1", 64), (saint_venant_2d_hamiltonian, "init2D", 16)]
+    )
+    def test_agrees_with_collocated_path(self, kind, make_sys, initial, M):
+        # states three RK4 steps from the projected data are supported in |k| <= N,
+        # where both forms are exact
+        sysd = make_sys()
+        collocated = replace(sysd, SJ0=None)
+        g = make_grid(sysd.d, M)
+        scheme = SchemeSpec(kind)
+        plan, plan_c = rhs_plan(scheme, sysd, g), rhs_plan(scheme, collocated, g)
+        assert plan.flux and not plan_c.flux
+        st = dealias(build_initial(initial, None, g))
+        for _ in range(3):
+            st = rk4_step(lambda s: rhs(scheme, sysd, s, plan), st, 1e-3)
+        out = rhs(scheme, sysd, st, plan).half
+        expected = rhs(scheme, collocated, st, plan_c).half
+        assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    # the quartic system's A1 = u^2 is built with one projected product, one
+    # more transform each way on top of the collocated path's n(d+2)
+    @pytest.mark.parametrize(
+        "make_sys, projected",
+        [(lambda: parse_system_text(SV1D_WRONG_SJ0), 0), (quartic_energy_system, 1)],
+        ids=["sj0", "degree"],
+    )
+    def test_no_flux_path_without_structure(self, monkeypatch, make_sys, projected):
+        sysd = make_sys()
+        assert sysd.H is not None and sysd.SJ0 is not None and sysd.Q is None
+        g = make_grid(1, 16)
+        st = random_state(np.random.default_rng(14), g, sysd.n, g.dealias_N)
+        for kind in SCHEME_KINDS:
+            scheme = SchemeSpec(kind)
+            collocated = replace(sysd, SJ0=None)
+            expected = rhs(scheme, collocated, st).half
+            plan = rhs_plan(scheme, sysd, g)
+            counts = count_transforms(monkeypatch, g.npoints)
+            out = rhs(scheme, sysd, st, plan).half
+            assert counts == {"inverse": sysd.n * (sysd.d + 1) + projected, "forward": sysd.n + projected}
+            assert np.array_equal(out, expected)
+            monkeypatch.undo()
 
 
 class TestStoredHalf:

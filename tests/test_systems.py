@@ -323,6 +323,24 @@ class TestDerivedEnergyDensity:
         assert SystemDef(name="bare", d=1, n=2, A=(PolyMatrix.zero(2, 2),)).H is None
 
 
+class TestDerivedFlux:
+    @pytest.mark.parametrize("factory", [saint_venant_1d, saint_venant_2d_hamiltonian])
+    def test_shallow_water_flux(self, factory):
+        # Q = DH - S(0) U = (|u|^2 / 2, eta u_1, ..., eta u_{n-1}), coefficient by coefficient
+        sysd = factory()
+        eta = Poly.var(sysd.n, 0)
+        vel = [Poly.var(sysd.n, i) for i in range(1, sysd.n)]
+        speed2 = Poly.zero(sysd.n)
+        for u in vel:
+            speed2 = speed2 + u * u
+        expected = [0.5 * speed2] + [eta * u for u in vel]
+        assert [q.terms for q in sysd.Q] == [e.terms for e in expected]
+
+    def test_no_factorization_no_flux(self):
+        assert saint_venant_2d_standard().Q is None
+        assert replace(saint_venant_1d(), SJ0=None).Q is None
+
+
 class TestStandardSymmetrizer1D:
     def test_diagonal_form(self):
         s = energy_symmetrizer(saint_venant_1d(), "standard")

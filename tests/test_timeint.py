@@ -127,9 +127,10 @@ class TestMonitorTransformBudget:
             return Counter(counts)
 
         one_step = transforms(2) - transforms(1)
-        # four rhs calls make n(d+1) inverse and n forward transforms each;
-        # the sample adds the state (n components) and max_d2u's derivative (1)
-        assert one_step == {"inverse": 4 * n * (d + 1) + n + 1, "forward": 4 * n}
+        # four rhs calls on the flux path make n inverse and n forward
+        # transforms each; the sample adds the state (n components) and
+        # max_d2u's derivative (1)
+        assert one_step == {"inverse": 4 * n + n + 1, "forward": 4 * n}
 
 
 class TestEvolve:
