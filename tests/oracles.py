@@ -35,20 +35,22 @@ def phase_conj(grid) -> np.ndarray:
 
 
 def count_transforms(monkeypatch, npoints: int) -> Counter:
-    """Count real transforms by component, whichever library performs them.
+    """Count transforms by component, whichever library performs them.
 
-    Wraps rfftn and irfftn of both numpy.fft and scipy.fft; the returned
-    counter gains 'forward' and 'inverse' entries as transforms of fields
-    with npoints collocation points run.
+    Wraps the FFT entry points of both numpy.fft and scipy.fft; the
+    returned counter gains 'forward' (rfftn) and 'inverse' (irfftn)
+    entries as transforms of fields with npoints collocation points run.
+    Any other entry point counts under its own name.
     """
     counts: Counter = Counter()
+    kinds = {"rfftn": "forward", "irfftn": "inverse"}
     for lib in (np.fft, scipy.fft):
-        for name, kind in (("rfftn", "forward"), ("irfftn", "inverse")):
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
 
-            def counted(*args, _fn=getattr(lib, name), _kind=kind, **kwargs):
+            def counted(*args, _fn=getattr(lib, name), _name=name, **kwargs):
                 out = _fn(*args, **kwargs)
-                real = out if _kind == "inverse" else args[0]
-                counts[_kind] += real.size // npoints  # one transform per component
+                real = out if _name.startswith("i") else args[0]
+                counts[kinds.get(_name, _name)] += real.size // npoints  # one transform per component
                 return out
 
             monkeypatch.setattr(lib, name, counted)
