@@ -42,7 +42,6 @@ __all__ = [
     "convergence_study",
     "report_csv",
     "report_table",
-    "fit_loglog_slope",
 ]
 
 
@@ -66,13 +65,6 @@ def eoc(error_coarse: float, error_fine: float) -> float | None:
     if error_coarse <= 0.0 or error_fine <= 0.0:
         return None
     return math.log(error_coarse / error_fine) / math.log(2.0)
-
-
-def fit_loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(y) against log(x)."""
-    lx = np.log(np.asarray(xs, dtype=np.float64))
-    ly = np.log(np.asarray(ys, dtype=np.float64))
-    return float(np.polyfit(lx, ly, 1)[0])
 
 
 # ---------------------------------------------------------------------------

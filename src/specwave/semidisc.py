@@ -7,16 +7,17 @@ All three schemes share one formula,
 with the multiplier pair (m_lin, m_nl) = (P_N, P_N) for 'sharp',
 (sigma_N, sigma_N) for 'smooth-all' and (1, sigma_N) for 'smooth-nl'
 (P_N the sharp cutoff, sigma_N the smooth filter).  The constant part
-A0_j acts exactly in Fourier space (a product with a constant does not
-alias, so this equals its collocation value for any state).  The varying
-part is evaluated on the 2M-point grid and dealiased by zeroing the top
-third of the modes, which is exact for quadratic products, in one of two
-forms:
+acts exactly in Fourier space (a product with a constant does not alias,
+so this equals its collocation value for any state), through a table of
+(row, column, m_lin * sum_j A0_j[row, column] i k_j) built once per plan.
+The varying part is evaluated on the 2M-point grid and dealiased by
+zeroing the top third of the modes, which is exact for quadratic
+products, in one of two forms:
 
 - flux form, for a system with the structure A_j = SJ0_j D^2 H(U) (proved
   on coefficients) and a cubic H: A1_j(U) d_j U = SJ0_j d_j Q(U) with the
-  quadratic Q = DH(U) - S(0) U, so F of the sum is
-  sum_j SJ0_j (i k_j) F[Q(U)];
+  quadratic Q = DH(U) - S(0) U, so m_nl F of the sum is the table of
+  m_nl * sum_j SJ0_j (i k_j), built by the same helper, applied to F[Q(U)];
 - collocated form otherwise: A1_j(U) d_j U at the collocation points;
   coefficient polynomials of degree above one are multiplied pairwise
   with a re-projection after every product.
@@ -80,7 +81,6 @@ def poly_coefficient_samples(poly: Poly, comp_samples: np.ndarray, grid: Grid) -
     """
     if poly.degree() <= 1:
         return poly.eval_on(comp_samples)
-    mask = filter_multiplier(FilterSpec("sharp", grid.dealias_N), grid)
     out = np.zeros(grid.shape)
     for expo, coeff in poly.terms:
         cur = None
@@ -89,7 +89,7 @@ def poly_coefficient_samples(poly: Poly, comp_samples: np.ndarray, grid: Grid) -
                 if cur is None:
                     cur = comp_samples[i]
                 else:
-                    cur = half_to_samples(grid, samples_to_half(grid, cur * comp_samples[i]) * mask)
+                    cur = half_to_samples(grid, samples_to_half(grid, cur * comp_samples[i]) * grid.dealias_mask)
         out = out + (coeff if cur is None else coeff * cur)
     return out
 
@@ -118,25 +118,45 @@ def _collocated_half(grid: Grid, u: np.ndarray, du, polys, terms) -> np.ndarray:
     return samples_to_half(grid, rows)
 
 
+def _multiplier_table(grid: Grid, mats, m, shared: dict) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """(row, column, m * sum_j P_j[row, column] i k_j) for every (row, column)
+    where some P_j is nonzero.  Equal multipliers are one array: shared maps
+    (m, the P_j[row, column]) to the arrays already built."""
+    table = []
+    for i, c in zip(*np.nonzero(sum(np.abs(P) for P in mats))):
+        key = (id(m),) + tuple(float(P[i, c]) for P in mats)
+        if key not in shared:
+            shared[key] = m * sum(a * dk for a, dk in zip(key[1:], grid.diff_mult) if a)
+        table.append((int(i), int(c), shared[key]))
+    return tuple(table)
+
+
+def _apply_table(table, half: np.ndarray) -> np.ndarray:
+    """Sum over the terms (i, c, mult) of mult * half[c] into row i."""
+    out = np.zeros_like(half)
+    for i, c, mult in table:
+        out[i] += mult * half[c]
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class RhsPlan:
     """What rhs needs for one (scheme, system, grid), built once by rhs_plan.
 
-    lin_terms lists the nonzero constant entries (row, axis, column,
-    value) of the A0_j.  On the flux path, flux holds the components of
-    sys.Q and flux_terms (row, column, m_nl * sum_j SJ0_j[row, column] i k_j)
-    for every nonzero (row, column); polys and terms are then empty.  On
-    the collocated path flux is empty, and polys and terms list the
-    distinct nonzero entries of the A1_j and where each acts (row, axis,
-    column, index into polys).
+    lin_terms holds (row, column, m_lin * sum_j A0_j[row, column] i k_j).
+    On the flux path, flux holds the components of sys.Q and flux_terms
+    (row, column, m_nl * sum_j SJ0_j[row, column] i k_j); polys and terms
+    are then empty.  On the collocated path flux and flux_terms are empty,
+    and polys and terms list the distinct nonzero entries of the A1_j and
+    where each acts (row, axis, column, index into polys).  Equal
+    multipliers of the two tables are one array.
     """
 
     scheme: SchemeSpec
     sys: SystemDef
     grid: Grid
-    m_lin: np.ndarray | float
     m_nl: np.ndarray
-    lin_terms: tuple[tuple[int, int, int, float], ...]
+    lin_terms: tuple[tuple[int, int, np.ndarray], ...]
     polys: tuple[Poly, ...]
     terms: tuple[tuple[int, int, int, int], ...]
     flux: tuple[Poly, ...]
@@ -144,25 +164,17 @@ class RhsPlan:
 
 
 def rhs_plan(scheme: SchemeSpec, sys: SystemDef, grid: Grid) -> RhsPlan:
-    """Build the multipliers and entry lists of a scheme's right-hand side on a
-    grid; the flux path is taken whenever the system has a flux sys.Q."""
+    """Build the multiplier tables and entry lists of a scheme's right-hand
+    side on a grid; the flux path is taken whenever the system has a flux sys.Q."""
     if grid.d != sys.d:
         raise ValueError(f"grid dimension {grid.d} does not match system d={sys.d}")
     spec = FilterSpec("sharp" if scheme.kind == "sharp" else "smooth", scheme.cutoff(grid))
     m_nl = filter_multiplier(spec, grid)
-    m_lin = 1.0 if scheme.kind == "smooth-nl" else m_nl
-    lin_terms = tuple(
-        (i, j, c, float(A0j[i, c]))
-        for j, A0j in enumerate(sys.A0)
-        for i, c in zip(*np.nonzero(A0j))
-    )
+    shared: dict = {}
+    lin_terms = _multiplier_table(grid, sys.A0, 1.0 if scheme.kind == "smooth-nl" else m_nl, shared)
     if sys.Q is None:
-        return RhsPlan(scheme, sys, grid, m_lin, m_nl, lin_terms, *_entry_terms(sys.A1), (), ())
-    flux_terms = []
-    for i, c in zip(*np.nonzero(sum(np.abs(sj) for sj in sys.SJ0))):
-        ik = sum(sj[i, c] * dk for sj, dk in zip(sys.SJ0, grid.diff_mult) if sj[i, c])
-        flux_terms.append((i, c, m_nl * ik))
-    return RhsPlan(scheme, sys, grid, m_lin, m_nl, lin_terms, (), (), sys.Q, tuple(flux_terms))
+        return RhsPlan(scheme, sys, grid, m_nl, lin_terms, *_entry_terms(sys.A1), (), ())
+    return RhsPlan(scheme, sys, grid, m_nl, lin_terms, (), (), sys.Q, _multiplier_table(grid, sys.SJ0, m_nl, shared))
 
 
 def rhs(
@@ -187,17 +199,10 @@ def rhs(
     elif plan.scheme != scheme or plan.sys is not sys or plan.grid != grid:
         raise ValueError("plan was built for another scheme, system or grid")
     half = state.half
-    dhat = [half * dk for dk in grid.diff_mult]
-    lin = np.zeros_like(half)
-    for i, j, c, a in plan.lin_terms:
-        lin[i] += a * dhat[j][c]
     u = half_to_samples(grid, half)
     if plan.flux:
-        q = samples_to_half(grid, np.stack([p.eval_on(u) for p in plan.flux]))
-        nl = np.zeros_like(half)
-        for i, c, mult in plan.flux_terms:
-            nl[i] += mult * q[c]
+        nl = _apply_table(plan.flux_terms, samples_to_half(grid, np.stack([p.eval_on(u) for p in plan.flux])))
     else:
-        du = [half_to_samples(grid, dj) for dj in dhat]
+        du = [half_to_samples(grid, half * dk) for dk in grid.diff_mult]
         nl = plan.m_nl * _collocated_half(grid, u, du, plan.polys, plan.terms)
-    return StateField(grid, -(plan.m_lin * lin + nl))
+    return StateField(grid, -(_apply_table(plan.lin_terms, half) + nl))

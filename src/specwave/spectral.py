@@ -69,9 +69,9 @@ class Grid:
 
     Collocation points are x_n = -pi + pi*n/M for n = 1..2M (the grid
     excludes -pi and includes +pi); the represented mode set is
-    {-M+1, ..., M}^d.  Derived arrays (meshes, wavenumber grids, and the
-    phase factors and derivative multipliers on the half spectrum) and the
-    dealiasing cutoff dealias_N are precomputed once.
+    {-M+1, ..., M}^d.  Derived arrays (meshes, wavenumber grids, the phase
+    factors and derivative multipliers on the half spectrum) and the
+    dealiasing cutoff dealias_N with its sharp mask dealias_mask are precomputed once.
     """
 
     d: int
@@ -121,6 +121,7 @@ class Grid:
         object.__setattr__(self, "half_phase_conj", np.conj(half_phase))
         object.__setattr__(self, "dealias_N", n_dealias)
         object.__setattr__(self, "cell_volume", (2.0 * np.pi / two_m) ** self.d)
+        object.__setattr__(self, "dealias_mask", filter_multiplier(FilterSpec("sharp", n_dealias), self))
 
 
 def make_grid(d: int, M: int) -> Grid:
@@ -319,7 +320,7 @@ def apply_filter(x: StateField, spec: FilterSpec):
 
 def dealias(x: StateField):
     """Zero the top third of modes: the sharp filter at the grid's cutoff dealias_N."""
-    return apply_filter(x, FilterSpec("sharp", x.grid.dealias_N))
+    return replace(x, half=x.half * x.grid.dealias_mask)
 
 
 # ---------------------------------------------------------------------------

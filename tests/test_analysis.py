@@ -10,7 +10,6 @@ from specwave.analysis import (
     convergence_study,
     energy_functional,
     eoc,
-    fit_loglog_slope,
     jn_counterexample_states,
     jn_probe,
     jn_study,
@@ -313,9 +312,3 @@ class TestConvergenceStudy:
                 sv, ["sharp"], "init1", {}, M_list=[16], M_ref=16,
                 cfg=EvolveConfig(dt=1e-3, T=0.01),
             )
-
-
-def test_fit_loglog_slope():
-    xs = [16, 32, 64, 128]
-    ys = [x**-2.0 * 3.0 for x in xs]
-    assert np.isclose(fit_loglog_slope(xs, ys), -2.0)

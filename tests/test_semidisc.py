@@ -221,21 +221,45 @@ class TestRhsSchemes:
             rhs(SchemeSpec("sharp"), saint_venant_1d(), zero_state(g, 3))
 
 
+def quartic_energy_system():
+    """n=1 with S = 1 + u^2 and A = S: A = SJ0 S holds, but deg H = 4."""
+    one, u = Poly.const(1, 1.0), Poly.var(1, 0)
+    S = PolyMatrix.build(1, [[one + u * u]])
+    return SystemDef(name="quartic-energy", d=1, n=1, A=(S,), S=S, SJ0=(np.eye(1),))
+
+
+def scalar_2d_system():
+    """n=1, d=2 with S = 1 + u and SJ0 = (1, 0.5), A_j = SJ0_j S: the flux
+    path with Q = u^2/2, where the one A0 entry and the one SJ0 entry act
+    on both axes and one coefficient is not +-1."""
+    one, u = Poly.const(1, 1.0), Poly.var(1, 0)
+    S = PolyMatrix.build(1, [[one + u]])
+    SJ0 = (np.eye(1), 0.5 * np.eye(1))
+    A = tuple(PolyMatrix.from_constant(sj, 1) @ S for sj in SJ0)
+    return SystemDef(name="scalar-2d", d=2, n=1, A=A, S=S, SJ0=SJ0)
+
+
+def scalar_2d_state(g):
+    return random_state(np.random.default_rng(15), g, 1, g.dealias_N)
+
+
 class TestTransformBudget:
     """One rhs call on a reused plan: on the flux path n inverse (U) and n
     forward (Q(U)) real transforms; on the collocated path n(d+1) inverse
-    (U and each d_j U) and n forward."""
+    (U and each d_j U) and n forward, plus one each way per projected
+    product of a coefficient of degree above one."""
 
     @pytest.mark.parametrize("kind", SCHEME_KINDS)
     @pytest.mark.parametrize(
-        "make_sys, M, flux",
+        "make_sys, M, flux, projected",
         [
-            pytest.param(saint_venant_1d, 16, True, id="saint_venant_1d-16"),
-            pytest.param(saint_venant_2d_standard, 8, False, id="saint_venant_2d_standard-8"),
-            pytest.param(saint_venant_2d_hamiltonian, 8, True, id="saint_venant_2d_hamiltonian-8"),
+            pytest.param(saint_venant_1d, 16, True, 0, id="saint_venant_1d-16"),
+            pytest.param(saint_venant_2d_standard, 8, False, 0, id="saint_venant_2d_standard-8"),
+            pytest.param(saint_venant_2d_hamiltonian, 8, True, 0, id="saint_venant_2d_hamiltonian-8"),
+            pytest.param(quartic_energy_system, 16, False, 1, id="quartic_energy-16"),
         ],
     )
-    def test_transforms_per_call(self, monkeypatch, kind, make_sys, M, flux):
+    def test_transforms_per_call(self, monkeypatch, kind, make_sys, M, flux, projected):
         sysd = make_sys()
         g = make_grid(sysd.d, M)
         st = random_state(np.random.default_rng(12), g, sysd.n, g.dealias_N)
@@ -256,8 +280,31 @@ class TestTransformBudget:
         out = rhs(scheme, sysd, st, plan)
         # 2D: 3 + 3 = 6 real transforms on the flux path, 9 + 3 = 12 collocated
         inverse = sysd.n if flux else sysd.n * (sysd.d + 1)
-        assert counts == {"inverse": inverse, "forward": sysd.n}
+        assert counts == {"inverse": inverse + projected, "forward": sysd.n + projected}
         assert np.array_equal(out.coeffs, expected)
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    @pytest.mark.parametrize("make_sys, M", [(saint_venant_1d, 16), (saint_venant_2d_hamiltonian, 8)])
+    def test_flux_path_reads_no_derivative_multipliers(self, monkeypatch, kind, make_sys, M):
+        # the plan's multiplier tables stand in for every i k_j product
+        sysd = make_sys()
+        g = make_grid(sysd.d, M)
+        st = random_state(np.random.default_rng(16), g, sysd.n, g.dealias_N)
+        scheme = SchemeSpec(kind)
+        plan = rhs_plan(scheme, sysd, g)
+        expected = rhs(scheme, sysd, st, plan).half
+
+        def forbidden(self):
+            raise AssertionError("grid.diff_mult read")
+
+        monkeypatch.setattr(spectral.Grid, "diff_mult", property(forbidden), raising=False)
+        assert np.array_equal(rhs(scheme, sysd, st, plan).half, expected)
+
+    def test_equal_multipliers_are_one_array(self):
+        # A0_j = SJ0_j for this system, one nonzero axis per entry: i k_x P_N and i k_y P_N
+        sysd = saint_venant_2d_hamiltonian()
+        plan = rhs_plan(SchemeSpec("sharp"), sysd, make_grid(2, 8))
+        assert len({id(m) for _, _, m in plan.lin_terms + plan.flux_terms}) == 2
 
     def test_plan_for_another_scheme_rejected(self):
         g = make_grid(1, 16)
@@ -286,21 +333,24 @@ SJ0 1 1.0 0.0 0.0 1.0
 """
 
 
-def quartic_energy_system():
-    """n=1 with S = 1 + u^2 and A = S: A = SJ0 S holds, but deg H = 4."""
-    one, u = Poly.const(1, 1.0), Poly.var(1, 0)
-    S = PolyMatrix.build(1, [[one + u * u]])
-    return SystemDef(name="quartic-energy", d=1, n=1, A=(S,), S=S, SJ0=(np.eye(1),))
-
-
 class TestFluxPath:
     """The flux form SJ0_j d_j Q(U) against the collocated A1_j(U) d_j U."""
 
     @pytest.mark.parametrize("kind", SCHEME_KINDS)
     @pytest.mark.parametrize(
-        "make_sys, initial, M", [(saint_venant_1d, "init1", 64), (saint_venant_2d_hamiltonian, "init2D", 16)]
+        "make_sys, make_state, M",
+        [
+            pytest.param(saint_venant_1d, lambda g: build_initial("init1", None, g), 64, id="saint_venant_1d-init1-64"),
+            pytest.param(
+                saint_venant_2d_hamiltonian,
+                lambda g: build_initial("init2D", None, g),
+                16,
+                id="saint_venant_2d_hamiltonian-init2D-16",
+            ),
+            pytest.param(scalar_2d_system, scalar_2d_state, 16, id="scalar_2d-16"),
+        ],
     )
-    def test_agrees_with_collocated_path(self, kind, make_sys, initial, M):
+    def test_agrees_with_collocated_path(self, kind, make_sys, make_state, M):
         # states three RK4 steps from the projected data are supported in |k| <= N,
         # where both forms are exact
         sysd = make_sys()
@@ -309,12 +359,34 @@ class TestFluxPath:
         scheme = SchemeSpec(kind)
         plan, plan_c = rhs_plan(scheme, sysd, g), rhs_plan(scheme, collocated, g)
         assert plan.flux and not plan_c.flux
-        st = dealias(build_initial(initial, None, g))
+        st = dealias(make_state(g))
         for _ in range(3):
             st = rk4_step(lambda s: rhs(scheme, sysd, s, plan), st, 1e-3)
         out = rhs(scheme, sysd, st, plan).half
         expected = rhs(scheme, collocated, st, plan_c).half
         assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    def test_scalar_2d_matches_componentwise_oracle(self, kind):
+        # -(m_lin (d_x u + 0.5 d_y u) + m_nl P_N(u d_x u + 0.5 u d_y u)), each
+        # derivative taken per axis, summed, then filtered
+        sysd = scalar_2d_system()
+        g = make_grid(2, 16)
+        st = scalar_2d_state(g)
+        assert rhs_plan(SchemeSpec(kind), sysd, g).flux
+        dx, dy = differentiate(st, 0), differentiate(st, 1)
+        u = to_samples(st)[0]
+        lin = dx + 0.5 * dy
+        nl = dealias(state_from_samples(g, (u * to_samples(dx)[0] + 0.5 * u * to_samples(dy)[0])[None]))
+        smooth = FilterSpec("smooth", g.dealias_N)
+        if kind == "sharp":
+            expected = dealias(lin) + nl
+        elif kind == "smooth-all":
+            expected = apply_filter(lin + nl, smooth)
+        else:
+            expected = lin + apply_filter(nl, smooth)
+        out = rhs(SchemeSpec(kind), sysd, st).half
+        assert np.max(np.abs(out + expected.half)) <= 1e-13 * np.max(np.abs(expected.half))
 
     # the quartic system's A1 = u^2 is built with one projected product, one
     # more transform each way on top of the collocated path's n(d+2)
