@@ -1,4 +1,4 @@
-"""Error metrics, convergence studies, energy functionals and probes."""
+"""Error metrics, convergence studies, the energy symmetrizer and probes."""
 
 from __future__ import annotations
 
@@ -9,13 +9,11 @@ import numpy as np
 
 from .initial import build_initial
 from .poly import Poly, PolyMatrix
-from .semidisc import SchemeSpec, poly_coefficient_samples
+from .semidisc import SchemeSpec
 from .spectral import (
     FilterSpec,
     StateField,
     apply_filter,
-    apply_lambda,
-    dealias,
     differentiate,
     embed,
     l2_inner,
@@ -26,17 +24,15 @@ from .spectral import (
     to_samples,
 )
 from .systems import SystemDef
-from .timeint import EvolveConfig, csv_table, evolve, second_derivative_max
+from .timeint import EvolveConfig, csv_table, evolve
 
 __all__ = [
     "relative_error",
     "eoc",
-    "energy_functional",
     "energy_symmetrizer",
     "jn_probe",
     "jn_counterexample_states",
     "jn_study",
-    "second_derivative_max",
     "ConvergenceRow",
     "ConvergenceReport",
     "convergence_study",
@@ -68,11 +64,12 @@ def eoc(error_coarse: float, error_fine: float) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# Energy functionals
+# Energy symmetrizer
 
 
 def energy_symmetrizer(sys: SystemDef, variant: str) -> PolyMatrix:
-    """Resolve the symmetrizer backing an energy functional variant.
+    """Resolve the symmetrizer backing an energy functional variant (the
+    functional itself lives in tests/oracles.py: only tests evaluate it).
 
     'hamiltonian' needs the factorized structure, and uses the registered S.
     'standard' uses S when the system has no factorization; otherwise the
@@ -95,30 +92,6 @@ def energy_symmetrizer(sys: SystemDef, variant: str) -> PolyMatrix:
             return diag
         raise ValueError(f"system {sys.name!r} has no standard symmetrizer")
     raise ValueError(f"variant must be 'standard' or 'hamiltonian', got {variant!r}")
-
-
-def energy_functional(sys: SystemDef, state: StateField, s: float, variant: str = "standard") -> float:
-    """Quadratic form of the symmetrizer applied to the Bessel-smoothed state.
-
-    Products are dealiased pairwise so the collocation quadrature is exact
-    for the trigonometric polynomials involved.
-    """
-    S = energy_symmetrizer(sys, variant)
-    grid = state.grid
-    n = state.n
-    v = apply_lambda(state, s)
-    v_samp = to_samples(v)
-    u_samp = to_samples(state)
-    total = 0.0
-    for a in range(n):
-        for b in range(n):
-            entry = S.entries[a][b]
-            if not entry.terms:
-                continue
-            w_ab = dealias(state_from_samples(grid, (v_samp[a] * v_samp[b])[None]))
-            coeff = poly_coefficient_samples(entry, u_samp, grid)
-            total += l2_inner(state_from_samples(grid, coeff[None]), w_ab)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -168,8 +168,8 @@ def rhs_plan(scheme: SchemeSpec, sys: SystemDef, grid: Grid) -> RhsPlan:
     side on a grid; the flux path is taken whenever the system has a flux sys.Q."""
     if grid.d != sys.d:
         raise ValueError(f"grid dimension {grid.d} does not match system d={sys.d}")
-    spec = FilterSpec("sharp" if scheme.kind == "sharp" else "smooth", scheme.cutoff(grid))
-    m_nl = filter_multiplier(spec, grid)
+    sharp = scheme.kind == "sharp"  # the sharp filter at the cutoff is the grid's one mask
+    m_nl = grid.dealias_mask if sharp else filter_multiplier(FilterSpec("smooth", scheme.cutoff(grid)), grid)
     shared: dict = {}
     lin_terms = _multiplier_table(grid, sys.A0, 1.0 if scheme.kind == "smooth-nl" else m_nl, shared)
     if sys.Q is None:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,14 +32,11 @@ __all__ = [
     "StateField",
     "FilterSpec",
     "make_grid",
-    "from_function",
     "state_from_samples",
     "to_samples",
     "samples_to_half",
     "half_to_samples",
     "differentiate",
-    "apply_lambda",
-    "filter_symbol",
     "filter_multiplier",
     "apply_filter",
     "dealias",
@@ -51,7 +47,6 @@ __all__ = [
     "linf",
     "max_mode_support",
     "embed",
-    "zero_state",
 ]
 
 
@@ -122,6 +117,7 @@ class Grid:
         object.__setattr__(self, "dealias_N", n_dealias)
         object.__setattr__(self, "cell_volume", (2.0 * np.pi / two_m) ** self.d)
         object.__setattr__(self, "dealias_mask", filter_multiplier(FilterSpec("sharp", n_dealias), self))
+        self.dealias_mask.flags.writeable = False  # every sharp rhs plan on this grid shares it
 
 
 def make_grid(d: int, M: int) -> Grid:
@@ -189,16 +185,13 @@ class StateField:
         return StateField(self.grid, -self.half)
 
 
-def zero_state(grid: Grid, n: int) -> StateField:
-    return StateField(grid, np.zeros((n,) + grid.shape[:-1] + (grid.M + 1,), dtype=np.complex128))
-
-
 def _grid_axes(grid: Grid) -> tuple[int, ...]:
     return tuple(range(-grid.d, 0))
 
 
 def hermitian_symmetrize(coeffs: np.ndarray, d: int) -> np.ndarray:
-    """Project onto Hermitian-symmetric coefficients (real-valued field)."""
+    """Project onto Hermitian-symmetric coefficients (real-valued field).
+    No command calls it; it stays only for the probe in bench/worker.py."""
     rev = coeffs
     for ax in range(-d, 0):
         rev = np.flip(np.roll(rev, -1, axis=ax), axis=ax)
@@ -241,12 +234,6 @@ def state_from_samples(grid: Grid, values: np.ndarray) -> StateField:
     return StateField(grid, samples_to_half(grid, values))
 
 
-def from_function(grid: Grid, f: Callable[..., np.ndarray]) -> StateField:
-    """Sample a real function of d coordinates at the collocation points (n=1)."""
-    values = np.asarray(f(*grid.mesh), dtype=np.float64)
-    return state_from_samples(grid, np.broadcast_to(values, grid.shape)[None])
-
-
 def to_samples(x: StateField) -> np.ndarray:
     """Real values at the collocation points: the field's one read-only sample array."""
     return x.samples
@@ -258,12 +245,6 @@ def differentiate(x: StateField, axis: int = 0):
     if not 0 <= axis < grid.d:
         raise ValueError(f"axis {axis} out of range for d={grid.d}")
     return replace(x, half=x.half * grid.diff_mult[axis])
-
-
-def apply_lambda(x: StateField, s: float):
-    """Apply the Bessel multiplier (1 + |k|^2)^(s/2)."""
-    grid = x.grid
-    return replace(x, half=x.half * (1.0 + grid.k_sq[..., : grid.M + 1]) ** (s / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +272,6 @@ class FilterSpec:
             raise ValueError(f"filter kind must be 'sharp' or 'smooth', got {self.kind!r}")
         if self.N < 1:
             raise ValueError(f"filter cutoff must be positive, got {self.N}")
-
-
-def filter_symbol(spec: FilterSpec, k: Sequence[float]) -> float:
-    """Exact Fourier multiplier of the filter at mode tuple k."""
-    k = np.atleast_1d(np.asarray(k, dtype=np.float64))
-    if spec.kind == "sharp":
-        return float(np.max(np.abs(k)) <= spec.N)
-    return float(np.prod(smooth_ramp(k / spec.N)))
 
 
 def filter_multiplier(spec: FilterSpec, grid: Grid) -> np.ndarray:

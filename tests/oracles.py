@@ -1,21 +1,83 @@
 """Independent brute-force oracles used to freeze expected values, and test helpers.
 
 The oracles are deliberately naive (dense sums, dict-based convolutions)
-and share no code path with the package internals.  The helpers build
-states, count transforms and compare two right-hand sides through the
-package's public API.
+and share no code path with the package internals.  The helpers, unlike
+the oracles, go through the package's public API: they build states,
+evaluate a filter symbol and the energy functional, count transforms and
+compare two right-hand sides.  No command calls any of them, so they live
+here rather than in the package.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.fft
 
-from specwave.semidisc import SchemeSpec, rhs
-from specwave.spectral import StateField
-from specwave.systems import saint_venant_2d_hamiltonian, saint_venant_2d_standard
+from specwave.analysis import energy_symmetrizer
+from specwave.semidisc import SchemeSpec, poly_coefficient_samples, rhs
+from specwave.spectral import (
+    FilterSpec,
+    Grid,
+    StateField,
+    dealias,
+    l2_inner,
+    smooth_ramp,
+    state_from_samples,
+    to_samples,
+)
+from specwave.systems import SystemDef, saint_venant_2d_hamiltonian, saint_venant_2d_standard
+
+
+def zero_state(grid: Grid, n: int) -> StateField:
+    return StateField(grid, np.zeros((n,) + grid.shape[:-1] + (grid.M + 1,), dtype=np.complex128))
+
+
+def from_function(grid: Grid, f: Callable[..., np.ndarray]) -> StateField:
+    """Sample a real function of d coordinates at the collocation points (n=1)."""
+    values = np.asarray(f(*grid.mesh), dtype=np.float64)
+    return state_from_samples(grid, np.broadcast_to(values, grid.shape)[None])
+
+
+def apply_lambda(x: StateField, s: float):
+    """Apply the Bessel multiplier (1 + |k|^2)^(s/2)."""
+    grid = x.grid
+    return replace(x, half=x.half * (1.0 + grid.k_sq[..., : grid.M + 1]) ** (s / 2.0))
+
+
+def filter_symbol(spec: FilterSpec, k: Sequence[float]) -> float:
+    """Exact Fourier multiplier of the filter at mode tuple k."""
+    k = np.atleast_1d(np.asarray(k, dtype=np.float64))
+    if spec.kind == "sharp":
+        return float(np.max(np.abs(k)) <= spec.N)
+    return float(np.prod(smooth_ramp(k / spec.N)))
+
+
+def energy_functional(sys: SystemDef, state: StateField, s: float, variant: str = "standard") -> float:
+    """Quadratic form of the symmetrizer applied to the Bessel-smoothed state.
+
+    Products are dealiased pairwise so the collocation quadrature is exact
+    for the trigonometric polynomials involved.
+    """
+    S = energy_symmetrizer(sys, variant)
+    grid = state.grid
+    n = state.n
+    v = apply_lambda(state, s)
+    v_samp = to_samples(v)
+    u_samp = to_samples(state)
+    total = 0.0
+    for a in range(n):
+        for b in range(n):
+            entry = S.entries[a][b]
+            if not entry.terms:
+                continue
+            w_ab = dealias(state_from_samples(grid, (v_samp[a] * v_samp[b])[None]))
+            coeff = poly_coefficient_samples(entry, u_samp, grid)
+            total += l2_inner(state_from_samples(grid, coeff[None]), w_ab)
+    return total
 
 
 def from_coeffs(grid, c: np.ndarray) -> StateField:

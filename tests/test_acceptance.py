@@ -16,7 +16,6 @@ from specwave.analysis import (
     convergence_study,
     jn_study,
     relative_error,
-    second_derivative_max,
 )
 from specwave.cli import main
 from specwave.initial import build_initial
@@ -36,7 +35,7 @@ from specwave.systems import (
     saint_venant_2d_hamiltonian,
     saint_venant_2d_standard,
 )
-from specwave.timeint import EvolveConfig, evolve, monitor_csv, rk4_step
+from specwave.timeint import EvolveConfig, evolve, monitor_csv, rk4_step, second_derivative_max
 
 from oracles import (
     coeffs_from_dict,

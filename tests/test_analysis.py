@@ -8,7 +8,6 @@ import pytest
 from specwave.analysis import (
     ConvergenceReport,
     convergence_study,
-    energy_functional,
     eoc,
     jn_counterexample_states,
     jn_probe,
@@ -16,26 +15,26 @@ from specwave.analysis import (
     relative_error,
     report_csv,
     report_table,
-    second_derivative_max,
 )
 from specwave.spectral import (
     FilterSpec,
     apply_filter,
-    apply_lambda,
     embed,
-    from_function,
     make_grid,
     sobolev_norm,
     state_from_samples,
     to_samples,
 )
 from specwave.systems import saint_venant_1d, saint_venant_2d_hamiltonian
-from specwave.timeint import EvolveConfig
+from specwave.timeint import EvolveConfig, second_derivative_max
 
 from oracles import (
+    apply_lambda,
     convolve_dicts,
     dict_from_coeffs,
+    energy_functional,
     from_coeffs,
+    from_function,
     quadrature_inner,
     sobolev_from_dict,
     truncate_dict,

@@ -26,7 +26,6 @@ from specwave.spectral import (
     smooth_ramp,
     state_from_samples,
     to_samples,
-    zero_state,
 )
 from specwave.sysio import parse_system_text
 from specwave.systems import (
@@ -48,6 +47,7 @@ from oracles import (
     phase_conj,
     random_band_limited,
     truncate_dict,
+    zero_state,
 )
 
 
@@ -305,6 +305,13 @@ class TestTransformBudget:
         sysd = saint_venant_2d_hamiltonian()
         plan = rhs_plan(SchemeSpec("sharp"), sysd, make_grid(2, 8))
         assert len({id(m) for _, _, m in plan.lin_terms + plan.flux_terms}) == 2
+
+    @pytest.mark.parametrize("make_sys, M", [(saint_venant_1d, 16), (saint_venant_2d_hamiltonian, 8)])
+    def test_sharp_plan_shares_the_grid_mask(self, make_sys, M):
+        g = make_grid(make_sys().d, M)
+        plan = rhs_plan(SchemeSpec("sharp"), make_sys(), g)
+        assert plan.m_nl is g.dealias_mask
+        assert not g.dealias_mask.flags.writeable
 
     def test_plan_for_another_scheme_rejected(self):
         g = make_grid(1, 16)

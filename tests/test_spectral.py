@@ -6,13 +6,10 @@ import pytest
 from specwave.spectral import (
     FilterSpec,
     apply_filter,
-    apply_lambda,
     dealias,
     differentiate,
     embed,
     filter_multiplier,
-    filter_symbol,
-    from_function,
     hermitian_symmetrize,
     l2_inner,
     make_grid,
@@ -24,10 +21,13 @@ from specwave.spectral import (
 )
 
 from oracles import (
+    apply_lambda,
     coeffs_from_dict,
     convolve_dicts,
     dict_from_coeffs,
+    filter_symbol,
     from_coeffs,
+    from_function,
     naive_dft,
     naive_inverse,
     phase_conj,

@@ -10,11 +10,9 @@ from specwave.initial import build_initial
 from specwave.semidisc import SchemeSpec, rhs, rhs_plan
 from specwave.spectral import (
     differentiate,
-    from_function,
     make_grid,
     sobolev_norm,
     state_from_samples,
-    zero_state,
 )
 from specwave.systems import saint_venant_1d, saint_venant_2d_hamiltonian
 from specwave.timeint import (
@@ -28,7 +26,7 @@ from specwave.timeint import (
     _step_plan,
 )
 
-from oracles import count_transforms, csv_cell, from_coeffs
+from oracles import count_transforms, csv_cell, from_coeffs, from_function, zero_state
 
 
 class TestRK4Step:
