@@ -186,10 +186,13 @@ def rhs(
     """Right-hand side of the chosen semi-discretization at a state.
 
     A plan from rhs_plan(scheme, sys, state.grid) saves rebuilding the
-    multipliers on every call.  Per call on the flux path: one inverse
-    transform of U and one forward transform of Q(U), 2n real transforms.
-    On the collocated path: one inverse transform of U and of each d_j U and
-    one forward transform of the nonlinear sum, n(d+2).
+    multipliers on every call.  U is read from the state's cached samples,
+    so a state already sampled (by the blow-up check and the monitors) is
+    not transformed again.  Per call on a fresh state on the flux path: one
+    inverse transform of U and one forward transform of Q(U), 2n real
+    transforms.  On the collocated path: one inverse transform of U and of
+    each d_j U and one forward transform of the nonlinear sum, n(d+2).  A
+    sampled state costs n inverse transforms fewer.
     """
     grid = state.grid
     if state.n != sys.n:
@@ -199,7 +202,7 @@ def rhs(
     elif plan.scheme != scheme or plan.sys is not sys or plan.grid != grid:
         raise ValueError("plan was built for another scheme, system or grid")
     half = state.half
-    u = half_to_samples(grid, half)
+    u = state.samples
     if plan.flux:
         nl = _apply_table(plan.flux_terms, samples_to_half(grid, np.stack([p.eval_on(u) for p in plan.flux])))
     else:

@@ -7,11 +7,14 @@ n=1.  Its true Fourier coefficients (the c_k with f(x) = sum_k c_k
 exp(i k.x)) are Hermitian, c_{-k} = conj(c_k), so a state stores only the
 half spectrum: last-axis modes 0..M (the rfft layout), leading axes in FFT
 index order, the Nyquist slot read as +M.  The two transforms, the
-multipliers and the arithmetic act on that half.  The full spectrum
-(StateField.coeffs) is completed from it by conjugate reflection on first
-use; only the norms, embedding, the mode-support probe and the spectrum
-CSV read it.  No other module knows the layout.  The transforms run
-through numpy.fft on 1D grids and scipy.fft on 2D grids, chosen in _fft.
+multipliers, the arithmetic and the H^s norms act on that half; a norm
+counts each half coefficient with its multiplicity in the full spectrum
+(Grid.half_multiplicity).  The full spectrum (StateField.coeffs) is
+completed from it by conjugate reflection on first use; only embedding,
+the mode-support probe, the L^2 inner product and the spectrum CSV read
+it.  No other module knows the layout.  The transforms run through
+numpy.fft.rfft/irfft on 1D grids and scipy.fft.rfftn/irfftn on 2D grids,
+chosen in _fft.
 
 In 2D the last-axis columns 0 and M hold both k and -k.  The forward
 transform leaves them Hermitian only to rounding (at most 2.8e-17 measured
@@ -23,7 +26,7 @@ samples and its full spectrum after first use.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -65,8 +68,11 @@ class Grid:
     Collocation points are x_n = -pi + pi*n/M for n = 1..2M (the grid
     excludes -pi and includes +pi); the represented mode set is
     {-M+1, ..., M}^d.  Derived arrays (meshes, wavenumber grids, the phase
-    factors and derivative multipliers on the half spectrum) and the
-    dealiasing cutoff dealias_N with its sharp mask dealias_mask are precomputed once.
+    factors, derivative multipliers and multiplicities on the half spectrum)
+    and the dealiasing cutoff dealias_N with its sharp mask dealias_mask are
+    precomputed once.  half_multiplicity counts how often each last-axis
+    column of the half occurs in the full spectrum: once for columns 0 and
+    M, twice (as k and -k) for the others.
     """
 
     d: int
@@ -114,6 +120,7 @@ class Grid:
         object.__setattr__(self, "diff_mult", tuple(diff_mult))
         object.__setattr__(self, "half_phase", half_phase)
         object.__setattr__(self, "half_phase_conj", np.conj(half_phase))
+        object.__setattr__(self, "half_multiplicity", np.r_[1.0, np.full(self.M - 1, 2.0), 1.0])
         object.__setattr__(self, "dealias_N", n_dealias)
         object.__setattr__(self, "cell_volume", (2.0 * np.pi / two_m) ** self.d)
         object.__setattr__(self, "dealias_mask", filter_multiplier(FilterSpec("sharp", n_dealias), self))
@@ -185,10 +192,6 @@ class StateField:
         return StateField(self.grid, -self.half)
 
 
-def _grid_axes(grid: Grid) -> tuple[int, ...]:
-    return tuple(range(-grid.d, 0))
-
-
 def hermitian_symmetrize(coeffs: np.ndarray, d: int) -> np.ndarray:
     """Project onto Hermitian-symmetric coefficients (real-valued field).
     No command calls it; it stays only for the probe in bench/worker.py."""
@@ -199,14 +202,20 @@ def hermitian_symmetrize(coeffs: np.ndarray, d: int) -> np.ndarray:
 
 
 def _fft(grid: Grid):
-    """The transform library of a grid: numpy.fft in 1D, where it gives the
-    same bits as scipy.fft and loads in a fraction of the time; scipy.fft in
-    2D, where numpy's forward transform is about 2x slower."""
+    """The forward and inverse real transforms of a grid's sample stacks,
+    normalised forward: numpy.fft.rfft/irfft in 1D, where they give the same
+    bits as scipy.fft and as the n-dimensional wrappers, with less call
+    overhead, and load in a fraction of scipy's time; scipy.fft.rfftn/irfftn
+    over the two grid axes in 2D, where numpy's forward transform is about 2x
+    slower."""
     if grid.d == 1:
-        return np.fft
+        return partial(np.fft.rfft, norm="forward"), partial(np.fft.irfft, n=grid.two_m, norm="forward")
     import scipy.fft
 
-    return scipy.fft
+    return (
+        partial(scipy.fft.rfftn, axes=(-2, -1), norm="forward"),
+        partial(scipy.fft.irfftn, s=grid.shape, axes=(-2, -1), norm="forward"),
+    )
 
 
 def samples_to_half(grid: Grid, samples: np.ndarray) -> np.ndarray:
@@ -214,14 +223,14 @@ def samples_to_half(grid: Grid, samples: np.ndarray) -> np.ndarray:
 
     No finiteness check: non-finite samples give non-finite coefficients.
     """
-    c = _fft(grid).rfftn(samples, axes=_grid_axes(grid), norm="forward")
-    return c * grid.half_phase
+    forward, _ = _fft(grid)
+    return forward(samples) * grid.half_phase
 
 
 def half_to_samples(grid: Grid, half: np.ndarray) -> np.ndarray:
     """Real values at the collocation points of Hermitian coefficients given by their half spectrum."""
-    z = half * grid.half_phase_conj
-    return _fft(grid).irfftn(z, s=grid.shape, axes=_grid_axes(grid), norm="forward")
+    _, inverse = _fft(grid)
+    return inverse(half * grid.half_phase_conj)
 
 
 def state_from_samples(grid: Grid, values: np.ndarray) -> StateField:
@@ -304,13 +313,18 @@ def sobolev_norm(x: StateField, s: float) -> float:
     """H^s norm, matching the continuous norm on the 2pi-periodic torus.
 
     Computed from the coefficients as
-    ((2pi)^d * sum_k (1+|k|^2)^s sum_components |c_k|^2)^(1/2).
+    ((2pi)^d * sum_k (1+|k|^2)^s sum_components |c_k|^2)^(1/2), summed over
+    the half spectrum with each column weighted by its multiplicity in the
+    full one (Parseval for real fields).
     """
     if s < 0:
         raise ValueError(f"regularity index must be >= 0, got {s}")
     grid = x.grid
-    w = (1.0 + grid.k_sq) ** s if s != 0 else 1.0
-    total = np.sum(w * np.abs(x.coeffs) ** 2)
+    w = grid.half_multiplicity
+    if s != 0:
+        w = w * (1.0 + grid.k_sq[..., : grid.M + 1]) ** s
+    h = x.half
+    total = np.sum(w * (h.real**2 + h.imag**2))
     return float(np.sqrt(total * (2.0 * np.pi) ** grid.d))
 
 

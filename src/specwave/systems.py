@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -77,9 +76,6 @@ class SystemDef:
         S0 = self.S.constant_part()
         unit = [tuple(e) for e in np.eye(self.n, dtype=int)]
         return tuple(H.diff(c) - Poly.from_terms(self.n, zip(unit, S0[c])) for c in range(self.n))
-
-    def in_domain(self, point: Sequence[float]) -> bool:
-        return all(p(point) > 0.0 for _, p in self.predicates)
 
 
 def _energy_density(S: PolyMatrix) -> Poly | None:

@@ -107,8 +107,11 @@ def standard_monitors(sys: SystemDef) -> list[Monitor]:
     The energy column is present when the system has a density H, i.e. when
     its symmetrizer is a Hessian (see SystemDef).
 
-    The margins and the energy read the state's cached samples, so with the
-    blow-up check they share one inverse transform of each sampled state.
+    The norms sum the half spectrum and need no transform.  The margins
+    and the energy read the state's cached samples, so with the blow-up
+    check and the first RK4 stage of the next step they share one inverse
+    transform (n real ones) of each sampled state; max_d2u adds one of the
+    curvature.
     """
     monitors: list[Monitor] = [
         ("Hs0", lambda st: sobolev_norm(st, 0)),
@@ -156,7 +159,10 @@ def evolve(
     start from the sharp projection of the data).  Monitors are sampled at
     t=0, every stride steps and at the final time; blow-up is declared on
     non-finite stage values or when the max-norm exceeds the configured
-    growth factor.
+    growth factor.  The first RK4 stage reads the samples of the current
+    state, cached by the blow-up check when the state was sampled; with
+    monitor_stride > 1 an unsampled state gets them from that stage, and
+    keeps them through the step.
     """
     plan = rhs_plan(scheme, sys, state0.grid)
     state = dealias(state0)
@@ -177,10 +183,8 @@ def evolve(
         rows.append((t, *(fn(st) for _, fn in monitors)))
 
     def exploded(st: StateField) -> bool:
-        vals = np.abs(to_samples(st))
-        if not np.all(np.isfinite(vals)):
-            return True
-        return linf0 > 0.0 and float(vals.max()) > cfg.blowup_threshold * linf0
+        peak = linf(st)  # NaN or inf when any sample is
+        return not math.isfinite(peak) or (linf0 > 0.0 and peak > cfg.blowup_threshold * linf0)
 
     sample(0.0, state)
     t = 0.0

@@ -48,6 +48,15 @@ def apply_lambda(x: StateField, s: float):
     return replace(x, half=x.half * (1.0 + grid.k_sq[..., : grid.M + 1]) ** (s / 2.0))
 
 
+def sobolev_norm_full(x: StateField, s: float) -> float:
+    """H^s norm summed over the full spectrum StateField.coeffs:
+    ((2pi)^d * sum_k (1+|k|^2)^s sum_components |c_k|^2)^(1/2)."""
+    grid = x.grid
+    w = (1.0 + grid.k_sq) ** s if s != 0 else 1.0
+    total = np.sum(w * np.abs(x.coeffs) ** 2)
+    return float(np.sqrt(total * (2.0 * np.pi) ** grid.d))
+
+
 def filter_symbol(spec: FilterSpec, k: Sequence[float]) -> float:
     """Exact Fourier multiplier of the filter at mode tuple k."""
     k = np.atleast_1d(np.asarray(k, dtype=np.float64))
@@ -100,12 +109,12 @@ def count_transforms(monkeypatch, npoints: int) -> Counter:
     """Count transforms by component, whichever library performs them.
 
     Wraps the FFT entry points of both numpy.fft and scipy.fft; the
-    returned counter gains 'forward' (rfftn) and 'inverse' (irfftn)
-    entries as transforms of fields with npoints collocation points run.
-    Any other entry point counts under its own name.
+    returned counter gains 'forward' (rfft, rfftn) and 'inverse' (irfft,
+    irfftn) entries as transforms of fields with npoints collocation points
+    run.  Any other entry point counts under its own name.
     """
     counts: Counter = Counter()
-    kinds = {"rfftn": "forward", "irfftn": "inverse"}
+    kinds = {"rfft": "forward", "rfftn": "forward", "irfft": "inverse", "irfftn": "inverse"}
     for lib in (np.fft, scipy.fft):
         for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
 
@@ -254,10 +263,15 @@ def csv_cell(v) -> str:
     return repr(float(v))
 
 
+def in_domain(sys: SystemDef, point: Sequence[float]) -> bool:
+    """Whether every hyperbolicity predicate of the system is positive at one point."""
+    return all(p(point) > 0.0 for _, p in sys.predicates)
+
+
 def hyperbolic_points_by_point(sys, count: int) -> np.ndarray:
     """Reference for systems.sample_hyperbolic_points: the same Halton draws
     (box [-0.9, 0.9]^n, batches of 256, at most 20000 drawn), each point
-    accepted on its own through sys.in_domain."""
+    accepted on its own through in_domain."""
     from scipy.stats import qmc
 
     sampler = qmc.Halton(d=sys.n, scramble=False)
@@ -269,7 +283,7 @@ def hyperbolic_points_by_point(sys, count: int) -> np.ndarray:
         drawn += 256
         pts = lo + (hi - lo) * batch
         for p in pts:
-            if sys.in_domain(p):
+            if in_domain(sys, p):
                 accepted.append(p)
                 if len(accepted) == count:
                     break

@@ -90,9 +90,10 @@ class TestRun:
             assert "np." not in read(path), path
 
     def test_inverse_transforms_per_run(self, tmp_path, monkeypatch):
-        # Each evolve: 4 rhs per step, each inverse-transforming the n = 2
-        # components of U (flux path), and per monitor sample one of the
-        # state (n) plus one for max_d2u.
+        # Each evolve: 4 rhs per step, each but the first inverse-transforming
+        # the n = 2 components of U (flux path; the first reads the samples
+        # of the state sampled at the end of the previous step), and per
+        # monitor sample one of the state (n) plus one for max_d2u.
         # Outside evolve: the projected initial state and its curvature once
         # per run, and the curvature of each final state once.
         counts = count_transforms(monkeypatch, 32)  # 2M = 32
@@ -103,7 +104,7 @@ class TestRun:
         )
         assert code == 0
         n, steps, samples, schemes = 2, 2, 3, 3
-        per_evolve = steps * 4 * n + samples * (n + 1)
+        per_evolve = steps * 3 * n + samples * (n + 1)
         assert counts["inverse"] == schemes * (per_evolve + 1) + (n + 1)
 
     def test_unknown_initial_exits_nonzero(self, tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Public names: what the benchmark scripts import, and every module's __all__.
 
 Two checks stand in for a linter: every name in a package module's
-__all__ is used by the package or the benchmark scripts (a name only tests
-call belongs in tests/oracles.py), and no package module keeps an unused
-module-level import.
+__all__, and every public method of a package class, is used by the
+package or the benchmark scripts (a name only tests call belongs in
+tests/oracles.py), and no package module keeps an unused module-level
+import.
 """
 
 import ast
@@ -90,6 +91,25 @@ def public_names_unused():
     return unused
 
 
+def public_methods_unused():
+    """(module file, Class.method) for every public method of a public package
+    class that no package or bench file uses outside the method's own body."""
+    trees = {path: parse(path) for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py"))}
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for meth in cls.body:
+                if not isinstance(meth, (ast.FunctionDef, ast.AsyncFunctionDef)) or meth.name.startswith("_"):
+                    continue
+                others = [stmt for tree in trees.values() for stmt in tree.body if stmt is not cls]
+                others += [stmt for stmt in cls.body if stmt is not meth]
+                if not any(meth.name in used_names(stmt) for stmt in others):
+                    unused.append((path.name, f"{cls.name}.{meth.name}"))
+    return unused
+
+
 def unused_imports(path: Path) -> list[str]:
     """Module-level imports of a file that it neither uses nor lists in __all__."""
     tree = parse(path)
@@ -127,6 +147,10 @@ def test_all_names_exist(module):
 def test_every_public_name_is_used_outside_tests():
     unused = [(source, name) for source, name in public_names_unused() if name not in UNUSED_PUBLIC_ALLOWED]
     assert not unused, "public names only tests use; move them to tests/oracles.py"
+
+
+def test_every_public_method_is_used_outside_tests():
+    assert not public_methods_unused(), "public methods only tests use; move them to tests/oracles.py"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

@@ -1,5 +1,6 @@
 """Semi-discrete right-hand sides: schemes, dealiasing exactness, invariants."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -244,10 +245,11 @@ def scalar_2d_state(g):
 
 
 class TestTransformBudget:
-    """One rhs call on a reused plan: on the flux path n inverse (U) and n
-    forward (Q(U)) real transforms; on the collocated path n(d+1) inverse
-    (U and each d_j U) and n forward, plus one each way per projected
-    product of a coefficient of degree above one."""
+    """One rhs call on a reused plan and a fresh state: on the flux path n
+    inverse (U) and n forward (Q(U)) real transforms; on the collocated path
+    n(d+1) inverse (U and each d_j U) and n forward, plus one each way per
+    projected product of a coefficient of degree above one.  A state whose
+    samples are cached costs n inverse transforms fewer."""
 
     @pytest.mark.parametrize("kind", SCHEME_KINDS)
     @pytest.mark.parametrize(
@@ -277,11 +279,17 @@ class TestTransformBudget:
         for mod in (spectral, semidisc):
             for name in ("hermitian_symmetrize", "filter_multiplier"):
                 monkeypatch.setattr(mod, name, forbidden, raising=False)
-        out = rhs(scheme, sysd, st, plan)
+        fresh = StateField(g, st.half)
+        out = rhs(scheme, sysd, fresh, plan)
         # 2D: 3 + 3 = 6 real transforms on the flux path, 9 + 3 = 12 collocated
         inverse = sysd.n if flux else sysd.n * (sysd.d + 1)
         assert counts == {"inverse": inverse + projected, "forward": sysd.n + projected}
         assert np.array_equal(out.coeffs, expected)
+        # the call cached the samples of U on fresh: the next one reads them
+        counts.clear()
+        again = rhs(scheme, sysd, fresh, plan)
+        assert counts == Counter(inverse=inverse - sysd.n + projected, forward=sysd.n + projected)
+        assert np.array_equal(again.coeffs, expected)
 
     @pytest.mark.parametrize("kind", SCHEME_KINDS)
     @pytest.mark.parametrize("make_sys, M", [(saint_venant_1d, 16), (saint_venant_2d_hamiltonian, 8)])
@@ -413,7 +421,7 @@ class TestFluxPath:
             expected = rhs(scheme, replace(sysd, SJ0=None), st).half
             plan = rhs_plan(scheme, sysd, g)
             counts.clear()
-            out = rhs(scheme, sysd, st, plan).half
+            out = rhs(scheme, sysd, StateField(g, st.half), plan).half
             assert counts == {"inverse": sysd.n * (sysd.d + 1) + projected, "forward": sysd.n + projected}
             assert np.array_equal(out, expected)
 

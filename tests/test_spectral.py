@@ -5,15 +5,18 @@ import pytest
 
 from specwave.spectral import (
     FilterSpec,
+    StateField,
     apply_filter,
     dealias,
     differentiate,
     embed,
     filter_multiplier,
+    half_to_samples,
     hermitian_symmetrize,
     l2_inner,
     make_grid,
     max_mode_support,
+    samples_to_half,
     smooth_ramp,
     sobolev_norm,
     state_from_samples,
@@ -34,6 +37,7 @@ from oracles import (
     quadrature_inner,
     random_band_limited,
     sobolev_from_dict,
+    sobolev_norm_full,
     truncate_dict,
 )
 
@@ -102,6 +106,15 @@ class TestTransforms:
         vals = rng.normal(size=g.shape)
         f = state_from_samples(g, vals[None])
         assert np.max(np.abs(to_samples(f) - vals)) < 1e-12
+
+    def test_1d_transforms_match_nd_wrappers_bit_for_bit(self):
+        # 1D grids call rfft/irfft; the n-dimensional wrappers give the same bits
+        g = make_grid(1, 16)
+        vals = np.random.default_rng(4).normal(size=(2,) + g.shape)
+        half = samples_to_half(g, vals)
+        assert np.array_equal(half, np.fft.rfftn(vals, axes=(-1,), norm="forward") * g.half_phase)
+        back = np.fft.irfftn(half * g.half_phase_conj, s=g.shape, axes=(-1,), norm="forward")
+        assert np.array_equal(half_to_samples(g, half), back)
 
     def test_inverse_matches_direct_summation(self):
         rng = np.random.default_rng(2)
@@ -282,6 +295,22 @@ class TestNorms:
             st = state_from_samples(g, vals)
             direct = np.sqrt(np.sum(vals**2) * (2 * np.pi) ** d / g.npoints)
             assert np.isclose(sobolev_norm(st, 0), direct, rtol=1e-12)
+
+    @pytest.mark.parametrize("s", [0, 1, 2.5])
+    @pytest.mark.parametrize("d, m", [(1, 16), (2, 8)])
+    def test_half_spectrum_sum_matches_full(self, d, m, s):
+        g = make_grid(d, m)
+        rng = np.random.default_rng(70 + d)
+        real = state_from_samples(g, rng.normal(size=(2,) + g.shape))
+        shape = real.half.shape
+        # random halves: in 2D the columns 0 and M are not Hermitian
+        raw = StateField(g, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        if d == 2:
+            for col in (0, m):
+                assert not np.allclose(raw.half[:, 1:, col], np.conj(raw.half[:, :0:-1, col]))
+        for st in (real, raw):
+            full = sobolev_norm_full(st, s)
+            assert abs(sobolev_norm(st, s) - full) <= 1e-14 * full
 
     def test_inner_product_orthogonality(self):
         g = make_grid(1, 8)

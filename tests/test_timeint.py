@@ -6,9 +6,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from specwave import timeint
 from specwave.initial import build_initial
 from specwave.semidisc import SchemeSpec, rhs, rhs_plan
 from specwave.spectral import (
+    StateField,
     differentiate,
     make_grid,
     sobolev_norm,
@@ -108,7 +110,8 @@ class TestRK4Step:
 
 
 class TestMonitorTransformBudget:
-    """Monitors and the blow-up check share one inverse transform of each sampled state."""
+    """Monitors, the blow-up check and the next step's first RK4 stage share
+    one inverse transform of each sampled state."""
 
     @pytest.mark.parametrize("make_sys, M", [(saint_venant_1d, 32), (saint_venant_2d_hamiltonian, 8)])
     def test_transforms_per_monitored_step(self, monkeypatch, make_sys, M):
@@ -125,10 +128,11 @@ class TestMonitorTransformBudget:
             return Counter(counts)
 
         one_step = transforms(2) - transforms(1)
-        # four rhs calls on the flux path make n inverse and n forward
-        # transforms each; the sample adds the state (n components) and
-        # max_d2u's derivative (1)
-        assert one_step == {"inverse": 4 * n + n + 1, "forward": 4 * n}
+        # four rhs calls on the flux path make n forward transforms each and
+        # n inverse each but the first, which reads the samples of the state
+        # sampled after the previous step; the sample adds the new state
+        # (n components) and max_d2u's derivative (1)
+        assert one_step == {"inverse": 3 * n + n + 1, "forward": 4 * n}
 
 
 class TestEvolve:
@@ -202,6 +206,23 @@ class TestEvolve:
         assert res.blowup_time is not None
         assert res.final_time == res.blowup_time  # the state that tripped the detector
         assert np.all(np.isfinite(res.final_state.coeffs))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_samples_end_as_blowup(self, monkeypatch, bad):
+        # zero data disable the growth test (linf0 = 0), so only the
+        # finiteness of the step's samples can end the run
+        g = make_grid(1, 16)
+
+        def poisoned_step(rhs_fn, state, dt):
+            half = state.half.copy()
+            half[0, 1] = bad
+            return StateField(g, half)
+
+        monkeypatch.setattr(timeint, "rk4_step", poisoned_step)
+        with np.errstate(invalid="ignore"):
+            res = evolve(SchemeSpec("sharp"), saint_venant_1d(), zero_state(g, 2), EvolveConfig(dt=1e-3, T=0.01))
+        assert res.status == "blowup"
+        assert res.final_time == res.blowup_time == 1e-3
 
     def test_hamiltonian_drift_sharp_scheme(self, drift_run_1d):
         # semi-discrete energy is conserved up to integrator error
