@@ -9,7 +9,7 @@ import numpy as np
 
 from .initial import build_initial
 from .poly import Poly, PolyMatrix
-from .semidisc import SchemeSpec
+from .semidisc import SchemeSpec, collocated_half, entry_terms
 from .spectral import (
     FilterSpec,
     StateField,
@@ -103,7 +103,8 @@ def jn_probe(sys: SystemDef, U: StateField, V: StateField, N: int) -> float:
 
     Computes the inner product of P_N(S(U) (Id-P_N)(A_j(U) d_j P_N V))
     with V, for j the first axis (x), all products evaluated exactly (the working grid must resolve
-    the full mode content, 2M >= 3(N + p) for data of bandwidth p).
+    the full mode content, 2M >= 3(N + p) for data of bandwidth p).  The products are rhs's collocated
+    ones: an entry of degree above one is re-projected after each pairwise product, as in rhs.
     """
     grid = U.grid
     if V.grid != grid:
@@ -126,18 +127,7 @@ def jn_probe(sys: SystemDef, U: StateField, V: StateField, N: int) -> float:
 def _matvec_exact(P: PolyMatrix, coeff_state: StateField, vec: StateField) -> StateField:
     """P(U) applied pointwise to a vector field, no projection."""
     grid = coeff_state.grid
-    u_samp = to_samples(coeff_state)
-    v_samp = to_samples(vec)
-    rows = np.zeros_like(v_samp)
-    for i in range(P.n):
-        acc = np.zeros(grid.shape)
-        for c in range(P.n):
-            entry = P.entries[i][c]
-            if not entry.terms:
-                continue
-            acc = acc + entry.eval_on(u_samp) * v_samp[c]
-        rows[i] = acc
-    return state_from_samples(grid, rows)
+    return StateField(grid, collocated_half(grid, to_samples(coeff_state), [to_samples(vec)], *entry_terms([P])))
 
 
 def jn_counterexample_states(N: int, p: int, q: int) -> tuple[StateField, StateField, int]:

@@ -21,7 +21,7 @@ from .analysis import convergence_study, jn_study, report_csv, report_table
 from .initial import build_initial
 from .presets import CONFIG_KEYS, ConfigError, get_preset, parse_config_text, preset_names
 from .semidisc import SCHEME_KINDS, SchemeSpec
-from .spectral import StateField, dealias, linf, make_grid, sobolev_norm, to_samples
+from .spectral import StateField, coefficients_at, dealias, linf, make_grid, sobolev_norm, to_samples
 from .sysio import SystemFormatError, parse_system
 from .systems import (
     BUILTIN_SYSTEMS,
@@ -85,6 +85,9 @@ def _evolve_config(cfg: ExperimentConfig) -> EvolveConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    for key, values in (("scheme", cfg.schemes), ("s_norms", cfg.s_norms)):
+        if not values:
+            raise ConfigError(f"{key} is empty")
     for kind in cfg.schemes:
         if kind not in SCHEME_KINDS:
             raise ConfigError(f"unknown scheme {kind!r}; choices: {', '.join(SCHEME_KINDS)}")
@@ -126,10 +129,9 @@ def _write(path: str, text: str) -> None:
 def _spectrum_csv(state: StateField) -> str:
     """Final coefficients on the retained band, modes ascending (row-major in 2D)."""
     grid = state.grid
-    order = np.argsort(grid.modes)
-    order = order[np.abs(grid.modes[order]) <= grid.dealias_N]
-    kept = state.coeffs[(slice(None), *np.ix_(*[order] * grid.d))].reshape(state.n, -1)
-    ks = [k.ravel() for k in np.meshgrid(*[grid.modes[order]] * grid.d, indexing="ij")]
+    band = np.arange(-grid.dealias_N, grid.dealias_N + 1)
+    kept = coefficients_at(state, band).reshape(state.n, -1)
+    ks = [k.ravel() for k in np.meshgrid(*[band] * grid.d, indexing="ij")]
     header = ["k"] if grid.d == 1 else ["k1", "k2"]
     header += [f"c{i}_{part}" for i in range(state.n) for part in ("re", "im")]
     return csv_table(header, [*ks, *(part for c in kept for part in (c.real, c.imag))])

@@ -50,6 +50,8 @@ __all__ = [
     "SCHEME_KINDS",
     "RhsPlan",
     "poly_coefficient_samples",
+    "entry_terms",
+    "collocated_half",
     "rhs_plan",
     "rhs",
 ]
@@ -94,7 +96,7 @@ def poly_coefficient_samples(poly: Poly, comp_samples: np.ndarray, grid: Grid) -
     return out
 
 
-def _entry_terms(mats) -> tuple[tuple[Poly, ...], tuple[tuple[int, int, int, int], ...]]:
+def entry_terms(mats) -> tuple[tuple[Poly, ...], tuple[tuple[int, int, int, int], ...]]:
     """Distinct nonzero entries of the matrices P_j, and (row, j, column,
     index into the distinct entries) for every nonzero entry."""
     polys: list[Poly] = []
@@ -109,7 +111,7 @@ def _entry_terms(mats) -> tuple[tuple[Poly, ...], tuple[tuple[int, int, int, int
     return tuple(polys), tuple(terms)
 
 
-def _collocated_half(grid: Grid, u: np.ndarray, du, polys, terms) -> np.ndarray:
+def collocated_half(grid: Grid, u: np.ndarray, du, polys, terms) -> np.ndarray:
     """Half spectrum of sum over terms (i, j, c, p) of polys[p](U) * du[j][c] into row i."""
     coeff = [poly_coefficient_samples(p, u, grid) for p in polys]
     rows = np.zeros_like(u)
@@ -173,7 +175,7 @@ def rhs_plan(scheme: SchemeSpec, sys: SystemDef, grid: Grid) -> RhsPlan:
     shared: dict = {}
     lin_terms = _multiplier_table(grid, sys.A0, 1.0 if scheme.kind == "smooth-nl" else m_nl, shared)
     if sys.Q is None:
-        return RhsPlan(scheme, sys, grid, m_nl, lin_terms, *_entry_terms(sys.A1), (), ())
+        return RhsPlan(scheme, sys, grid, m_nl, lin_terms, *entry_terms(sys.A1), (), ())
     return RhsPlan(scheme, sys, grid, m_nl, lin_terms, (), (), sys.Q, _multiplier_table(grid, sys.SJ0, m_nl, shared))
 
 
@@ -207,5 +209,5 @@ def rhs(
         nl = _apply_table(plan.flux_terms, samples_to_half(grid, np.stack([p.eval_on(u) for p in plan.flux])))
     else:
         du = [half_to_samples(grid, half * dk) for dk in grid.diff_mult]
-        nl = plan.m_nl * _collocated_half(grid, u, du, plan.polys, plan.terms)
+        nl = plan.m_nl * collocated_half(grid, u, du, plan.polys, plan.terms)
     return StateField(grid, -(_apply_table(plan.lin_terms, half) + nl))

@@ -6,13 +6,12 @@ A field is a StateField of n real components; a scalar field is one with
 n=1.  Its true Fourier coefficients (the c_k with f(x) = sum_k c_k
 exp(i k.x)) are Hermitian, c_{-k} = conj(c_k), so a state stores only the
 half spectrum: last-axis modes 0..M (the rfft layout), leading axes in FFT
-index order, the Nyquist slot read as +M.  The two transforms, the
-multipliers, the arithmetic and the H^s norms act on that half; a norm
-counts each half coefficient with its multiplicity in the full spectrum
-(Grid.half_multiplicity).  The full spectrum (StateField.coeffs) is
-completed from it by conjugate reflection on first use; only embedding,
-the mode-support probe, the L^2 inner product and the spectrum CSV read
-it.  No other module knows the layout.  The transforms run through
+index order, the Nyquist slot read as +M.  Everything the commands call
+acts on that half; a sum over it (the H^s norms, the L^2 inner product)
+counts each coefficient with its multiplicity in the full spectrum
+(Grid.half_multiplicity), and coefficients_at gathers the coefficients at
+given modes.  No other module knows the layout, and no command reads the
+full spectrum StateField.coeffs.  The transforms run through
 numpy.fft.rfft/irfft on 1D grids and scipy.fft.rfftn/irfftn on 2D grids,
 chosen in _fft.
 
@@ -20,7 +19,7 @@ In 2D the last-axis columns 0 and M hold both k and -k.  The forward
 transform leaves them Hermitian only to rounding (at most 2.8e-17 measured
 on unit-variance samples), and the inverse transform reads them through
 their Hermitian part.  Fields are treated as immutable; each one keeps its
-samples and its full spectrum after first use.
+samples after first use.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ __all__ = [
     "l2_inner",
     "linf",
     "max_mode_support",
+    "coefficients_at",
     "embed",
 ]
 
@@ -155,21 +155,9 @@ class StateField:
 
     @cached_property
     def coeffs(self) -> np.ndarray:
-        """Read-only full spectrum in FFT order, completed on first use and kept.
-
-        The modes missing from the half are its conjugate reflection; adding
-        0.0 there keeps an exact +0.0 imaginary part from becoming -0.0.
-        """
-        m = self.grid.M
-        full = np.empty(self.half.shape[:-1] + (self.grid.two_m,), dtype=np.complex128)
-        full[..., : m + 1] = self.half
-        tail, src = full[..., m + 1 :], self.half[..., m - 1 : 0 : -1]
-        if self.grid.d == 1:
-            np.conjugate(src, out=tail)
-        else:  # -k1 of leading-axis slot i is slot (2M - i) mod 2M
-            np.conjugate(src[..., :1, :], out=tail[..., :1, :])
-            np.conjugate(src[..., :0:-1, :], out=tail[..., 1:, :])
-        tail += 0.0
+        """Read-only full spectrum in FFT order, gathered on first use and kept.
+        No command reads it; it stays only for the probe in bench/worker.py."""
+        full = coefficients_at(self, self.grid.modes)
         full.flags.writeable = False
         return full
 
@@ -329,13 +317,13 @@ def sobolev_norm(x: StateField, s: float) -> float:
 
 
 def l2_inner(a: StateField, b: StateField) -> float:
-    """L^2 inner product on the torus, summed over components."""
+    """L^2 inner product on the torus, summed over components (Parseval on the half spectrum)."""
     if a.grid != b.grid:
         raise ValueError("inner product requires a shared grid")
-    if a.coeffs.shape != b.coeffs.shape:
+    if a.half.shape != b.half.shape:
         raise ValueError("inner product requires matching component counts")
-    total = np.sum(a.coeffs * np.conj(b.coeffs))
-    return float(np.real(total) * (2.0 * np.pi) ** a.grid.d)
+    total = np.sum(a.grid.half_multiplicity * (a.half * np.conj(b.half)).real)
+    return float(total * (2.0 * np.pi) ** a.grid.d)
 
 
 def linf(x: StateField) -> float:
@@ -345,16 +333,27 @@ def linf(x: StateField) -> float:
 
 def max_mode_support(x: StateField) -> int:
     """Largest max_j|k_j| carrying a coefficient above 1e-13 of the largest."""
-    mag = np.abs(x.coeffs)
-    if mag.ndim > x.grid.d:
-        mag = mag.max(axis=0)
-    scale = mag.max()
-    if scale == 0.0:
-        return 0
-    active = mag > 1e-13 * scale
-    if not np.any(active):
-        return 0
-    return int(np.max(x.grid.k_inf[active]))
+    mag = np.abs(x.half).max(axis=0)
+    active = mag > 1e-13 * mag.max()  # none for a zero state
+    return int(np.max(x.grid.k_inf[..., : x.grid.M + 1][active], initial=0))
+
+
+def coefficients_at(x: StateField, ks) -> np.ndarray:
+    """Coefficients c_k, shape (n, len(ks), ...), at the modes k in ks^d (ks
+    integers in -M+1..M).  A mode with a negative last component is the
+    conjugate of the stored -k, plus 0.0 so that an exact +0.0 imaginary
+    part does not become -0.0."""
+    grid = x.grid
+    ks = np.asarray(ks, dtype=np.int64)
+    if np.any((ks <= -grid.M) | (ks > grid.M)):
+        raise ValueError(f"modes must lie in {-grid.M + 1}..{grid.M}")
+    kk = np.meshgrid(*[ks] * grid.d, indexing="ij")
+    neg = kk[-1] < 0
+    sign = np.where(neg, -1, 1)
+    comp = np.arange(x.n).reshape((-1,) + (1,) * grid.d)  # an index array too, so out is C-ordered
+    out = x.half[(comp, *[np.mod(sign * k, grid.two_m) for k in kk[:-1]], sign * kk[-1])]
+    out[:, neg] = np.conj(out[:, neg]) + 0.0
+    return out
 
 
 def embed(x: StateField, fine: Grid) -> StateField:
@@ -366,14 +365,14 @@ def embed(x: StateField, fine: Grid) -> StateField:
         raise ValueError("target grid must be at least as fine")
     if fine.M == grid.M:
         return x
-    tgt = np.zeros((x.n,) + fine.shape, dtype=np.complex128)
-    idx = np.mod(grid.modes, fine.two_m)
-    tgt[np.ix_(np.arange(x.n), *[idx] * grid.d)] = x.coeffs
+    m = grid.M
     # A mode with a component at the coarse Nyquist +M stands for +M and -M
     # together; on the fine grid these are distinct, so split it evenly.
-    nyq = grid.k_inf == grid.M
-    k = [km[nyq].astype(np.int64) for km in grid.kmesh]
-    split = 0.5 * x.coeffs[:, nyq]
-    tgt[(slice(None), *[np.mod(ka, fine.two_m) for ka in k])] = split
-    tgt[(slice(None), *[np.mod(-ka, fine.two_m) for ka in k])] = np.conj(split)
-    return StateField(fine, tgt[..., : fine.M + 1])
+    block = x.half.copy()
+    block[:, grid.k_inf[..., : m + 1] == m] *= 0.5
+    tgt = np.zeros((x.n,) + fine.shape[:-1] + (fine.M + 1,), dtype=np.complex128)
+    tgt[(slice(None), *[np.mod(grid.modes, fine.two_m)] * (grid.d - 1), slice(m + 1))] = block
+    if grid.d == 2:  # row -M: mirrors conj(0.5 c_(M,-k2)), k2 = 0..M-1, with c_(M,-k2) = conj(stored) for k2 > 0
+        tgt[:, fine.two_m - m, :m] = block[:, m, :m]
+        tgt[:, fine.two_m - m, 0] = np.conj(block[:, m, 0])
+    return StateField(fine, tgt)

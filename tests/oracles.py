@@ -57,6 +57,39 @@ def sobolev_norm_full(x: StateField, s: float) -> float:
     return float(np.sqrt(total * (2.0 * np.pi) ** grid.d))
 
 
+def l2_inner_full(a: StateField, b: StateField) -> float:
+    """L^2 inner product on the torus, summed over components and over the full spectrum StateField.coeffs."""
+    if a.grid != b.grid:
+        raise ValueError("inner product requires a shared grid")
+    if a.coeffs.shape != b.coeffs.shape:
+        raise ValueError("inner product requires matching component counts")
+    total = np.sum(a.coeffs * np.conj(b.coeffs))
+    return float(np.real(total) * (2.0 * np.pi) ** a.grid.d)
+
+
+def embed_full(x: StateField, fine: Grid) -> StateField:
+    """Zero-pad a state onto a finer grid's mode set (same d) through the full
+    spectrum StateField.coeffs of both grids."""
+    grid = x.grid
+    if fine.d != grid.d:
+        raise ValueError("grids must share the spatial dimension")
+    if fine.M < grid.M:
+        raise ValueError("target grid must be at least as fine")
+    if fine.M == grid.M:
+        return x
+    tgt = np.zeros((x.n,) + fine.shape, dtype=np.complex128)
+    idx = np.mod(grid.modes, fine.two_m)
+    tgt[np.ix_(np.arange(x.n), *[idx] * grid.d)] = x.coeffs
+    # A mode with a component at the coarse Nyquist +M stands for +M and -M
+    # together; on the fine grid these are distinct, so split it evenly.
+    nyq = grid.k_inf == grid.M
+    k = [km[nyq].astype(np.int64) for km in grid.kmesh]
+    split = 0.5 * x.coeffs[:, nyq]
+    tgt[(slice(None), *[np.mod(ka, fine.two_m) for ka in k])] = split
+    tgt[(slice(None), *[np.mod(-ka, fine.two_m) for ka in k])] = np.conj(split)
+    return StateField(fine, tgt[..., : fine.M + 1])
+
+
 def filter_symbol(spec: FilterSpec, k: Sequence[float]) -> float:
     """Exact Fourier multiplier of the filter at mode tuple k."""
     k = np.atleast_1d(np.asarray(k, dtype=np.float64))

@@ -14,6 +14,7 @@ import pytest
 import specwave
 from specwave.cli import _build_config, _parser, main, parse_config_text
 from specwave.presets import CONFIG_KEYS, get_preset, preset_names
+from specwave.spectral import StateField
 from specwave.sysio import serialize_system
 from specwave.systems import saint_venant_1d
 
@@ -163,6 +164,17 @@ class TestRun:
         assert err.startswith("error:") and "scheme repeats sharp" in err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_scheme_is_input_error(self, tmp_path, capsys):
+        # no scheme would leave a summary.csv with only its header
+        code = main(
+            ["run", "--system", "saint-venant-1d", "--initial", "init1", "--M", "16",
+             "--dt", "1e-3", "--T", "0.002", "--scheme", "", "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "scheme is empty" in err
+        assert not (tmp_path / "out").exists()
+
     def test_step_count_beyond_index_range_is_input_error(self, tmp_path, capsys):
         # 1e299 steps: more than any step counter holds
         code = main(
@@ -302,6 +314,18 @@ class TestConverge:
         assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "s_norms" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_s_norms_is_input_error(self, tmp_path, capsys):
+        # no norm would leave a report with no error columns
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "system = saint-venant-1d\ninitial = init1\nM_list = 8 16\nM_ref = 32\n"
+            "dt = 1e-3\nT = 0.002\ns_norms =\n"
+        )
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "s_norms is empty" in err
         assert not (tmp_path / "out").exists()
 
     def test_repeated_resolution_is_input_error(self, tmp_path, capsys):
@@ -448,6 +472,30 @@ class TestStartup:
             "constant-factorization: PASS (exact)",
             "energy-density: PASS (exact: S = D^2 H)",
         ]
+
+
+class TestStoredHalfOnly:
+    """No command reads the full spectrum StateField.coeffs: each computes on the stored half."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--system", "saint-venant-1d", "--scheme", "sharp smooth-nl", "--initial", "init1",
+             "--M", "16", "--dt", "1e-3", "--T", "0.002"],
+            ["run", "--system", "saint-venant-2d-hamiltonian", "--scheme", "sharp", "--initial", "init2D",
+             "--M", "8", "--dt", "1e-3", "--T", "0.002"],
+            ["converge", "--preset", "converge-2d-hamiltonian", "--M-list", "4 8", "--M-ref", "16",
+             "--T", "0.002"],
+            ["probe-jn", "--system", "saint-venant-1d", "--N-list", "32 64"],
+        ],
+        ids=["run-1d", "run-2d-hamiltonian", "converge-2d", "probe-jn"],
+    )
+    def test_command_never_reads_full_spectrum(self, tmp_path, monkeypatch, capsys, argv):
+        def forbidden(self):
+            raise AssertionError("full spectrum read")
+
+        monkeypatch.setattr(StateField, "coeffs", property(forbidden))
+        assert main([*argv, "--out", str(tmp_path)]) == 0, capsys.readouterr().err
 
 
 class TestProbeJn:

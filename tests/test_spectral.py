@@ -7,6 +7,7 @@ from specwave.spectral import (
     FilterSpec,
     StateField,
     apply_filter,
+    coefficients_at,
     dealias,
     differentiate,
     embed,
@@ -28,9 +29,11 @@ from oracles import (
     coeffs_from_dict,
     convolve_dicts,
     dict_from_coeffs,
+    embed_full,
     filter_symbol,
     from_coeffs,
     from_function,
+    l2_inner_full,
     naive_dft,
     naive_inverse,
     phase_conj,
@@ -505,6 +508,47 @@ class TestHelpers:
             st = from_coeffs(g, hermitian_symmetrize(c, d))
             assert np.all(st.coeffs[:, g.k_inf == g.M] != 0.0)
             assert np.array_equal(embed(st, fine).coeffs, former_embed(st, fine))
+
+    @pytest.mark.parametrize("d, m", [(1, 8), (1, 5), (2, 6), (2, 4)])
+    def test_embed_matches_full_spectrum_oracle(self, d, m):
+        # real-field states: in 2D their columns 0 and M are Hermitian only to rounding
+        g = make_grid(d, m)
+        rng = np.random.default_rng(70 + 10 * d + m)
+        st = state_from_samples(g, rng.normal(size=(3,) + g.shape))
+        assert np.all(st.half[:, g.k_inf[..., : m + 1] == m] != 0.0)
+        for fine_m in (m, 2 * m, 4 * m):
+            fine = make_grid(d, fine_m)
+            assert np.array_equal(embed(st, fine).half, embed_full(st, fine).half)
+
+    @pytest.mark.parametrize("d, m", [(1, 16), (2, 8)])
+    def test_l2_inner_matches_full_spectrum_oracle(self, d, m):
+        g = make_grid(d, m)
+        rng = np.random.default_rng(80 + d)
+        a = state_from_samples(g, rng.normal(size=(2,) + g.shape))
+        for b in (a, state_from_samples(g, to_samples(a) + rng.normal(size=(2,) + g.shape))):
+            assert abs(l2_inner(a, b) - l2_inner_full(a, b)) <= 1e-13 * abs(l2_inner_full(a, b))
+
+    def test_max_mode_support_2d_along_each_axis(self):
+        g = make_grid(2, 16)
+        assert max_mode_support(from_function(g, lambda x, y: np.cos(5 * x))) == 5
+        assert max_mode_support(from_function(g, lambda x, y: np.sin(6 * y) + np.cos(2 * y))) == 6
+        assert max_mode_support(from_function(g, lambda x, y: 0.0 * x)) == 0
+
+    @pytest.mark.parametrize("d, m", [(1, 8), (2, 6)])
+    def test_coefficients_at_reads_modes_in_the_given_order(self, d, m):
+        g = make_grid(d, m)
+        rng = np.random.default_rng(90 + d)
+        c = rng.normal(size=(2,) + g.shape) + 1j * rng.normal(size=(2,) + g.shape)
+        k, minus_k = (0,) + (1,) * d, (0,) + (-1,) * d
+        c[k], c[minus_k] = c[k].real, c[minus_k].real  # exact zero imaginary part at k and -k
+        sym = hermitian_symmetrize(c, d)
+        band = np.arange(-m + 1, m + 1)
+        expected = np.ascontiguousarray(sym[(slice(None), *np.ix_(*[np.mod(band, g.two_m)] * d))])
+        got = coefficients_at(from_coeffs(g, sym), band)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))  # bit for bit, +0.0 kept
+        with pytest.raises(ValueError):
+            coefficients_at(from_coeffs(g, sym), [-m])
 
     def test_max_mode_support(self):
         g = make_grid(1, 16)
