@@ -11,9 +11,12 @@ acts on that half; a sum over it (the H^s norms, the L^2 inner product)
 counts each coefficient with its multiplicity in the full spectrum
 (Grid.half_multiplicity), and coefficients_at gathers the coefficients at
 given modes.  No other module knows the layout, and no command reads the
-full spectrum StateField.coeffs.  The transforms run through
-numpy.fft.rfft/irfft on 1D grids and scipy.fft.rfftn/irfftn on 2D grids,
-chosen in _fft.
+full spectrum StateField.coeffs.  The transforms run through numpy.fft:
+rfft/irfft on 1D grids, rfftn/irfftn over the two grid axes on 2D grids.
+The 2D forward transform writes into one preallocated array (out=);
+without it numpy allocates a second full-size output, and that allocation,
+not the FFT, made it about 2x slower than scipy.fft.  With out= the two
+take the same time and give the same bits, so no module imports scipy.
 
 In 2D the last-axis columns 0 and M hold both k and -k.  The forward
 transform leaves them Hermitian only to rounding (at most 2.8e-17 measured
@@ -25,7 +28,7 @@ samples after first use.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -72,7 +75,8 @@ class Grid:
     and the dealiasing cutoff dealias_N with its sharp mask dealias_mask are
     precomputed once.  half_multiplicity counts how often each last-axis
     column of the half occurs in the full spectrum: once for columns 0 and
-    M, twice (as k and -k) for the others.
+    M, twice (as k and -k) for the others.  hs_weights holds, by s, each
+    H^s weight on the half spectrum that sobolev_norm has built on this grid.
     """
 
     d: int
@@ -121,6 +125,7 @@ class Grid:
         object.__setattr__(self, "half_phase", half_phase)
         object.__setattr__(self, "half_phase_conj", np.conj(half_phase))
         object.__setattr__(self, "half_multiplicity", np.r_[1.0, np.full(self.M - 1, 2.0), 1.0])
+        object.__setattr__(self, "hs_weights", {})
         object.__setattr__(self, "dealias_N", n_dealias)
         object.__setattr__(self, "cell_volume", (2.0 * np.pi / two_m) ** self.d)
         object.__setattr__(self, "dealias_mask", filter_multiplier(FilterSpec("sharp", n_dealias), self))
@@ -189,36 +194,24 @@ def hermitian_symmetrize(coeffs: np.ndarray, d: int) -> np.ndarray:
     return 0.5 * (coeffs + np.conj(rev))
 
 
-def _fft(grid: Grid):
-    """The forward and inverse real transforms of a grid's sample stacks,
-    normalised forward: numpy.fft.rfft/irfft in 1D, where they give the same
-    bits as scipy.fft and as the n-dimensional wrappers, with less call
-    overhead, and load in a fraction of scipy's time; scipy.fft.rfftn/irfftn
-    over the two grid axes in 2D, where numpy's forward transform is about 2x
-    slower."""
-    if grid.d == 1:
-        return partial(np.fft.rfft, norm="forward"), partial(np.fft.irfft, n=grid.two_m, norm="forward")
-    import scipy.fft
-
-    return (
-        partial(scipy.fft.rfftn, axes=(-2, -1), norm="forward"),
-        partial(scipy.fft.irfftn, s=grid.shape, axes=(-2, -1), norm="forward"),
-    )
-
-
 def samples_to_half(grid: Grid, samples: np.ndarray) -> np.ndarray:
     """Half-spectrum coefficients of real samples (the one forward transform).
 
     No finiteness check: non-finite samples give non-finite coefficients.
     """
-    forward, _ = _fft(grid)
-    return forward(samples) * grid.half_phase
+    if grid.d == 1:
+        return np.fft.rfft(samples, norm="forward") * grid.half_phase
+    out = np.empty(samples.shape[:-1] + (grid.M + 1,), dtype=np.complex128)
+    np.fft.rfftn(samples, axes=(-2, -1), norm="forward", out=out)
+    out *= grid.half_phase
+    return out
 
 
 def half_to_samples(grid: Grid, half: np.ndarray) -> np.ndarray:
     """Real values at the collocation points of Hermitian coefficients given by their half spectrum."""
-    _, inverse = _fft(grid)
-    return inverse(half * grid.half_phase_conj)
+    if grid.d == 1:
+        return np.fft.irfft(half * grid.half_phase_conj, n=grid.two_m, norm="forward")
+    return np.fft.irfftn(half * grid.half_phase_conj, s=grid.shape, axes=(-2, -1), norm="forward")
 
 
 def state_from_samples(grid: Grid, values: np.ndarray) -> StateField:
@@ -303,14 +296,18 @@ def sobolev_norm(x: StateField, s: float) -> float:
     Computed from the coefficients as
     ((2pi)^d * sum_k (1+|k|^2)^s sum_components |c_k|^2)^(1/2), summed over
     the half spectrum with each column weighted by its multiplicity in the
-    full one (Parseval for real fields).
+    full one (Parseval for real fields).  The weight is built once per grid
+    and s, and kept in grid.hs_weights.
     """
     if s < 0:
         raise ValueError(f"regularity index must be >= 0, got {s}")
     grid = x.grid
-    w = grid.half_multiplicity
-    if s != 0:
-        w = w * (1.0 + grid.k_sq[..., : grid.M + 1]) ** s
+    w = grid.hs_weights.get(s)
+    if w is None:
+        w = grid.half_multiplicity
+        if s != 0:
+            w = w * (1.0 + grid.k_sq[..., : grid.M + 1]) ** s
+        grid.hs_weights[s] = w
     h = x.half
     total = np.sum(w * (h.real**2 + h.imag**2))
     return float(np.sqrt(total * (2.0 * np.pi) ** grid.d))

@@ -214,6 +214,27 @@ class CheckReport:
         self.failures.append(msg)
 
 
+def _halton(start: int, count: int, d: int) -> np.ndarray:
+    """Points start..start+count-1 of the unscrambled Halton sequence in [0, 1)^d:
+    on axis j, the radical inverse of the index in the j-th prime base, its
+    digits summed from the least significant one up."""
+    bases: list[int] = []
+    candidate = 2
+    while len(bases) < d:
+        if all(candidate % p for p in bases):
+            bases.append(candidate)
+        candidate += 1
+    out = np.zeros((count, d))
+    for j, base in enumerate(bases):
+        index = np.arange(start, start + count)
+        scale = 1.0 / base
+        while index.any():
+            out[:, j] += (index % base) * scale
+            index //= base
+            scale /= base
+    return out
+
+
 def sample_hyperbolic_points(sys: SystemDef, count: int = 200) -> np.ndarray:
     """Deterministic low-discrepancy samples inside the hyperbolicity domain.
 
@@ -221,14 +242,11 @@ def sample_hyperbolic_points(sys: SystemDef, count: int = 200) -> np.ndarray:
     count are accepted or 20000 are drawn; each batch is kept where every
     predicate is positive, in draw order.
     """
-    from scipy.stats import qmc  # on demand: it takes longer to import than the whole package
-
-    sampler = qmc.Halton(d=sys.n, scramble=False)
     lo, hi = -0.9, 0.9
     accepted: list[np.ndarray] = []
     drawn = 0
     while len(accepted) < count and drawn < 20000:
-        pts = lo + (hi - lo) * sampler.random(256)
+        pts = lo + (hi - lo) * _halton(drawn, 256, sys.n)
         drawn += 256
         inside = np.ones(len(pts), dtype=bool)
         for _, p in sys.predicates:

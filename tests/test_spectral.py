@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from specwave.spectral import (
     FilterSpec,
@@ -118,6 +119,25 @@ class TestTransforms:
         assert np.array_equal(half, np.fft.rfftn(vals, axes=(-1,), norm="forward") * g.half_phase)
         back = np.fft.irfftn(half * g.half_phase_conj, s=g.shape, axes=(-1,), norm="forward")
         assert np.array_equal(half_to_samples(g, half), back)
+
+    @pytest.mark.parametrize("m", [8, 16, 64, 128])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_2d_transforms_match_scipy_fft_bit_for_bit(self, n, m):
+        # 2D grids call numpy.fft.rfftn (into a preallocated output) and irfftn;
+        # scipy.fft, which they replaced, gives the same bits
+        g = make_grid(2, m)
+        rng = np.random.default_rng(10 * m + n)
+        vals = rng.normal(size=(n,) + g.shape)
+        half = samples_to_half(g, vals)
+        assert np.array_equal(half, scipy.fft.rfftn(vals, axes=(-2, -1), norm="forward") * g.half_phase)
+        # the inverse reads columns 0 and M through their Hermitian part, so try non-Hermitian ones too
+        for c in (half, rng.normal(size=half.shape) + 1j * rng.normal(size=half.shape)):
+            back = scipy.fft.irfftn(c * g.half_phase_conj, s=g.shape, axes=(-2, -1), norm="forward")
+            assert np.array_equal(half_to_samples(g, c), back)
+        # each forward call returns its own writable array: no two states share a buffer
+        again = samples_to_half(g, vals)
+        assert np.array_equal(again, half) and not np.shares_memory(again, half)
+        assert half.flags.writeable and again.flags.writeable
 
     def test_inverse_matches_direct_summation(self):
         rng = np.random.default_rng(2)
@@ -289,6 +309,19 @@ class TestNorms:
         st = from_function(g, np.sin)
         with pytest.raises(ValueError):
             sobolev_norm(st, -1)
+
+    def test_weight_built_once_per_grid_and_s(self):
+        rng = np.random.default_rng(12)
+        g = make_grid(2, 8)
+        a, b = (state_from_samples(g, rng.normal(size=(2,) + g.shape)) for _ in range(2))
+        norms = [sobolev_norm(a, s) for s in (0, 1, 2.5)]
+        kept = dict(g.hs_weights)
+        assert sorted(kept) == [0, 1, 2.5]
+        # a later call on the grid reuses the kept weight of its own s, bit for bit
+        assert [sobolev_norm(a, s) for s in (2.5, 1, 0)] == norms[::-1]
+        assert all(g.hs_weights[s] is kept[s] for s in kept)
+        fresh = make_grid(2, 8)
+        assert sobolev_norm(b, 1) == sobolev_norm(StateField(fresh, b.half), 1)
 
     def test_parseval(self):
         rng = np.random.default_rng(9)
