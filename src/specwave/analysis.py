@@ -41,18 +41,16 @@ __all__ = [
 ]
 
 
-def relative_error(u: StateField, ref: StateField, s: float, ref_norm: float | None = None) -> float:
+def relative_error(u: StateField, ref: StateField, s: float) -> float:
     """Relative H^s gap to a reference on a finer (or equal) grid.
 
     The coarse state is zero-padded onto the reference mode set and the
-    norms are taken directly on the Fourier coefficients.  ref_norm, when
-    given, is the reference's H^s norm, so that a caller comparing many
-    states with one reference computes it once.
+    norms are taken directly on the Fourier coefficients.
     """
     if ref.grid.M < u.grid.M:
         raise ValueError("reference grid must be at least as fine as the candidate")
     padded = embed(u, ref.grid)
-    denom = sobolev_norm(ref, s) if ref_norm is None else ref_norm
+    denom = sobolev_norm(ref, s)
     if denom == 0.0:
         raise ValueError("reference state has zero norm")
     return sobolev_norm(padded - ref, s) / denom
@@ -245,14 +243,13 @@ def convergence_study(
     else:
         outcomes = [_run_case(c) for c in cases]
 
-    ref_norms = {s: sobolev_norm(ref, s) for s in s_norms}
     rows = []
     for M, kind, status, half in outcomes:
         row = ConvergenceRow(M=M, scheme=kind, status=status)
         if half is not None:
             state = StateField(make_grid(sys.d, M), half)
             for s in s_norms:
-                row.errors[s] = relative_error(state, ref, s, ref_norms[s])
+                row.errors[s] = relative_error(state, ref, s)
         rows.append(row)
 
     # EOC pairs successive resolutions within one scheme

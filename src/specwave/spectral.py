@@ -75,8 +75,7 @@ class Grid:
     and the dealiasing cutoff dealias_N with its sharp mask dealias_mask are
     precomputed once.  half_multiplicity counts how often each last-axis
     column of the half occurs in the full spectrum: once for columns 0 and
-    M, twice (as k and -k) for the others.  hs_weights holds, by s, each
-    H^s weight on the half spectrum that sobolev_norm has built on this grid.
+    M, twice (as k and -k) for the others.
     """
 
     d: int
@@ -125,7 +124,6 @@ class Grid:
         object.__setattr__(self, "half_phase", half_phase)
         object.__setattr__(self, "half_phase_conj", np.conj(half_phase))
         object.__setattr__(self, "half_multiplicity", np.r_[1.0, np.full(self.M - 1, 2.0), 1.0])
-        object.__setattr__(self, "hs_weights", {})
         object.__setattr__(self, "dealias_N", n_dealias)
         object.__setattr__(self, "cell_volume", (2.0 * np.pi / two_m) ** self.d)
         object.__setattr__(self, "dealias_mask", filter_multiplier(FilterSpec("sharp", n_dealias), self))
@@ -296,18 +294,14 @@ def sobolev_norm(x: StateField, s: float) -> float:
     Computed from the coefficients as
     ((2pi)^d * sum_k (1+|k|^2)^s sum_components |c_k|^2)^(1/2), summed over
     the half spectrum with each column weighted by its multiplicity in the
-    full one (Parseval for real fields).  The weight is built once per grid
-    and s, and kept in grid.hs_weights.
+    full one (Parseval for real fields).
     """
     if s < 0:
         raise ValueError(f"regularity index must be >= 0, got {s}")
     grid = x.grid
-    w = grid.hs_weights.get(s)
-    if w is None:
-        w = grid.half_multiplicity
-        if s != 0:
-            w = w * (1.0 + grid.k_sq[..., : grid.M + 1]) ** s
-        grid.hs_weights[s] = w
+    w = grid.half_multiplicity
+    if s != 0:
+        w = w * (1.0 + grid.k_sq[..., : grid.M + 1]) ** s
     h = x.half
     total = np.sum(w * (h.real**2 + h.imag**2))
     return float(np.sqrt(total * (2.0 * np.pi) ** grid.d))

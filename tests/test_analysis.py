@@ -72,15 +72,6 @@ class TestRelativeError:
         norm_ratio = sobolev_norm(ref, 0) / sobolev_norm(ref, 1)
         assert np.isclose(r1 / r0, w * norm_ratio, rtol=1e-12)
 
-    def test_given_reference_norm_gives_the_same_bits(self):
-        rng = np.random.default_rng(13)
-        ref = state_from_samples(make_grid(2, 16), rng.normal(size=(3, 32, 32)))
-        cand = state_from_samples(make_grid(2, 8), rng.normal(size=(3, 16, 16)))
-        for s in (0, 1, 1.5):
-            assert relative_error(cand, ref, s, sobolev_norm(ref, s)) == relative_error(cand, ref, s)
-        with pytest.raises(ValueError):
-            relative_error(cand, ref, 0, 0.0)
-
     def test_coarser_reference_rejected(self):
         fine = from_function(make_grid(1, 64), np.sin)
         coarse = from_function(make_grid(1, 32), np.sin)

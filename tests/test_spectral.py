@@ -124,7 +124,11 @@ class TestTransforms:
     @pytest.mark.parametrize("n", [1, 3])
     def test_2d_transforms_match_scipy_fft_bit_for_bit(self, n, m):
         # 2D grids call numpy.fft.rfftn (into a preallocated output) and irfftn;
-        # scipy.fft, which they replaced, gives the same bits
+        # scipy.fft, which they replaced, gives the same bits.  Both wrap a
+        # pocketfft of their own; the identity was established on numpy 2.4.6
+        # with scipy 1.17.1, so a red test after an upgrade of either means the
+        # two builds diverged, and the outputs are then no longer those of the
+        # scipy-based program
         g = make_grid(2, m)
         rng = np.random.default_rng(10 * m + n)
         vals = rng.normal(size=(n,) + g.shape)
@@ -309,19 +313,6 @@ class TestNorms:
         st = from_function(g, np.sin)
         with pytest.raises(ValueError):
             sobolev_norm(st, -1)
-
-    def test_weight_built_once_per_grid_and_s(self):
-        rng = np.random.default_rng(12)
-        g = make_grid(2, 8)
-        a, b = (state_from_samples(g, rng.normal(size=(2,) + g.shape)) for _ in range(2))
-        norms = [sobolev_norm(a, s) for s in (0, 1, 2.5)]
-        kept = dict(g.hs_weights)
-        assert sorted(kept) == [0, 1, 2.5]
-        # a later call on the grid reuses the kept weight of its own s, bit for bit
-        assert [sobolev_norm(a, s) for s in (2.5, 1, 0)] == norms[::-1]
-        assert all(g.hs_weights[s] is kept[s] for s in kept)
-        fresh = make_grid(2, 8)
-        assert sobolev_norm(b, 1) == sobolev_norm(StateField(fresh, b.half), 1)
 
     def test_parseval(self):
         rng = np.random.default_rng(9)
