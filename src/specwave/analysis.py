@@ -67,31 +67,24 @@ def eoc(error_coarse: float, error_fine: float) -> float | None:
 # Energy symmetrizer
 
 
-def energy_symmetrizer(sys: SystemDef, variant: str) -> PolyMatrix:
-    """Resolve the symmetrizer backing an energy functional variant (the
-    functional itself lives in tests/oracles.py: only tests evaluate it).
+def energy_symmetrizer(sys: SystemDef) -> PolyMatrix:
+    """The standard symmetrizer of the energy functional (the functional itself
+    lives in tests/oracles.py: only tests evaluate it).
 
-    'hamiltonian' needs the factorized structure, and uses the registered S.
-    'standard' uses S when the system has no factorization; otherwise the
-    diagonal part of S, when it symmetrizes every A_j on its own (for the 1D
-    shallow-water system, diag(1, 1+eta)).
+    S when the system has no factorization; otherwise the diagonal part of S,
+    when it symmetrizes every A_j on its own (for the 1D shallow-water system,
+    diag(1, 1+eta)).
     """
     if sys.S is None:
         raise ValueError(f"system {sys.name!r} has no symmetrizer")
-    if variant == "hamiltonian":
-        if sys.SJ0 is None:
-            raise ValueError(f"system {sys.name!r} has no factorized (Hamiltonian) symmetrizer")
+    if sys.SJ0 is None:
         return sys.S
-    if variant == "standard":
-        if sys.SJ0 is None:
-            return sys.S
-        rows = [[p if i == j else Poly.zero(sys.n) for j, p in enumerate(row)]
-                for i, row in enumerate(sys.S.entries)]
-        diag = PolyMatrix.build(sys.n, rows)
-        if all((diag @ Aj).is_symmetric() for Aj in sys.A):
-            return diag
-        raise ValueError(f"system {sys.name!r} has no standard symmetrizer")
-    raise ValueError(f"variant must be 'standard' or 'hamiltonian', got {variant!r}")
+    rows = [[p if i == j else Poly.zero(sys.n) for j, p in enumerate(row)]
+            for i, row in enumerate(sys.S.entries)]
+    diag = PolyMatrix.build(sys.n, rows)
+    if all((diag @ Aj).is_symmetric() for Aj in sys.A):
+        return diag
+    raise ValueError(f"system {sys.name!r} has no standard symmetrizer")
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +102,7 @@ def jn_probe(sys: SystemDef, U: StateField, V: StateField, N: int) -> float:
     grid = U.grid
     if V.grid != grid:
         raise ValueError("probe states must share one grid")
-    S = energy_symmetrizer(sys, "standard")
+    S = energy_symmetrizer(sys)
     p = max(max_mode_support(U), 1)
     if 2 * grid.M < 3 * (N + p):
         raise ValueError(
@@ -130,11 +123,9 @@ def _matvec_exact(P: PolyMatrix, coeff_state: StateField, vec: StateField) -> St
     return StateField(grid, collocated_half(grid, to_samples(coeff_state), [to_samples(vec)], *entry_terms([P])))
 
 
-def jn_counterexample_states(N: int, p: int, q: int) -> tuple[StateField, StateField, int]:
-    """Single-mode data for the probe: U = (-cos(px)/2, sin(px)), V = (0, sin((N-q)x)).
-
-    Returns the states on a working grid fine enough for exact products,
-    together with the grid half-resolution used.
+def jn_counterexample_states(N: int, p: int, q: int) -> tuple[StateField, StateField]:
+    """Single-mode data for the probe: U = (-cos(px)/2, sin(px)), V = (0, sin((N-q)x)),
+    on a working grid fine enough for exact products.
     """
     if not 0 <= q < p:
         raise ValueError(f"need 0 <= q < p, got q={q}, p={p}")
@@ -145,7 +136,7 @@ def jn_counterexample_states(N: int, p: int, q: int) -> tuple[StateField, StateF
     x = grid.mesh[0]
     U = state_from_samples(grid, np.stack([-0.5 * np.cos(p * x), np.sin(p * x)]))
     V = state_from_samples(grid, np.stack([np.zeros_like(x), np.sin((N - q) * x)]))
-    return U, V, m_work
+    return U, V
 
 
 def jn_study(sys: SystemDef, N_list: list[int], p: int = 1, q: int = 0) -> dict:
@@ -154,7 +145,7 @@ def jn_study(sys: SystemDef, N_list: list[int], p: int = 1, q: int = 0) -> dict:
         raise ValueError("N_list must be strictly ascending")
     values = []
     for N in N_list:
-        U, V, _ = jn_counterexample_states(N, p, q)
+        U, V = jn_counterexample_states(N, p, q)
         values.append(jn_probe(sys, U, V, N))
     slope = None
     if len(N_list) >= 2:

@@ -28,7 +28,7 @@ samples after first use.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -70,12 +70,15 @@ class Grid:
 
     Collocation points are x_n = -pi + pi*n/M for n = 1..2M (the grid
     excludes -pi and includes +pi); the represented mode set is
-    {-M+1, ..., M}^d.  Derived arrays (meshes, wavenumber grids, the phase
-    factors, derivative multipliers and multiplicities on the half spectrum)
-    and the dealiasing cutoff dealias_N with its sharp mask dealias_mask are
-    precomputed once.  half_multiplicity counts how often each last-axis
-    column of the half occurs in the full spectrum: once for columns 0 and
-    M, twice (as k and -k) for the others.
+    {-M+1, ..., M}^d.  Derived arrays are precomputed once: mesh (the full
+    collocation coordinates) and the wavenumber arrays, which live on the
+    half spectrum (shape (2M,)*(d-1) + (M+1,)) or broadcast to it: kmesh is
+    one vector per axis (the leading axes all 2M modes in FFT order, the
+    last axis modes 0..M), and k_inf, k_sq, diff_mult, the phase factors,
+    the multiplicities and the sharp mask dealias_mask (at the cutoff
+    dealias_N) derive from it.  half_multiplicity counts how often each
+    last-axis column of the half occurs in the full spectrum: once for
+    columns 0 and M, twice (as k and -k) for the others.
     """
 
     d: int
@@ -90,8 +93,9 @@ class Grid:
         axis_points = -np.pi + np.pi * np.arange(1, two_m + 1) / self.M
         modes = _mode_values(two_m)
         mesh = np.meshgrid(*([axis_points] * self.d), indexing="ij")
-        kmesh = np.meshgrid(*([modes.astype(np.float64)] * self.d), indexing="ij")
-        k_inf = np.maximum.reduce([np.abs(km) for km in kmesh])
+        k = modes.astype(np.float64)
+        kmesh = np.meshgrid(*[k] * (self.d - 1), k[: self.M + 1], indexing="ij", sparse=True)
+        k_inf = reduce(np.maximum, [np.abs(km) for km in kmesh])
         k_sq = sum(km**2 for km in kmesh)
         # Phase factor translating FFT output on the shifted grid into true
         # Fourier coefficients: c_k = FFT(y)_k / (2M)^d * exp(-i k . x_1).
@@ -101,13 +105,8 @@ class Grid:
         half_phase = axis_phase[: self.M + 1].copy()
         for _ in range(self.d - 1):
             half_phase = np.multiply.outer(axis_phase, half_phase)
-        diff_mult = []
-        for a in range(self.d):
-            dk = 1j * modes.astype(np.float64)
-            dk[self.M] = 0.0  # Nyquist plane carries no data; avoid ik*M artifact
-            shape = [1] * self.d
-            shape[a] = two_m
-            diff_mult.append(dk.reshape(shape)[..., : self.M + 1])
+        # The Nyquist plane carries no data; zero it to avoid an ik*M artifact.
+        diff_mult = [1j * np.where(km == self.M, 0.0, km) for km in kmesh]
         # Orszag two-thirds cutoff; when 3 | 2M the floor would let the top
         # product mode fold exactly onto the retained edge, so step back one.
         n_dealias = (two_m - 1) // 3 if two_m % 3 == 0 else two_m // 3
@@ -196,6 +195,7 @@ def samples_to_half(grid: Grid, samples: np.ndarray) -> np.ndarray:
     """Half-spectrum coefficients of real samples (the one forward transform).
 
     No finiteness check: non-finite samples give non-finite coefficients.
+    One rfftn call for both d: same bits, slower 1D (8 -> 14 us at M=64, 27 -> 32 us at M=1024).
     """
     if grid.d == 1:
         return np.fft.rfft(samples, norm="forward") * grid.half_phase
@@ -266,12 +266,11 @@ def filter_multiplier(spec: FilterSpec, grid: Grid) -> np.ndarray:
     """Multiplier array of the filter on the grid's half spectrum."""
     if spec.N > grid.M:
         raise ValueError(f"filter cutoff N={spec.N} exceeds resolved modes M={grid.M}")
-    half = (..., slice(grid.M + 1))
     if spec.kind == "sharp":
-        return (grid.k_inf[half] <= spec.N).astype(np.float64)
+        return (grid.k_inf <= spec.N).astype(np.float64)
     mult = 1.0
     for km in grid.kmesh:
-        mult = mult * smooth_ramp(km[half] / spec.N)
+        mult = mult * smooth_ramp(km / spec.N)
     return mult
 
 
@@ -301,7 +300,7 @@ def sobolev_norm(x: StateField, s: float) -> float:
     grid = x.grid
     w = grid.half_multiplicity
     if s != 0:
-        w = w * (1.0 + grid.k_sq[..., : grid.M + 1]) ** s
+        w = w * (1.0 + grid.k_sq) ** s
     h = x.half
     total = np.sum(w * (h.real**2 + h.imag**2))
     return float(np.sqrt(total * (2.0 * np.pi) ** grid.d))
@@ -326,7 +325,7 @@ def max_mode_support(x: StateField) -> int:
     """Largest max_j|k_j| carrying a coefficient above 1e-13 of the largest."""
     mag = np.abs(x.half).max(axis=0)
     active = mag > 1e-13 * mag.max()  # none for a zero state
-    return int(np.max(x.grid.k_inf[..., : x.grid.M + 1][active], initial=0))
+    return int(np.max(x.grid.k_inf[active], initial=0))
 
 
 def coefficients_at(x: StateField, ks) -> np.ndarray:
@@ -360,7 +359,7 @@ def embed(x: StateField, fine: Grid) -> StateField:
     # A mode with a component at the coarse Nyquist +M stands for +M and -M
     # together; on the fine grid these are distinct, so split it evenly.
     block = x.half.copy()
-    block[:, grid.k_inf[..., : m + 1] == m] *= 0.5
+    block[:, grid.k_inf == m] *= 0.5
     tgt = np.zeros((x.n,) + fine.shape[:-1] + (fine.M + 1,), dtype=np.complex128)
     tgt[(slice(None), *[np.mod(grid.modes, fine.two_m)] * (grid.d - 1), slice(m + 1))] = block
     if grid.d == 2:  # row -M: mirrors conj(0.5 c_(M,-k2)), k2 = 0..M-1, with c_(M,-k2) = conj(stored) for k2 > 0

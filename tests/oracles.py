@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.fft
@@ -42,17 +42,31 @@ def from_function(grid: Grid, f: Callable[..., np.ndarray]) -> StateField:
     return state_from_samples(grid, np.broadcast_to(values, grid.shape)[None])
 
 
+class FullWavenumbers(NamedTuple):
+    kmesh: tuple[np.ndarray, ...]
+    k_inf: np.ndarray
+    k_sq: np.ndarray
+
+
+def full_wavenumbers(grid: Grid) -> FullWavenumbers:
+    """Wavenumber meshes of the full spectrum in FFT order, shape grid.shape:
+    one dense mesh per axis, max_j |k_j| and |k|^2 (the Grid keeps only the half)."""
+    k = grid.modes.astype(np.float64)
+    kmesh = tuple(np.meshgrid(*[k] * grid.d, indexing="ij"))
+    return FullWavenumbers(kmesh, np.maximum.reduce([np.abs(km) for km in kmesh]), sum(km**2 for km in kmesh))
+
+
 def apply_lambda(x: StateField, s: float):
     """Apply the Bessel multiplier (1 + |k|^2)^(s/2)."""
-    grid = x.grid
-    return replace(x, half=x.half * (1.0 + grid.k_sq[..., : grid.M + 1]) ** (s / 2.0))
+    k_sq = full_wavenumbers(x.grid).k_sq
+    return replace(x, half=x.half * (1.0 + k_sq[..., : x.grid.M + 1]) ** (s / 2.0))
 
 
 def sobolev_norm_full(x: StateField, s: float) -> float:
     """H^s norm summed over the full spectrum StateField.coeffs:
     ((2pi)^d * sum_k (1+|k|^2)^s sum_components |c_k|^2)^(1/2)."""
     grid = x.grid
-    w = (1.0 + grid.k_sq) ** s if s != 0 else 1.0
+    w = (1.0 + full_wavenumbers(grid).k_sq) ** s if s != 0 else 1.0
     total = np.sum(w * np.abs(x.coeffs) ** 2)
     return float(np.sqrt(total * (2.0 * np.pi) ** grid.d))
 
@@ -82,8 +96,9 @@ def embed_full(x: StateField, fine: Grid) -> StateField:
     tgt[np.ix_(np.arange(x.n), *[idx] * grid.d)] = x.coeffs
     # A mode with a component at the coarse Nyquist +M stands for +M and -M
     # together; on the fine grid these are distinct, so split it evenly.
-    nyq = grid.k_inf == grid.M
-    k = [km[nyq].astype(np.int64) for km in grid.kmesh]
+    kmesh, k_inf, _ = full_wavenumbers(grid)
+    nyq = k_inf == grid.M
+    k = [km[nyq].astype(np.int64) for km in kmesh]
     split = 0.5 * x.coeffs[:, nyq]
     tgt[(slice(None), *[np.mod(ka, fine.two_m) for ka in k])] = split
     tgt[(slice(None), *[np.mod(-ka, fine.two_m) for ka in k])] = np.conj(split)
@@ -101,10 +116,19 @@ def filter_symbol(spec: FilterSpec, k: Sequence[float]) -> float:
 def energy_functional(sys: SystemDef, state: StateField, s: float, variant: str = "standard") -> float:
     """Quadratic form of the symmetrizer applied to the Bessel-smoothed state.
 
-    Products are dealiased pairwise so the collocation quadrature is exact
-    for the trigonometric polynomials involved.
+    'standard' uses analysis.energy_symmetrizer; 'hamiltonian' needs the
+    factorized structure, and uses the registered S.  Products are dealiased
+    pairwise so the collocation quadrature is exact for the trigonometric
+    polynomials involved.
     """
-    S = energy_symmetrizer(sys, variant)
+    if variant == "standard":
+        S = energy_symmetrizer(sys)
+    elif variant == "hamiltonian":
+        if sys.S is None or sys.SJ0 is None:
+            raise ValueError(f"system {sys.name!r} has no factorized (Hamiltonian) symmetrizer")
+        S = sys.S
+    else:
+        raise ValueError(f"variant must be 'standard' or 'hamiltonian', got {variant!r}")
     grid = state.grid
     n = state.n
     v = apply_lambda(state, s)

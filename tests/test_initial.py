@@ -6,7 +6,7 @@ import pytest
 from specwave.initial import INITIAL_NAMES, build_initial
 from specwave.spectral import make_grid, sobolev_norm, to_samples
 
-from oracles import from_coeffs
+from oracles import from_coeffs, full_wavenumbers
 
 
 def test_catalog_names():
@@ -88,7 +88,7 @@ def test_init1_projection_slope():
     for s_norm, slope_expected in [(0.0, -2.0), (1.0, -1.0)]:
         errs = []
         for n in ns:
-            tail = st.coeffs * (np.abs(g.kmesh[0]) > n)
+            tail = st.coeffs * (np.abs(full_wavenumbers(g).kmesh[0]) > n)
             errs.append(
                 sobolev_norm(from_coeffs(g, tail), s_norm) / sobolev_norm(st, s_norm)
             )

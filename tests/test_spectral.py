@@ -34,6 +34,7 @@ from oracles import (
     filter_symbol,
     from_coeffs,
     from_function,
+    full_wavenumbers,
     l2_inner_full,
     naive_dft,
     naive_inverse,
@@ -74,6 +75,36 @@ class TestGrid:
         assert make_grid(1, 8).dealias_N == 5
         # 3 | 2M: cutoff steps back one so quadratic products stay exact
         assert make_grid(1, 12).dealias_N == 7
+
+    @pytest.mark.parametrize("d, m", [(1, 8), (1, 1024), (2, 5), (2, 8), (2, 128)])
+    def test_wavenumber_arrays_live_on_the_half_spectrum(self, d, m):
+        g = make_grid(d, m)
+        half = (2 * m,) * (d - 1) + (m + 1,)
+        assert len(g.kmesh) == len(g.diff_mult) == d
+        arrays = {"k_inf": g.k_inf, "k_sq": g.k_sq, "dealias_mask": g.dealias_mask,
+                  "half_phase": g.half_phase, "half_multiplicity": g.half_multiplicity}
+        arrays.update({f"kmesh[{a}]": km for a, km in enumerate(g.kmesh)})
+        arrays.update({f"diff_mult[{a}]": dk for a, dk in enumerate(g.diff_mult)})
+        for name, arr in arrays.items():
+            assert np.broadcast_shapes(arr.shape, half) == half, name
+            assert arr.size <= np.prod(half), name
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("m", [4, 5, 8, 128])
+    def test_diff_mult_matches_per_axis_construction(self, d, m):
+        g = make_grid(d, m)
+        modes = np.r_[0 : m + 1, -m + 1 : 0]  # FFT order, Nyquist slot as +M
+        for a in range(d):
+            dk = 1j * modes.astype(np.float64)
+            dk[m] = 0.0
+            shape = [1] * d
+            shape[a] = 2 * m
+            expected = dk.reshape(shape)[..., : m + 1]
+            got = g.diff_mult[a]
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got.real), np.signbit(expected.real))
+            assert np.array_equal(np.signbit(got.imag), np.signbit(expected.imag))
 
 
 class TestTransforms:
@@ -428,7 +459,7 @@ class TestProjectionDecay:
         for r in (0.0, 1.0):
             ratios = []
             for n in ns:
-                tail = st.coeffs * (np.abs(g.kmesh[0]) > n)
+                tail = st.coeffs * (np.abs(full_wavenumbers(g).kmesh[0]) > n)
                 e = sobolev_norm(from_coeffs(g, tail), r) / sobolev_norm(st, s)
                 ratios.append(e * n ** (s - r))
             # compensated error varies by less than a factor 3 over the range
@@ -530,7 +561,7 @@ class TestHelpers:
         for _ in range(5):
             c = rng.normal(size=(2,) + g.shape) + 1j * rng.normal(size=(2,) + g.shape)
             st = from_coeffs(g, hermitian_symmetrize(c, d))
-            assert np.all(st.coeffs[:, g.k_inf == g.M] != 0.0)
+            assert np.all(st.coeffs[:, full_wavenumbers(g).k_inf == g.M] != 0.0)
             assert np.array_equal(embed(st, fine).coeffs, former_embed(st, fine))
 
     @pytest.mark.parametrize("d, m", [(1, 8), (1, 5), (2, 6), (2, 4)])
@@ -539,7 +570,7 @@ class TestHelpers:
         g = make_grid(d, m)
         rng = np.random.default_rng(70 + 10 * d + m)
         st = state_from_samples(g, rng.normal(size=(3,) + g.shape))
-        assert np.all(st.half[:, g.k_inf[..., : m + 1] == m] != 0.0)
+        assert np.all(st.half[:, full_wavenumbers(g).k_inf[..., : m + 1] == m] != 0.0)
         for fine_m in (m, 2 * m, 4 * m):
             fine = make_grid(d, fine_m)
             assert np.array_equal(embed(st, fine).half, embed_full(st, fine).half)
