@@ -103,6 +103,9 @@ def jn_probe(sys: SystemDef, U: StateField, V: StateField, N: int) -> float:
     if V.grid != grid:
         raise ValueError("probe states must share one grid")
     S = energy_symmetrizer(sys)
+    for st in (U, V):
+        if st.grid.d != sys.d or st.n != sys.n:
+            raise ValueError(f"probe state has d={st.grid.d}, n={st.n}; system {sys.name!r} has d={sys.d}, n={sys.n}")
     p = max(max_mode_support(U), 1)
     if 2 * grid.M < 3 * (N + p):
         raise ValueError(

@@ -24,8 +24,8 @@ from .semidisc import SCHEME_KINDS, SchemeSpec
 from .spectral import StateField, coefficients_at, dealias, linf, make_grid, sobolev_norm, to_samples
 from .sysio import SystemFormatError, parse_system
 from .systems import (
-    BUILTIN_SYSTEMS,
     SystemDef,
+    builtin_names,
     builtin_system,
     check_compatibility_AS,
     check_factorization,
@@ -112,11 +112,11 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 
 def _resolve_system(name_or_path: str) -> SystemDef:
-    if name_or_path in BUILTIN_SYSTEMS:
+    if name_or_path in builtin_names():
         return builtin_system(name_or_path)
     if os.path.exists(name_or_path):
         return parse_system(name_or_path)
-    known = ", ".join(sorted(BUILTIN_SYSTEMS))
+    known = ", ".join(builtin_names())
     raise ConfigError(f"{name_or_path!r} is neither a built-in system ({known}) nor a file")
 
 

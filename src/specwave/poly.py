@@ -48,12 +48,6 @@ class Poly:
     def const(cls, nvars: int, c: float) -> "Poly":
         return cls.from_terms(nvars, {(0,) * nvars: c})
 
-    @classmethod
-    def var(cls, nvars: int, i: int) -> "Poly":
-        expo = [0] * nvars
-        expo[i] = 1
-        return cls.from_terms(nvars, {tuple(expo): 1.0})
-
     def degree(self) -> int:
         return max((sum(e) for e, _ in self.terms), default=0)
 
@@ -82,9 +76,6 @@ class Poly:
             for e2, c2 in other.terms:
                 out.append((tuple(a + b for a, b in zip(e1, e2)), c1 * c2))
         return Poly.from_terms(self.nvars, out)
-
-    def equals(self, other: "Poly") -> bool:
-        return (self - other).is_zero()
 
     def diff(self, i: int) -> "Poly":
         """Partial derivative with respect to variable i."""
@@ -125,11 +116,6 @@ class PolyMatrix:
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"expected {n}x{n} entries")
         return cls(n, tuple(tuple(r) for r in rows))
-
-    @classmethod
-    def zero(cls, n: int, nvars: int) -> "PolyMatrix":
-        z = Poly.zero(nvars)
-        return cls(n, tuple(tuple(z for _ in range(n)) for _ in range(n)))
 
     @classmethod
     def from_constant(cls, mat: np.ndarray, nvars: int) -> "PolyMatrix":

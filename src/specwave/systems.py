@@ -7,15 +7,17 @@ hyperbolicity predicates that must stay positive.  Derived, not declared:
 the constant/varying split of each A_j, the energy density H with
 S = D^2 H when S is a Hessian (Godunov-Mock: such an S comes with the
 conserved density H), and from both the quadratic flux Q of the
-Hamiltonian form.  The three shallow-water variants are built here,
-with checks of their structure: polynomial identities are proved on
-coefficients, and only positive definiteness of S is sampled.
+Hamiltonian form.  The three shallow-water variants ship as definition
+files in sysdefs/, read with the one parser of that format (sysio).
+The checks of a system's structure prove polynomial identities on
+coefficients; only positive definiteness of S is sampled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from importlib.resources import files
 
 import numpy as np
 
@@ -25,11 +27,8 @@ from .spectral import StateField, to_samples
 __all__ = [
     "SystemDef",
     "CheckReport",
-    "saint_venant_1d",
-    "saint_venant_2d_standard",
-    "saint_venant_2d_hamiltonian",
+    "builtin_names",
     "builtin_system",
-    "BUILTIN_SYSTEMS",
     "check_symmetrizer",
     "check_compatibility_AS",
     "check_factorization",
@@ -100,100 +99,29 @@ def _energy_density(S: PolyMatrix) -> Poly | None:
 
 
 # ---------------------------------------------------------------------------
-# Built-in Saint-Venant systems
+# Built-in systems: the definition files sysdefs/NAME.txt shipped in this package
 
 
-def _sv_predicate_depth(nvars: int) -> Poly:
-    # 1 + eta
-    return Poly.const(nvars, 1.0) + Poly.var(nvars, 0)
+@cache
+def _builtin_texts() -> dict[str, str]:
+    """The text of every shipped definition file, by system name, in file-name order."""
+    entries = [e for e in files(__package__).joinpath("sysdefs").iterdir() if e.name.endswith(".txt")]
+    return {e.name.removesuffix(".txt"): e.read_text(encoding="utf-8") for e in sorted(entries, key=lambda e: e.name)}
 
 
-def _sv_predicate_strict(nvars: int) -> Poly:
-    # 1 + eta - |u|^2
-    p = _sv_predicate_depth(nvars)
-    for i in range(1, nvars):
-        p = p - Poly.var(nvars, i) * Poly.var(nvars, i)
-    return p
-
-
-def saint_venant_1d() -> SystemDef:
-    """1D shallow water: A(U) = [[u, 1+eta], [1, u]] with U = (eta, u).
-
-    Carries the energy symmetrizer S = [[1, u], [u, 1+eta]] together with
-    the constant factor SJ0 = [[0, 1], [1, 0]] realizing A = SJ0 S(U); both
-    hyperbolicity predicates (1+eta and 1+eta-u^2) are registered since
-    experiments are classified against both.
-    """
-    nv = 2
-    one, eta, u = Poly.const(nv, 1.0), Poly.var(nv, 0), Poly.var(nv, 1)
-    A = PolyMatrix.build(2, [[u, one + eta], [one, u]])
-    S = PolyMatrix.build(2, [[one, u], [u, one + eta]])
-    sj0 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return SystemDef(
-        name="saint-venant-1d",
-        d=1,
-        n=2,
-        A=(A,),
-        S=S,
-        SJ0=(sj0,),
-        predicates=(("U", _sv_predicate_depth(nv)), ("UH", _sv_predicate_strict(nv))),
-    )
-
-
-def saint_venant_2d_standard() -> SystemDef:
-    """2D shallow water with (u.grad)u advection; symmetrizer diag(1, 1+eta, 1+eta)."""
-    nv = 3
-    one = Poly.const(nv, 1.0)
-    zero = Poly.zero(nv)
-    eta, u, v = Poly.var(nv, 0), Poly.var(nv, 1), Poly.var(nv, 2)
-    A1 = PolyMatrix.build(3, [[u, one + eta, zero], [one, u, zero], [zero, zero, u]])
-    A2 = PolyMatrix.build(3, [[v, zero, one + eta], [zero, v, zero], [one, zero, v]])
-    S = PolyMatrix.build(3, [[one, zero, zero], [zero, one + eta, zero], [zero, zero, one + eta]])
-    return SystemDef(
-        name="saint-venant-2d-standard",
-        d=2,
-        n=3,
-        A=(A1, A2),
-        S=S,
-        predicates=(("U", _sv_predicate_depth(nv)),),
-    )
-
-
-def saint_venant_2d_hamiltonian() -> SystemDef:
-    """2D shallow water with grad(|u|^2)/2 advection; A_j = SJ0_j S(U)."""
-    nv = 3
-    one = Poly.const(nv, 1.0)
-    zero = Poly.zero(nv)
-    eta, u, v = Poly.var(nv, 0), Poly.var(nv, 1), Poly.var(nv, 2)
-    A1 = PolyMatrix.build(3, [[u, one + eta, zero], [one, u, v], [zero, zero, zero]])
-    A2 = PolyMatrix.build(3, [[v, zero, one + eta], [zero, zero, zero], [one, u, v]])
-    S = PolyMatrix.build(3, [[one, u, v], [u, one + eta, zero], [v, zero, one + eta]])
-    sj1 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    sj2 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    return SystemDef(
-        name="saint-venant-2d-hamiltonian",
-        d=2,
-        n=3,
-        A=(A1, A2),
-        S=S,
-        SJ0=(sj1, sj2),
-        predicates=(("UH", _sv_predicate_strict(nv)),),
-    )
-
-
-BUILTIN_SYSTEMS = {
-    "saint-venant-1d": saint_venant_1d,
-    "saint-venant-2d-standard": saint_venant_2d_standard,
-    "saint-venant-2d-hamiltonian": saint_venant_2d_hamiltonian,
-}
+def builtin_names() -> list[str]:
+    return list(_builtin_texts())
 
 
 def builtin_system(name: str) -> SystemDef:
+    from .sysio import parse_system_text  # imported here: sysio imports this module
+
     try:
-        return BUILTIN_SYSTEMS[name]()
+        text = _builtin_texts()[name]
     except KeyError:
-        known = ", ".join(sorted(BUILTIN_SYSTEMS))
+        known = ", ".join(builtin_names())
         raise ValueError(f"unknown system {name!r}; built-ins: {known}") from None
+    return parse_system_text(text)
 
 
 # ---------------------------------------------------------------------------

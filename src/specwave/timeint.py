@@ -140,8 +140,6 @@ def second_derivative_max(state: StateField) -> float:
 def _step_plan(T: float, dt: float) -> tuple[int, list[float]]:
     """Steps covering [0, T] exactly: the count of full dt steps and the
     final partial step, if any, as a list of at most one size."""
-    if T == 0.0:
-        return 0, []
     n_full = int(math.floor(T / dt + 1e-9))
     remainder = T - n_full * dt
     return n_full, [remainder] if remainder > 1e-9 * dt else []
@@ -164,6 +162,8 @@ def evolve(
     monitor_stride > 1 an unsampled state gets them from that stage, and
     keeps them through the step.
     """
+    if state0.n != sys.n:  # rhs's check, made before the t=0 monitors read the components
+        raise ValueError(f"state has {state0.n} components, system expects {sys.n}")
     plan = rhs_plan(scheme, sys, state0.grid)
     state = dealias(state0)
     n_full, partial = _step_plan(cfg.T, cfg.dt)

@@ -5,8 +5,9 @@ import pytest
 from specwave.initial import build_initial
 from specwave.semidisc import SchemeSpec
 from specwave.spectral import make_grid
-from specwave.systems import saint_venant_1d
 from specwave.timeint import EvolveConfig, evolve
+
+from oracles import saint_venant_1d
 
 
 @pytest.fixture(scope="session")

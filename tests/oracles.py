@@ -5,7 +5,9 @@ and share no code path with the package internals.  The helpers, unlike
 the oracles, go through the package's public API: they build states,
 evaluate a filter symbol and the energy functional, count transforms and
 compare two right-hand sides.  No command calls any of them, so they live
-here rather than in the package.
+here rather than in the package.  The reference builders of the three
+built-in systems, written in polynomial algebra, check the definition
+files the package ships and parses.
 """
 
 from __future__ import annotations
@@ -29,7 +31,106 @@ from specwave.spectral import (
     state_from_samples,
     to_samples,
 )
-from specwave.systems import SystemDef, saint_venant_2d_hamiltonian, saint_venant_2d_standard
+from specwave.poly import Poly, PolyMatrix
+from specwave.systems import SystemDef
+
+
+# ---------------------------------------------------------------------------
+# Reference builders of the built-in Saint-Venant systems, and the polynomial
+# helpers only tests call
+
+
+def poly_var(nvars: int, i: int) -> Poly:
+    expo = [0] * nvars
+    expo[i] = 1
+    return Poly.from_terms(nvars, {tuple(expo): 1.0})
+
+
+def poly_equals(a: Poly, b: Poly) -> bool:
+    return (a - b).is_zero()
+
+
+def zero_matrix(n: int, nvars: int) -> PolyMatrix:
+    z = Poly.zero(nvars)
+    return PolyMatrix(n, tuple(tuple(z for _ in range(n)) for _ in range(n)))
+
+
+def _sv_predicate_depth(nvars: int) -> Poly:
+    # 1 + eta
+    return Poly.const(nvars, 1.0) + poly_var(nvars, 0)
+
+
+def _sv_predicate_strict(nvars: int) -> Poly:
+    # 1 + eta - |u|^2
+    p = _sv_predicate_depth(nvars)
+    for i in range(1, nvars):
+        p = p - poly_var(nvars, i) * poly_var(nvars, i)
+    return p
+
+
+def saint_venant_1d() -> SystemDef:
+    """1D shallow water: A(U) = [[u, 1+eta], [1, u]] with U = (eta, u).
+
+    Carries the energy symmetrizer S = [[1, u], [u, 1+eta]] together with
+    the constant factor SJ0 = [[0, 1], [1, 0]] realizing A = SJ0 S(U); both
+    hyperbolicity predicates (1+eta and 1+eta-u^2) are registered since
+    experiments are classified against both.
+    """
+    nv = 2
+    one, eta, u = Poly.const(nv, 1.0), poly_var(nv, 0), poly_var(nv, 1)
+    A = PolyMatrix.build(2, [[u, one + eta], [one, u]])
+    S = PolyMatrix.build(2, [[one, u], [u, one + eta]])
+    sj0 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return SystemDef(
+        name="saint-venant-1d",
+        d=1,
+        n=2,
+        A=(A,),
+        S=S,
+        SJ0=(sj0,),
+        predicates=(("U", _sv_predicate_depth(nv)), ("UH", _sv_predicate_strict(nv))),
+    )
+
+
+def saint_venant_2d_standard() -> SystemDef:
+    """2D shallow water with (u.grad)u advection; symmetrizer diag(1, 1+eta, 1+eta)."""
+    nv = 3
+    one = Poly.const(nv, 1.0)
+    zero = Poly.zero(nv)
+    eta, u, v = poly_var(nv, 0), poly_var(nv, 1), poly_var(nv, 2)
+    A1 = PolyMatrix.build(3, [[u, one + eta, zero], [one, u, zero], [zero, zero, u]])
+    A2 = PolyMatrix.build(3, [[v, zero, one + eta], [zero, v, zero], [one, zero, v]])
+    S = PolyMatrix.build(3, [[one, zero, zero], [zero, one + eta, zero], [zero, zero, one + eta]])
+    return SystemDef(
+        name="saint-venant-2d-standard",
+        d=2,
+        n=3,
+        A=(A1, A2),
+        S=S,
+        predicates=(("U", _sv_predicate_depth(nv)),),
+    )
+
+
+def saint_venant_2d_hamiltonian() -> SystemDef:
+    """2D shallow water with grad(|u|^2)/2 advection; A_j = SJ0_j S(U)."""
+    nv = 3
+    one = Poly.const(nv, 1.0)
+    zero = Poly.zero(nv)
+    eta, u, v = poly_var(nv, 0), poly_var(nv, 1), poly_var(nv, 2)
+    A1 = PolyMatrix.build(3, [[u, one + eta, zero], [one, u, v], [zero, zero, zero]])
+    A2 = PolyMatrix.build(3, [[v, zero, one + eta], [zero, zero, zero], [one, u, v]])
+    S = PolyMatrix.build(3, [[one, u, v], [u, one + eta, zero], [v, zero, one + eta]])
+    sj1 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    sj2 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    return SystemDef(
+        name="saint-venant-2d-hamiltonian",
+        d=2,
+        n=3,
+        A=(A1, A2),
+        S=S,
+        SJ0=(sj1, sj2),
+        predicates=(("UH", _sv_predicate_strict(nv)),),
+    )
 
 
 def zero_state(grid: Grid, n: int) -> StateField:

@@ -27,14 +27,7 @@ from specwave.spectral import (
     state_from_samples,
     to_samples,
 )
-from specwave.systems import (
-    check_compatibility_AS,
-    check_factorization,
-    check_symmetrizer,
-    saint_venant_1d,
-    saint_venant_2d_hamiltonian,
-    saint_venant_2d_standard,
-)
+from specwave.systems import check_compatibility_AS, check_factorization, check_symmetrizer
 from specwave.timeint import EvolveConfig, evolve, monitor_csv, rk4_step, second_derivative_max
 
 from oracles import (
@@ -45,6 +38,9 @@ from oracles import (
     naive_inverse,
     phase_conj,
     random_band_limited,
+    saint_venant_1d,
+    saint_venant_2d_hamiltonian,
+    saint_venant_2d_standard,
     truncate_dict,
 )
 

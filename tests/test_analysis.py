@@ -25,7 +25,6 @@ from specwave.spectral import (
     state_from_samples,
     to_samples,
 )
-from specwave.systems import saint_venant_1d, saint_venant_2d_hamiltonian
 from specwave.timeint import EvolveConfig, second_derivative_max
 
 from oracles import (
@@ -37,6 +36,8 @@ from oracles import (
     from_function,
     full_wavenumbers,
     quadrature_inner,
+    saint_venant_1d,
+    saint_venant_2d_hamiltonian,
     sobolev_from_dict,
     truncate_dict,
 )

@@ -16,9 +16,8 @@ from specwave.cli import _build_config, _parser, main, parse_config_text
 from specwave.presets import CONFIG_KEYS, get_preset, preset_names
 from specwave.spectral import StateField
 from specwave.sysio import serialize_system
-from specwave.systems import saint_venant_1d
 
-from oracles import count_transforms
+from oracles import count_transforms, saint_venant_1d
 
 FLAG_SUBCOMMANDS = ("run", "converge", "probe-jn")
 
@@ -387,6 +386,19 @@ class TestBadSystemFile:
         err = capsys.readouterr().err
         assert err.startswith(f"error: line {line_no}:"), err
 
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    def test_component_count_mismatch_is_input_error(self, tmp_path, capsys, command):
+        # init1 has two components; the predicate reads the third at the t=0 sample
+        path = tmp_path / "three.txt"
+        path.write_text("name three\ndim 1\nsize 3\nA 1 1 1 (1 0 0) 1.0\nA 1 2 2 (0 1 0) 1.0\n"
+                        "A 1 3 3 (0 0 1) 1.0\npred W (0 0 0) 1.0 (0 0 1) 1.0\n")
+        grids = {"run": ["--M", "16"], "converge": ["--M-list", "8 16", "--M-ref", "32"]}
+        argv = [command, "--system", str(path), "--initial", "init1", *grids[command],
+                "--dt", "1e-3", "--T", "0.002", "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: state has 2 components, system expects 3\n"
+        assert not (tmp_path / "out").exists()
+
 
 # Built-in systems are not special: a renamed copy of the 1D system gives the
 # same outputs, and the energy column follows the symmetrizer, not the shape.
@@ -534,6 +546,15 @@ class TestProbeJn:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "N_list repeats 32" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_system_of_other_shape_is_input_error(self, tmp_path, capsys):
+        # the probe's states are 1D with two components
+        code = main(["probe-jn", "--system", "saint-venant-2d-standard", "--N-list", "32",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: probe state has d=1, n=2; system 'saint-venant-2d-standard' has d=2, n=3\n"
         assert not (tmp_path / "out").exists()
 
     def test_degenerate_offset_rejected(self, tmp_path):

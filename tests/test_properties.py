@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from specwave.semidisc import SCHEME_KINDS, SchemeSpec, rhs
 from specwave.spectral import dealias, make_grid, state_from_samples, to_samples
-from specwave.systems import saint_venant_1d, saint_venant_2d_hamiltonian, saint_venant_2d_standard
 
 from oracles import (
     coeffs_from_dict,
@@ -18,6 +17,9 @@ from oracles import (
     from_coeffs,
     full_wavenumbers,
     phase_conj,
+    saint_venant_1d,
+    saint_venant_2d_hamiltonian,
+    saint_venant_2d_standard,
     truncate_dict,
 )
 

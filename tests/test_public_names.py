@@ -5,6 +5,11 @@ __all__, and every public method of a package class, is used by the
 package or the benchmark scripts (a name only tests call belongs in
 tests/oracles.py), and no package module keeps an unused module-level
 import.
+
+The method check matches by attribute name alone: a method counts as used
+when any package or bench file reads an attribute of that name, on
+whatever class.  A test-only method named like a used one (a Poly.equals
+beside the used PolyMatrix.equals) passes unseen.
 """
 
 import ast

@@ -29,12 +29,7 @@ from specwave.spectral import (
     to_samples,
 )
 from specwave.sysio import parse_system_text
-from specwave.systems import (
-    SystemDef,
-    saint_venant_1d,
-    saint_venant_2d_hamiltonian,
-    saint_venant_2d_standard,
-)
+from specwave.systems import SystemDef
 from specwave.timeint import rk4_step
 
 from oracles import (
@@ -47,7 +42,11 @@ from oracles import (
     irrotational_equivalence_check,
     naive_inverse,
     phase_conj,
+    poly_var,
     random_band_limited,
+    saint_venant_1d,
+    saint_venant_2d_hamiltonian,
+    saint_venant_2d_standard,
     truncate_dict,
     zero_state,
 )
@@ -225,7 +224,7 @@ class TestRhsSchemes:
 
 def quartic_energy_system():
     """n=1 with S = 1 + u^2 and A = S: A = SJ0 S holds, but deg H = 4."""
-    one, u = Poly.const(1, 1.0), Poly.var(1, 0)
+    one, u = Poly.const(1, 1.0), poly_var(1, 0)
     S = PolyMatrix.build(1, [[one + u * u]])
     return SystemDef(name="quartic-energy", d=1, n=1, A=(S,), S=S, SJ0=(np.eye(1),))
 
@@ -234,7 +233,7 @@ def scalar_2d_system():
     """n=1, d=2 with S = 1 + u and SJ0 = (1, 0.5), A_j = SJ0_j S: the flux
     path with Q = u^2/2, where the one A0 entry and the one SJ0 entry act
     on both axes and one coefficient is not +-1."""
-    one, u = Poly.const(1, 1.0), Poly.var(1, 0)
+    one, u = Poly.const(1, 1.0), poly_var(1, 0)
     S = PolyMatrix.build(1, [[one + u]])
     SJ0 = (np.eye(1), 0.5 * np.eye(1))
     A = tuple(PolyMatrix.from_constant(sj, 1) @ S for sj in SJ0)
@@ -454,7 +453,7 @@ class TestHigherDegreeCoefficients:
         # entry u^2 with re-projection after each product, against the oracle
         g = make_grid(1, 12)
         n_cut = g.dealias_N
-        x = Poly.var(1, 0)
+        x = poly_var(1, 0)
         P = PolyMatrix.build(1, [[x * x]])
         rng = np.random.default_rng(7)
         spec = random_band_limited(rng, g.two_m, n_cut)
@@ -479,7 +478,7 @@ class TestEnergyCancellation:
         # advective pairing reduces to minus half the derivative-commutator
         # pairing: (P_N(A(U) dx U), U) = -1/2 ((dx A(U)) U, U).
         one = Poly.const(2, 1.0)
-        u = Poly.var(2, 1)
+        u = poly_var(2, 1)
         a = PolyMatrix.build(2, [[u, one], [one, u]])
         sysd = SystemDef(name="symmetric-test", d=1, n=2, A=(a,))
         rng = np.random.default_rng(8)

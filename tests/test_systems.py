@@ -15,20 +15,29 @@ from specwave.spectral import (
     to_samples,
 )
 from specwave.systems import (
+    builtin_names,
     builtin_system,
     check_compatibility_AS,
     check_factorization,
     check_symmetrizer,
     hamiltonian_energy,
-    saint_venant_1d,
-    saint_venant_2d_hamiltonian,
-    saint_venant_2d_standard,
     sample_hyperbolic_points,
 )
 from specwave.analysis import energy_symmetrizer
 from specwave.timeint import standard_monitors
 
-from oracles import from_coeffs, full_wavenumbers, hyperbolic_points_by_point, in_domain, quadrature_inner
+from oracles import (
+    from_coeffs,
+    full_wavenumbers,
+    hyperbolic_points_by_point,
+    in_domain,
+    poly_var,
+    quadrature_inner,
+    saint_venant_1d,
+    saint_venant_2d_hamiltonian,
+    saint_venant_2d_standard,
+    zero_matrix,
+)
 
 ALL_SYSTEMS = [saint_venant_1d, saint_venant_2d_standard, saint_venant_2d_hamiltonian]
 
@@ -43,7 +52,7 @@ class TestEvalMatrix:
         assert np.allclose(sv.A[0].eval([0.5, 0.2]), [[0.2, 1.5], [1.0, 0.2]])
 
     def test_zero_matrix(self):
-        z = PolyMatrix.zero(2, 2)
+        z = zero_matrix(2, 2)
         assert np.allclose(z.eval([3.0, -1.0]), np.zeros((2, 2)))
 
 
@@ -139,7 +148,7 @@ class TestStructuralChecks:
     def test_asymmetry_proved_without_samples(self):
         # S = [[1, x], [0, 1]] is not symmetric, and with A = [[0, 0], [x, 0]]
         # neither is S*A = [[x^2, 0], [x, 0]]
-        x = Poly.var(2, 0)
+        x = poly_var(2, 0)
         zero, one = Poly.zero(2), Poly.const(2, 1.0)
         s = PolyMatrix.build(2, [[one, x], [zero, one]])
         a = PolyMatrix.build(2, [[zero, zero], [x, zero]])
@@ -152,7 +161,7 @@ class TestStructuralChecks:
     def test_synthetic_asymmetric_system_fails_third_condition(self):
         # A = [[0, x], [x, 0]], S = diag(1+x, 1): A0 = 0 and A1 symmetric keep
         # the first two conditions, while S1*A1 = [[0, x^2], [0, 0]] is not
-        x = Poly.var(2, 0)
+        x = poly_var(2, 0)
         zero, one = Poly.zero(2), Poly.const(2, 1.0)
         a = PolyMatrix.build(2, [[zero, x], [x, zero]])
         s = PolyMatrix.build(2, [[one + x, zero], [zero, one]])
@@ -170,7 +179,7 @@ class TestStructuralChecks:
             name="zero",
             d=1,
             n=2,
-            A=(PolyMatrix.zero(2, 2),),
+            A=(zero_matrix(2, 2),),
             S=PolyMatrix.from_constant(np.eye(2), 2),
         )
         assert check_compatibility_AS(sysd).passed
@@ -185,7 +194,7 @@ class TestStructuralChecks:
     def test_missing_symmetrizer_rejected(self):
         from specwave.systems import SystemDef
 
-        sysd = SystemDef(name="bare", d=1, n=2, A=(PolyMatrix.zero(2, 2),))
+        sysd = SystemDef(name="bare", d=1, n=2, A=(zero_matrix(2, 2),))
         with pytest.raises(ValueError):
             check_symmetrizer(sysd)
 
@@ -307,10 +316,10 @@ class TestDerivedEnergyDensity:
     def test_shallow_water_density(self, factory):
         # H = (eta^2 + (1+eta)|u|^2) / 2, coefficient by coefficient
         sysd = factory()
-        eta = Poly.var(sysd.n, 0)
+        eta = poly_var(sysd.n, 0)
         speed2 = Poly.zero(sysd.n)
         for i in range(1, sysd.n):
-            speed2 = speed2 + Poly.var(sysd.n, i) * Poly.var(sysd.n, i)
+            speed2 = speed2 + poly_var(sysd.n, i) * poly_var(sysd.n, i)
         expected = 0.5 * (eta * eta + (Poly.const(sysd.n, 1.0) + eta) * speed2)
         assert sysd.H.terms == expected.terms
 
@@ -320,7 +329,7 @@ class TestDerivedEnergyDensity:
     def test_no_symmetrizer_no_density(self):
         from specwave.systems import SystemDef
 
-        assert SystemDef(name="bare", d=1, n=2, A=(PolyMatrix.zero(2, 2),)).H is None
+        assert SystemDef(name="bare", d=1, n=2, A=(zero_matrix(2, 2),)).H is None
 
 
 class TestDerivedFlux:
@@ -328,8 +337,8 @@ class TestDerivedFlux:
     def test_shallow_water_flux(self, factory):
         # Q = DH - S(0) U = (|u|^2 / 2, eta u_1, ..., eta u_{n-1}), coefficient by coefficient
         sysd = factory()
-        eta = Poly.var(sysd.n, 0)
-        vel = [Poly.var(sysd.n, i) for i in range(1, sysd.n)]
+        eta = poly_var(sysd.n, 0)
+        vel = [poly_var(sysd.n, i) for i in range(1, sysd.n)]
         speed2 = Poly.zero(sysd.n)
         for u in vel:
             speed2 = speed2 + u * u
@@ -347,7 +356,7 @@ class TestStandardSymmetrizer1D:
         assert np.allclose(s.eval([0.3, 0.7]), [[1.0, 0.0], [0.0, 1.3]])
 
     def test_same_entries_as_diag(self):
-        one, eta, zero = Poly.const(2, 1.0), Poly.var(2, 0), Poly.zero(2)
+        one, eta, zero = Poly.const(2, 1.0), poly_var(2, 0), Poly.zero(2)
         expected = PolyMatrix.build(2, [[one, zero], [zero, one + eta]])
         assert energy_symmetrizer(saint_venant_1d()) == expected
 
@@ -365,3 +374,25 @@ def test_builtin_lookup():
     assert builtin_system("saint-venant-1d").n == 2
     with pytest.raises(ValueError):
         builtin_system("no-such-system")
+
+
+@pytest.mark.parametrize("factory", ALL_SYSTEMS)
+def test_builtin_file_equals_reference_builder(factory):
+    expected = factory()
+    parsed = builtin_system(expected.name)
+    assert (parsed.name, parsed.d, parsed.n) == (expected.name, expected.d, expected.n)
+    assert parsed.A == expected.A
+    assert parsed.S == expected.S
+    assert parsed.predicates == expected.predicates
+    if expected.SJ0 is None:
+        assert parsed.SJ0 is None
+    else:
+        assert len(parsed.SJ0) == len(expected.SJ0)
+        for a, b in zip(parsed.SJ0, expected.SJ0):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
+
+
+def test_builtin_files_are_named_after_their_systems():
+    assert builtin_names() == sorted(f().name for f in ALL_SYSTEMS)
+    for name in builtin_names():
+        assert builtin_system(name).name == name

@@ -16,7 +16,6 @@ from specwave.spectral import (
     sobolev_norm,
     state_from_samples,
 )
-from specwave.systems import saint_venant_1d, saint_venant_2d_hamiltonian
 from specwave.timeint import (
     BlowUpError,
     EvolveConfig,
@@ -28,7 +27,15 @@ from specwave.timeint import (
     _step_plan,
 )
 
-from oracles import count_transforms, csv_cell, from_coeffs, from_function, zero_state
+from oracles import (
+    count_transforms,
+    csv_cell,
+    from_coeffs,
+    from_function,
+    saint_venant_1d,
+    saint_venant_2d_hamiltonian,
+    zero_state,
+)
 
 
 class TestRK4Step:
@@ -206,6 +213,15 @@ class TestEvolve:
         assert res.blowup_time is not None
         assert res.final_time == res.blowup_time  # the state that tripped the detector
         assert np.all(np.isfinite(res.final_state.coeffs))
+
+    def test_component_count_checked_before_first_sample(self, monkeypatch):
+        # the t=0 monitors evaluate the predicates on the state's components
+        sampled = []
+        monkeypatch.setattr(timeint, "standard_monitors", lambda sys: [("probe", sampled.append)])
+        g = make_grid(1, 16)
+        with pytest.raises(ValueError, match="^state has 3 components, system expects 2$"):
+            evolve(SchemeSpec("sharp"), saint_venant_1d(), zero_state(g, 3), EvolveConfig(dt=1e-3, T=0.01))
+        assert sampled == []
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_samples_end_as_blowup(self, monkeypatch, bad):
