@@ -237,11 +237,12 @@ def convergence_study(
     else:
         outcomes = [_run_case(c) for c in cases]
 
+    grids = {M: make_grid(sys.d, M) for M in M_list}  # _run_case builds its own: it may run in another process
     rows = []
     for M, kind, status, half in outcomes:
         row = ConvergenceRow(M=M, scheme=kind, status=status)
         if half is not None:
-            state = StateField(make_grid(sys.d, M), half)
+            state = StateField(grids[M], half)
             for s in s_norms:
                 row.errors[s] = relative_error(state, ref, s)
         rows.append(row)

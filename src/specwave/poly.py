@@ -89,19 +89,51 @@ class Poly:
         return float(self.eval_on(np.asarray(point, dtype=np.float64)[:, None])[0])
 
     def eval_on(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
-        """Evaluate pointwise on a stack of component sample arrays; each
-        monomial is formed in one scratch buffer and added to the output."""
-        out = np.zeros_like(arrays[0])
-        term = np.empty_like(out)
-        for e, c in self.terms:
-            term.fill(c)
-            for i, p in enumerate(e):
-                if p == 1:
-                    term *= arrays[i]
-                elif p > 1:
-                    term *= arrays[i] ** p
-            out += term
+        """Evaluate pointwise on a stack of component sample arrays.
+
+        Gives the bits of a sum of the monomials in term order that starts
+        from zeros, without the zeros: the first monomial is written into
+        the output, each later one is built in one scratch buffer and
+        added.  Such a sum never ends in -0.0, so 0.0 is added once at the
+        end when every monomial can be -0.0.
+        """
+        if not self.terms:
+            return np.zeros_like(arrays[0])
+        (e, c), *rest = self.terms
+        out = _monomial(e, c, arrays, np.empty_like(arrays[0]))
+        term = np.empty_like(out) if rest else None
+        for e, c in rest:
+            out += _monomial(e, c, arrays, term)
+        # a monomial can be -0.0 unless it is a constant or has only even
+        # powers and a positive coefficient
+        if all(any(e) and (c < 0.0 or any(p % 2 for p in e)) for e, c in self.terms):
+            out += 0.0
         return out
+
+
+def _monomial(e: tuple[int, ...], c: float, arrays: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """c * f_1 * f_2 * ... into out, f = arrays[i] ** p over the nonzero powers
+    p = e[i], multiplied left to right; a coefficient of exactly 1.0 is not
+    multiplied, since 1.0 * f is f."""
+    factors = [(arrays[i], p) for i, p in enumerate(e) if p]
+    if not factors:
+        out.fill(c)
+        return out
+    (a, p), *rest = factors
+    if p > 1:
+        np.square(a, out=out) if p == 2 else np.power(a, p, out=out)  # the bits of a ** p
+        if c != 1.0:
+            out *= c
+    elif c != 1.0:
+        np.multiply(a, c, out=out)
+    elif rest:
+        (b, q), *rest = rest
+        np.multiply(a, b if q == 1 else b**q, out=out)
+    else:
+        np.copyto(out, a)
+    for b, q in rest:
+        out *= b if q == 1 else b**q
+    return out
 
 
 @dataclass(frozen=True)

@@ -134,10 +134,20 @@ def _multiplier_table(grid: Grid, mats, m, shared: dict) -> tuple[tuple[int, int
 
 
 def _apply_table(table, half: np.ndarray) -> np.ndarray:
-    """Sum over the terms (i, c, mult) of mult * half[c] into row i."""
-    out = np.zeros_like(half)
+    """Sum over the terms (i, c, mult) of mult * half[c] into row i, in table
+    order; a row's first product is written, not added to zeros, and a row
+    with no term is zero."""
+    out = np.empty_like(half, order="C")
+    written = [False] * len(half)
     for i, c, mult in table:
-        out[i] += mult * half[c]
+        if written[i]:
+            out[i] += mult * half[c]
+        else:
+            np.multiply(mult, half[c], out=out[i])
+            written[i] = True
+    for i, w in enumerate(written):
+        if not w:
+            out[i] = 0.0
     return out
 
 
@@ -210,4 +220,13 @@ def rhs(
     else:
         du = [half_to_samples(grid, half * dk) for dk in grid.diff_mult]
         nl = plan.m_nl * collocated_half(grid, u, du, plan.polys, plan.terms)
-    return StateField(grid, -(_apply_table(plan.lin_terms, half) + nl))
+    out = _apply_table(plan.lin_terms, half)
+    out += nl
+    # -(lin + nl) with the bits of a table sum that starts from zeros: + 0.0
+    # makes every exact zero +0.0 whatever the signs of its products.  Both
+    # act on the real and imaginary parts as one float array, which gives
+    # the bits of the complex operations several times faster.
+    parts = out.view(np.float64)
+    np.add(parts, 0.0, out=parts)
+    np.negative(parts, out=parts)
+    return StateField(grid, out)

@@ -27,7 +27,7 @@ samples after first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -232,7 +232,7 @@ def differentiate(x: StateField, axis: int = 0):
     grid = x.grid
     if not 0 <= axis < grid.d:
         raise ValueError(f"axis {axis} out of range for d={grid.d}")
-    return replace(x, half=x.half * grid.diff_mult[axis])
+    return StateField(grid, x.half * grid.diff_mult[axis])
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +275,12 @@ def filter_multiplier(spec: FilterSpec, grid: Grid) -> np.ndarray:
 
 
 def apply_filter(x: StateField, spec: FilterSpec):
-    return replace(x, half=x.half * filter_multiplier(spec, x.grid))
+    return StateField(x.grid, x.half * filter_multiplier(spec, x.grid))
 
 
 def dealias(x: StateField):
     """Zero the top third of modes: the sharp filter at the grid's cutoff dealias_N."""
-    return replace(x, half=x.half * x.grid.dealias_mask)
+    return StateField(x.grid, x.half * x.grid.dealias_mask)
 
 
 # ---------------------------------------------------------------------------

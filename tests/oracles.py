@@ -55,6 +55,22 @@ def zero_matrix(n: int, nvars: int) -> PolyMatrix:
     return PolyMatrix(n, tuple(tuple(z for _ in range(n)) for _ in range(n)))
 
 
+def eval_on_zero_filled(poly: Poly, arrays) -> np.ndarray:
+    """Poly.eval_on as a plain sum from zeros: each monomial is a buffer filled
+    with its coefficient and multiplied by its factors, then added."""
+    out = np.zeros_like(arrays[0])
+    term = np.empty_like(out)
+    for e, c in poly.terms:
+        term.fill(c)
+        for i, p in enumerate(e):
+            if p == 1:
+                term *= arrays[i]
+            elif p > 1:
+                term *= arrays[i] ** p
+        out += term
+    return out
+
+
 def _sv_predicate_depth(nvars: int) -> Poly:
     # 1 + eta
     return Poly.const(nvars, 1.0) + poly_var(nvars, 0)

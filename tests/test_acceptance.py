@@ -8,6 +8,8 @@ docstring carries the measured band decomposition.
 """
 
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -98,21 +100,22 @@ def strict_hyperbolicity_runs():
     the Hamiltonian symmetrizer S(U) = D^2 H is indefinite (smallest
     eigenvalue -1.02).  Nothing bounds the sharp scheme's energy, so its
     instability grows algebraically, faster at higher N, instead of
-    blowing up.  The 2^7 pair costs about 13 s beside the 2^8 runs.
+    blowing up.  The five runs are independent and run in two worker
+    processes, started fresh (spawn) rather than forked from the test run.
     """
+    keys = [("hamiltonian", kind, 2 * M) for M in (128, 64) for kind in ("sharp", "smooth-nl")]
+    keys.insert(2, ("standard", "sharp", 256))  # the three 2M = 2^8 runs first
+    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return dict(zip(keys, pool.map(_strict_hyperbolicity_run, keys)))
+
+
+def _strict_hyperbolicity_run(key):
+    """One criterion 8 run, by its key; module level so that a worker process can run it."""
+    system, kind, two_m = key
     params = dict(h0=0.5, u_l=2, v_l=-2, u_h=1, v_h=-1, s=2)
-    cfg = EvolveConfig(dt=1e-3, T=0.1)
-    ham = saint_venant_2d_hamiltonian()
-    out = {}
-    for M in (64, 128):
-        st0 = build_initial("init2D", params, make_grid(2, M))
-        for kind in ("sharp", "smooth-nl"):
-            out[("hamiltonian", kind, 2 * M)] = evolve(SchemeSpec(kind), ham, st0, cfg)
-    # st0 is left at the 2M = 2^8 data by the last pass
-    out[("standard", "sharp", 256)] = evolve(
-        SchemeSpec("sharp"), saint_venant_2d_standard(), st0, cfg
-    )
-    return out
+    st0 = build_initial("init2D", params, make_grid(2, two_m // 2))
+    sysd = saint_venant_2d_hamiltonian() if system == "hamiltonian" else saint_venant_2d_standard()
+    return evolve(SchemeSpec(kind), sysd, st0, EvolveConfig(dt=1e-3, T=0.1))
 
 
 def middle_rows(study, scheme):

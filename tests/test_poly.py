@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specwave.poly import Poly, PolyMatrix
 
-from oracles import poly_equals, poly_var, zero_matrix
+from oracles import eval_on_zero_filled, poly_equals, poly_var, zero_matrix
 
 
 def test_from_terms_merges_and_drops_zeros():
@@ -40,6 +42,36 @@ def test_eval_on_arrays():
     a = np.array([1.0, 2.0, 3.0])
     b = np.array([1.0, 0.0, 2.0])
     assert np.allclose(p.eval_on([a, b]), a - b**2)
+
+
+@st.composite
+def polys_and_samples(draw):
+    """A polynomial in 1-3 variables (constant terms, coefficient 1.0 and
+    others, powers up to 3, possibly no term at all) and a stack of samples
+    that holds +0.0 and -0.0 among other values."""
+    nvars = draw(st.integers(1, 3))
+    coeffs = st.one_of(st.sampled_from([1.0, -1.0, 0.5, -2.0]), st.floats(-10.0, 10.0))
+    terms = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * nvars), coeffs), max_size=4))
+    size = draw(st.integers(1, 6))
+    values = draw(st.lists(st.floats(-100.0, 100.0), min_size=nvars * size, max_size=nvars * size))
+    return Poly.from_terms(nvars, terms), np.array(values).reshape(nvars, size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys_and_samples())
+def test_eval_on_matches_zero_filled_sum_bit_for_bit(case):
+    p, samples = case
+    got, want = p.eval_on(samples), eval_on_zero_filled(p, samples)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_eval_on_zero_signs():
+    # a sum from zeros never ends in -0.0; a product that is -0.0 stays out of it
+    x = np.array([-0.0, 0.0, 2.0])
+    for p in (poly_var(1, 0), Poly.from_terms(1, {(1,): -1.0}), Poly.from_terms(1, {(2,): -3.0})):
+        assert not np.any(np.signbit(p.eval_on(x[None])[:2]))
+    assert np.array_equal(Poly.zero(1).eval_on(x[None]), np.zeros(3))
 
 
 def test_arithmetic():

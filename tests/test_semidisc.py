@@ -448,6 +448,31 @@ class TestStoredHalf:
         rk4_step(lambda s: rhs(sharp, sysd, s), st, 1e-3)
 
 
+class TestMultiplierTables:
+    @pytest.mark.parametrize("flux", [True, False])
+    def test_row_without_terms_is_exactly_zero(self, flux):
+        # A = SJ0 S with the 1D shallow-water S and SJ0 = diag(1, 0):
+        # A = [[1, u], [0, 0]], so no term of any table acts on row 2
+        # and that row of rhs is zero whatever the state.  The tables start
+        # from an unfilled array, which on the flux path reuses the freed
+        # transform of Q(U), both of whose rows hold other values.
+        sv = saint_venant_1d()
+        sj0 = np.diag([1.0, 0.0])
+        sysd = SystemDef(name="row-test", d=1, n=2, A=(PolyMatrix.from_constant(sj0, 2) @ sv.S,), S=sv.S, SJ0=(sj0,))
+        if not flux:
+            sysd = replace(sysd, SJ0=None)
+        assert (sysd.Q is not None) == flux
+        rng = np.random.default_rng(21)
+        g = make_grid(1, 16)
+        for kind in SCHEME_KINDS:
+            plan = rhs_plan(SchemeSpec(kind), sysd, g)
+            assert [i for i, _, _ in plan.lin_terms + plan.flux_terms] == [0] * (1 + flux)
+            for _ in range(4):
+                out = rhs(SchemeSpec(kind), sysd, random_state(rng, g, 2, g.dealias_N), plan).half
+                assert np.array_equal(out[1], np.zeros_like(out[1]))
+                assert np.any(out[0] != 0.0)
+
+
 class TestHigherDegreeCoefficients:
     def test_pairwise_projection_chain(self):
         # entry u^2 with re-projection after each product, against the oracle

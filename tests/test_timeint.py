@@ -86,6 +86,31 @@ class TestRK4Step:
             rk4_step(bad_rhs, st, 0.1)
         assert err.value.stage == "k1"
 
+    @pytest.mark.parametrize("stage", ["k1", "k2", "k3", "k4"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_nonfinite_entry_names_its_stage(self, stage, bad):
+        g = make_grid(1, 8)
+        st = from_function(g, np.sin)
+        calls = []
+
+        def rhs_fn(s):
+            calls.append(s)
+            half = np.zeros_like(s.half)
+            if len(calls) == int(stage[1]):
+                half[0, 3] = bad
+            return StateField(g, half)
+
+        with pytest.raises(BlowUpError) as err:
+            rk4_step(rhs_fn, st, 0.1)
+        assert err.value.stage == stage
+
+    def test_finite_stage_whose_sum_overflows_is_not_a_blowup(self):
+        g = make_grid(1, 8)
+        big = StateField(g, np.full((1, g.M + 1), 1e308 + 0j))
+        with np.errstate(over="ignore", invalid="ignore"):  # the combine overflows
+            assert not np.isfinite(big.half.sum())
+            out = rk4_step(lambda s: big, zero_state(g, 1), 1e-300)  # no BlowUpError
+        assert out.half.shape == big.half.shape
 
     @pytest.mark.parametrize("make_sys, M", [(saint_venant_1d, 32), (saint_venant_2d_hamiltonian, 8)])
     def test_combine_matches_expression_bit_for_bit(self, make_sys, M):
