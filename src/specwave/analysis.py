@@ -176,7 +176,7 @@ class ConvergenceRow:
 
 @dataclass
 class ConvergenceReport:
-    rows: list[ConvergenceRow]
+    rows: list[ConvergenceRow]  # resolutions ascending, each in the study's scheme order
     s_norms: tuple[float, ...]
     reference: str
 
@@ -214,21 +214,14 @@ def convergence_study(
     ref0 = build_initial(initial_name, initial_params, ref_grid)
     ref_result = evolve(SchemeSpec("sharp"), sys, ref0, cfg)
     reference = f"sharp filter, 2M={2 * M_ref}, dt={cfg.dt}, T={cfg.T}"
+    pairs = [(M, kind) for M in sorted(M_list) for kind in schemes]  # report order
     if not ref_result.completed:
-        rows = [
-            ConvergenceRow(M=M, scheme=kind, status="reference-blowup")
-            for M in sorted(M_list)
-            for kind in schemes
-        ]
+        rows = [ConvergenceRow(M=M, scheme=kind, status="reference-blowup") for M, kind in pairs]
         reference += f"; the reference run blew up at t={ref_result.blowup_time}"
         return ConvergenceReport(rows=rows, s_norms=tuple(s_norms), reference=reference)
     ref = ref_result.final_state
 
-    cases = [
-        (sys, kind, initial_name, initial_params, M, cfg)
-        for M in M_list
-        for kind in schemes
-    ]
+    cases = [(sys, kind, initial_name, initial_params, M, cfg) for M, kind in pairs]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # on demand: it loads multiprocessing
 
@@ -247,18 +240,11 @@ def convergence_study(
                 row.errors[s] = relative_error(state, ref, s)
         rows.append(row)
 
-    # EOC pairs successive resolutions within one scheme
-    by_scheme: dict[str, list[ConvergenceRow]] = {}
-    for row in rows:
-        by_scheme.setdefault(row.scheme, []).append(row)
-    for scheme_rows in by_scheme.values():
-        scheme_rows.sort(key=lambda r: r.M)
-        for cur, nxt in zip(scheme_rows, scheme_rows[1:]):
-            for s in s_norms:
-                if s in cur.errors and s in nxt.errors:
-                    cur.eocs[s] = eoc(cur.errors[s], nxt.errors[s])
-
-    rows.sort(key=lambda r: (r.M, schemes.index(r.scheme)))
+    # a row's EOC pairs it with the same scheme at the next resolution, len(schemes) rows on
+    for cur, nxt in zip(rows, rows[len(schemes):]):
+        for s in s_norms:
+            if s in cur.errors and s in nxt.errors:
+                cur.eocs[s] = eoc(cur.errors[s], nxt.errors[s])
     return ConvergenceReport(rows=rows, s_norms=tuple(s_norms), reference=reference)
 
 
@@ -277,30 +263,17 @@ def report_csv(report: ConvergenceReport) -> str:
 
 
 def report_table(report: ConvergenceReport) -> str:
-    """Aligned text table with one block of columns per scheme."""
-    schemes = []
-    for row in report.rows:
-        if row.scheme not in schemes:
-            schemes.append(row.scheme)
-    ms = sorted({row.M for row in report.rows})
-    lookup = {(row.M, row.scheme): row for row in report.rows}
-    header = ["2M"]
-    for kind in schemes:
-        for s in report.s_norms:
-            header.append(f"{kind} EOC{_fmt_s(s)}")
+    """Aligned text table: one line per resolution, one block of columns per scheme."""
+    schemes = list(dict.fromkeys(row.scheme for row in report.rows))  # the rows come in report order
+    header = ["2M", *(f"{kind} EOC{_fmt_s(s)}" for kind in schemes for s in report.s_norms)]
     lines = ["  ".join(f"{h:>16}" for h in header)]
-    for M in ms:
-        cells = [f"{2 * M:>16}"]
-        for kind in schemes:
-            row = lookup.get((M, kind))
+    for i in range(0, len(report.rows), len(schemes)):
+        line = report.rows[i : i + len(schemes)]
+        cells = [2 * line[0].M]
+        for row in line:
             for s in report.s_norms:
-                v = row.eocs.get(s) if row is not None else None
-                if row is not None and row.status != "completed":
-                    cells.append(f"{row.status:>16}")
-                elif v is None:
-                    cells.append(f"{'-':>16}")
-                else:
-                    cells.append(f"{v:>16.2f}")
-        lines.append("  ".join(cells))
+                v = row.eocs.get(s)
+                cells.append(row.status if row.status != "completed" else "-" if v is None else f"{v:.2f}")
+        lines.append("  ".join(f"{c:>16}" for c in cells))
     lines.append(f"reference: {report.reference}")
     return "\n".join(lines) + "\n"

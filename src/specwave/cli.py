@@ -23,14 +23,7 @@ from .presets import CONFIG_KEYS, ConfigError, get_preset, parse_config_text, pr
 from .semidisc import SCHEME_KINDS, SchemeSpec
 from .spectral import StateField, coefficients_at, dealias, linf, make_grid, sobolev_norm, to_samples
 from .sysio import SystemFormatError, parse_system
-from .systems import (
-    SystemDef,
-    builtin_names,
-    builtin_system,
-    check_compatibility_AS,
-    check_factorization,
-    check_symmetrizer,
-)
+from .systems import SystemDef, builtin_names, builtin_system, check_system
 from .timeint import EvolveConfig, csv_table, curvature, evolve, monitor_csv
 
 __all__ = ["main"]
@@ -203,46 +196,14 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
 
 
 def cmd_check_system(cfg: ExperimentConfig) -> int:
-    system = _resolve_system(cfg.system)
-    failed = False
-
-    degree = max(Aj.max_degree() for Aj in system.A)
-    print(f"polynomial-entries: PASS (max degree {degree})")
-
-    if system.S is None:
-        print("symmetrizer: SKIP (none registered)")
-        print("compatibility-split: SKIP (none registered)")
-    else:
-        rep = check_symmetrizer(system)
-        _print_report("symmetrizer", rep, f"symmetry exact; positive definite at {rep.n_samples} samples")
-        failed |= not rep.passed
-        rep = check_compatibility_AS(system)
-        _print_report("compatibility-split", rep, "exact")
-        failed |= not rep.passed
-
-    if system.SJ0 is None:
-        print("constant-factorization: SKIP (no factor matrices registered)")
-    else:
-        rep = check_factorization(system)
-        _print_report("constant-factorization", rep, "exact")
-        failed |= not rep.passed
-
-    if system.S is None:
-        print("energy-density: SKIP (none registered)")
-    elif system.H is None:
-        print("energy-density: SKIP (S is not a Hessian)")
-    else:
-        print("energy-density: PASS (exact: S = D^2 H)")
-    return 1 if failed else 0
-
-
-def _print_report(label: str, rep, how: str) -> None:
-    status = "PASS" if rep.passed else "FAIL"
-    print(f"{label}: {status} ({how})")
-    for msg in rep.failures[:5]:
-        print(f"  {msg}")
-    if len(rep.failures) > 5:
-        print(f"  ... {len(rep.failures) - 5} more failures")
+    lines = check_system(_resolve_system(cfg.system))
+    for label, verdict, how, failures in lines:
+        print(f"{label}: {verdict} ({how})")
+        for msg in failures[:5]:
+            print(f"  {msg}")
+        if len(failures) > 5:
+            print(f"  ... {len(failures) - 5} more failures")
+    return 1 if any(verdict == "FAIL" for _, verdict, _, _ in lines) else 0
 
 
 def cmd_probe_jn(cfg: ExperimentConfig) -> int:
@@ -339,16 +300,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "list-presets":
             return cmd_list_presets()
         if args.command == "check-system":
-            cfg = ExperimentConfig(system=args.system)
-            return cmd_check_system(cfg)
-        cfg = _gather_config(args)
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "converge":
-            return cmd_converge(cfg)
-        if args.command == "probe-jn":
-            return cmd_probe_jn(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+            return cmd_check_system(ExperimentConfig(system=args.system))
+        # built on each call, so a command rebound on this module (bench/tracing.py) is the one run
+        commands = {"run": cmd_run, "converge": cmd_converge, "probe-jn": cmd_probe_jn}
+        return commands[args.command](_gather_config(args))
     except (ConfigError, SystemFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

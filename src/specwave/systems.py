@@ -32,6 +32,7 @@ __all__ = [
     "check_symmetrizer",
     "check_compatibility_AS",
     "check_factorization",
+    "check_system",
     "hamiltonian_energy",
     "sample_hyperbolic_points",
 ]
@@ -223,16 +224,46 @@ def check_compatibility_AS(sys: SystemDef) -> CheckReport:
 
 def check_factorization(sys: SystemDef) -> CheckReport:
     """Exact polynomial identity A_j(U) = SJ0_j S(U), coefficient by coefficient."""
-    report = CheckReport("factorization", True, 0)
     if sys.SJ0 is None or sys.S is None:
-        report.add_failure("no constant factor matrices registered")
-        return report
+        raise ValueError(f"system {sys.name!r} has no factorization A_j = SJ0_j S registered")
+    report = CheckReport("factorization", True, 0)
     for j, (sj0, Aj) in enumerate(zip(sys.SJ0, sys.A)):
         if np.max(np.abs(sj0 - sj0.T)) > 0.0:
             report.add_failure(f"SJ0_{j} not symmetric")
         if not (PolyMatrix.from_constant(sj0, sys.n) @ sys.S).equals(Aj):
             report.add_failure(f"A_{j} != SJ0_{j} * S as polynomials")
     return report
+
+
+def check_system(sys: SystemDef) -> list[tuple[str, str, str, list[str]]]:
+    """The lines of check-system: (label, PASS | FAIL | SKIP, how it was
+    decided or why it was skipped, failures).  Each check runs only when what
+    it needs is registered; SJ0 without S fails, since A_j = SJ0_j S needs S."""
+    degree = max(Aj.max_degree() for Aj in sys.A)
+    lines = [("polynomial-entries", "PASS", f"max degree {degree}", [])]
+
+    def ran(label: str, report: CheckReport, how: str) -> None:
+        lines.append((label, "PASS" if report.passed else "FAIL", how, report.failures))
+
+    if sys.S is None:
+        lines += [(label, "SKIP", "none registered", []) for label in ("symmetrizer", "compatibility-split")]
+    else:
+        report = check_symmetrizer(sys)
+        ran("symmetrizer", report, f"symmetry exact; positive definite at {report.n_samples} samples")
+        ran("compatibility-split", check_compatibility_AS(sys), "exact")
+    if sys.SJ0 is None:
+        lines.append(("constant-factorization", "SKIP", "no factor matrices registered", []))
+    elif sys.S is None:
+        lines.append(("constant-factorization", "FAIL", "SJ0 registered without S", []))
+    else:
+        ran("constant-factorization", check_factorization(sys), "exact")
+    if sys.S is None:
+        lines.append(("energy-density", "SKIP", "none registered", []))
+    elif sys.H is None:
+        lines.append(("energy-density", "SKIP", "S is not a Hessian", []))
+    else:
+        lines.append(("energy-density", "PASS", "exact: S = D^2 H", []))
+    return lines
 
 
 # ---------------------------------------------------------------------------

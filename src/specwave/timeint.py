@@ -111,7 +111,8 @@ def standard_monitors(sys: SystemDef) -> list[Monitor]:
     """Default diagnostics: Sobolev norms, domain margins, energy, curvature.
 
     The energy column is present when the system has a density H, i.e. when
-    its symmetrizer is a Hessian (see SystemDef).
+    its symmetrizer is a Hessian (see SystemDef), and the curvature column
+    when the system has a component 1, the velocity it reads.
 
     The norms sum the half spectrum and need no transform.  The margins
     and the energy read the state's cached samples, so with the blow-up
@@ -129,7 +130,8 @@ def standard_monitors(sys: SystemDef) -> list[Monitor]:
         )
     if sys.H is not None:
         monitors.append(("hamiltonian", lambda st: hamiltonian_energy(sys, st)))
-    monitors.append(("max_d2u", second_derivative_max))
+    if sys.n >= 2:
+        monitors.append(("max_d2u", second_derivative_max))
     return monitors
 
 

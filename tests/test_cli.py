@@ -185,6 +185,20 @@ class TestRun:
         assert err.startswith("error:") and "T/dt" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--scheme", "bogus", "unknown scheme 'bogus'"), ("--M", "2", "M must be >= 4, got 2")],
+    )
+    def test_bad_scheme_or_grid_is_input_error(self, tmp_path, capsys, flag, value, message):
+        code = main(
+            ["run", "--system", "saint-venant-1d", "--initial", "init1", "--M", "16",
+             "--dt", "1e-3", "--T", "0.002", flag, value, "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_blowup_snapshot_is_labelled_with_its_time(self, tmp_path):
         # the final snapshot holds the state the detector stopped at, not one at T
         cfg = tmp_path / "exp.cfg"
@@ -367,6 +381,16 @@ class TestCheckSystem:
 
     def test_unknown_name(self, capsys):
         assert main(["check-system", "not-a-system"]) == 1
+
+    def test_factor_matrices_without_symmetrizer_fail(self, tmp_path, capsys):
+        # A_j = SJ0_j S needs S: the line names what is missing
+        text = serialize_system(saint_venant_1d())
+        path = tmp_path / "sys.txt"
+        path.write_text("".join(line for line in text.splitlines(True) if not line.startswith("S ")))
+        assert main(["check-system", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "constant-factorization: FAIL (SJ0 registered without S)" in lines
+        assert "symmetrizer: SKIP (none registered)" in lines
 
 
 class TestBadSystemFile:
@@ -633,6 +657,19 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 1
         assert "error:" in capsys.readouterr().err
+
+
+    def test_unexpected_fault_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fault(*args, **kwargs):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr("specwave.cli.evolve", fault)
+        code = main(
+            ["run", "--system", "saint-venant-1d", "--initial", "init1", "--M", "16",
+             "--dt", "1e-3", "--T", "0.002", "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("internal error: injected fault")
 
 
 class TestConfigParsing:

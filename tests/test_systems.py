@@ -198,6 +198,12 @@ class TestStructuralChecks:
         with pytest.raises(ValueError):
             check_symmetrizer(sysd)
 
+    def test_factorization_needs_factors_and_symmetrizer(self):
+        sv = saint_venant_1d()
+        for sysd in (replace(sv, SJ0=None), replace(sv, S=None)):
+            with pytest.raises(ValueError, match="no factorization"):
+                check_factorization(sysd)
+
     def test_sample_points_deterministic(self):
         sv = saint_venant_1d()
         a = sample_hyperbolic_points(sv, count=50)

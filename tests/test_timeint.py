@@ -8,6 +8,7 @@ import pytest
 
 from specwave import timeint
 from specwave.initial import build_initial
+from specwave.poly import Poly, PolyMatrix
 from specwave.semidisc import SchemeSpec, rhs, rhs_plan
 from specwave.spectral import (
     StateField,
@@ -27,11 +28,14 @@ from specwave.timeint import (
     _step_plan,
 )
 
+from specwave.systems import SystemDef
+
 from oracles import (
     count_transforms,
     csv_cell,
     from_coeffs,
     from_function,
+    poly_var,
     saint_venant_1d,
     saint_venant_2d_hamiltonian,
     zero_state,
@@ -264,6 +268,31 @@ class TestEvolve:
             res = evolve(SchemeSpec("sharp"), saint_venant_1d(), zero_state(g, 2), EvolveConfig(dt=1e-3, T=0.01))
         assert res.status == "blowup"
         assert res.final_time == res.blowup_time == 1e-3
+
+    def test_nonfinite_stage_ends_as_blowup(self):
+        # A = diag(1e300 u): the first stage's coefficients overflow, so the
+        # run stops before its first step with the t=0 sample only
+        x, y = poly_var(2, 0), poly_var(2, 1)
+        zero = Poly.zero(2)
+        a = PolyMatrix.build(2, [[1e300 * x, zero], [zero, 1e300 * y]])
+        sysd = SystemDef(name="overflow", d=1, n=2, A=(a,))
+        g = make_grid(1, 16)
+        st0 = state_from_samples(g, np.stack([np.sin(g.mesh[0]), np.cos(g.mesh[0])]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = evolve(SchemeSpec("sharp"), sysd, st0, EvolveConfig(dt=1e-3, T=0.01, monitor_stride=100))
+        assert res.status == "blowup"
+        assert res.final_time == 0.0 and res.blowup_time == 1e-3
+        assert len(res.monitor_rows) == 1
+
+    def test_scalar_system_has_no_curvature_column(self):
+        # the curvature reads component 1, which a scalar system lacks
+        u = poly_var(1, 0)
+        burgers = SystemDef(name="burgers", d=1, n=1, A=(PolyMatrix.build(1, [[u]]),))
+        g = make_grid(1, 16)
+        st0 = state_from_samples(g, 0.1 * np.sin(g.mesh[0])[None])
+        res = evolve(SchemeSpec("sharp"), burgers, st0, EvolveConfig(dt=1e-3, T=0.01))
+        assert res.completed
+        assert res.monitor_names == ["Hs0", "Hs1"]
 
     def test_hamiltonian_drift_sharp_scheme(self, drift_run_1d):
         # semi-discrete energy is conserved up to integrator error
