@@ -24,7 +24,7 @@ from .spectral import (
     to_samples,
 )
 from .systems import SystemDef
-from .timeint import EvolveConfig, csv_table, evolve
+from .timeint import EvolveConfig, csv_table, evolve, evolve_lockstep
 
 __all__ = [
     "relative_error",
@@ -123,7 +123,8 @@ def jn_probe(sys: SystemDef, U: StateField, V: StateField, N: int) -> float:
 def _matvec_exact(P: PolyMatrix, coeff_state: StateField, vec: StateField) -> StateField:
     """P(U) applied pointwise to a vector field, no projection."""
     grid = coeff_state.grid
-    return StateField(grid, collocated_half(grid, to_samples(coeff_state), [to_samples(vec)], *entry_terms([P])))
+    u, du = to_samples(coeff_state)[None], to_samples(vec)[None]  # stacks of one state
+    return StateField(grid, collocated_half(grid, u, [du], *entry_terms([P]))[0])
 
 
 def jn_counterexample_states(N: int, p: int, q: int) -> tuple[StateField, StateField]:
@@ -181,13 +182,14 @@ class ConvergenceReport:
     reference: str
 
 
-def _run_case(args) -> tuple[int, str, str, np.ndarray | None]:
-    sys, scheme_kind, initial_name, params, M, cfg = args
+def _run_case(args) -> list[tuple[int, str, str, np.ndarray | None]]:
+    """The study's schemes at one resolution, evolved in lockstep: (M,
+    scheme, status, final half spectrum or None) for each scheme."""
+    sys, schemes, initial_name, params, M, cfg = args
     grid = make_grid(sys.d, M)
     state0 = build_initial(initial_name, params, grid)
-    result = evolve(SchemeSpec(scheme_kind), sys, state0, cfg)
-    half = result.final_state.half if result.completed else None
-    return (M, scheme_kind, result.status, half)
+    results = evolve_lockstep([SchemeSpec(kind) for kind in schemes], sys, state0, cfg)
+    return [(M, kind, r.status, r.final_state.half if r.completed else None) for kind, r in zip(schemes, results)]
 
 
 def convergence_study(
@@ -203,6 +205,7 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Errors and convergence orders against a fine sharp-filter reference.
 
+    Each resolution is one case, which evolves every scheme in lockstep.
     Every run, the reference included, evolves under ``cfg``, so its
     blow-up threshold and monitor stride apply throughout.  If the reference
     run blows up, no case is run: every row gets status 'reference-blowup'
@@ -214,14 +217,13 @@ def convergence_study(
     ref0 = build_initial(initial_name, initial_params, ref_grid)
     ref_result = evolve(SchemeSpec("sharp"), sys, ref0, cfg)
     reference = f"sharp filter, 2M={2 * M_ref}, dt={cfg.dt}, T={cfg.T}"
-    pairs = [(M, kind) for M in sorted(M_list) for kind in schemes]  # report order
-    if not ref_result.completed:
-        rows = [ConvergenceRow(M=M, scheme=kind, status="reference-blowup") for M, kind in pairs]
+    if not ref_result.completed:  # rows in report order
+        rows = [ConvergenceRow(M=M, scheme=kind, status="reference-blowup") for M in sorted(M_list) for kind in schemes]
         reference += f"; the reference run blew up at t={ref_result.blowup_time}"
         return ConvergenceReport(rows=rows, s_norms=tuple(s_norms), reference=reference)
     ref = ref_result.final_state
 
-    cases = [(sys, kind, initial_name, initial_params, M, cfg) for M, kind in pairs]
+    cases = [(sys, schemes, initial_name, initial_params, M, cfg) for M in sorted(M_list)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # on demand: it loads multiprocessing
 
@@ -232,7 +234,7 @@ def convergence_study(
 
     grids = {M: make_grid(sys.d, M) for M in M_list}  # _run_case builds its own: it may run in another process
     rows = []
-    for M, kind, status, half in outcomes:
+    for M, kind, status, half in (row for case in outcomes for row in case):  # report order
         row = ConvergenceRow(M=M, scheme=kind, status=status)
         if half is not None:
             state = StateField(grids[M], half)

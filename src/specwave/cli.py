@@ -4,7 +4,10 @@ Subcommands: run, converge, check-system, probe-jn, list-presets.
 Configuration is flat key-value text (see README); command-line flags
 override config-file values, which override preset values.  Exit codes:
 0 success (a detected blow-up is still success), 1 usage or configuration
-error, 2 unexpected numerical fault.
+error, 2 unexpected numerical fault.  run and converge resolve the system,
+the grids and the initial data before they evolve anything; a ValueError
+raised after that point is a fault of the computation, not of the input,
+and exits 2.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import argparse
 import math
 import os
 import sys as _sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,10 +25,10 @@ from .analysis import convergence_study, jn_study, report_csv, report_table
 from .initial import build_initial
 from .presets import CONFIG_KEYS, ConfigError, get_preset, parse_config_text, preset_names
 from .semidisc import SCHEME_KINDS, SchemeSpec
-from .spectral import StateField, coefficients_at, dealias, linf, make_grid, sobolev_norm, to_samples
+from .spectral import Grid, StateField, coefficients_at, dealias, linf, make_grid, sobolev_norm, to_samples
 from .sysio import SystemFormatError, parse_system
 from .systems import SystemDef, builtin_names, builtin_system, check_system
-from .timeint import EvolveConfig, csv_table, curvature, evolve, monitor_csv
+from .timeint import EvolveConfig, csv_table, curvature, evolve_lockstep, monitor_csv
 
 __all__ = ["main"]
 
@@ -130,68 +134,96 @@ def _spectrum_csv(state: StateField) -> str:
     return csv_table(header, [*ks, *(part for c in kept for part in (c.real, c.imag))])
 
 
-def _snapshot_csv(snapshots: list[tuple[float, StateField, StateField]]) -> str:
-    """Collocation values of each (t, state, curvature(state)), one row per point and time."""
-    grid, n = snapshots[0][1].grid, snapshots[0][1].n
+def _snapshot_csv(grid: Grid, snapshots: list[tuple[float, np.ndarray, np.ndarray]]) -> str:
+    """Collocation values of each (t, samples of a state, samples of its
+    curvature), one row per point and time."""
+    n = len(snapshots[0][1])
     coord_cols = ["x"] if grid.d == 1 else ["x", "y"]
     header = ["time", *coord_cols, *(f"comp{i}" for i in range(n)), "d2_comp1"]
     times = np.repeat([t for t, _, _ in snapshots], grid.npoints)
     # row-major: the last axis varies fastest
     coords = [np.tile(x.ravel(), len(snapshots)) for x in grid.mesh]
     values = np.concatenate(
-        [np.concatenate([to_samples(st), to_samples(d2)]).reshape(n + 1, -1) for _, st, d2 in snapshots],
+        [np.concatenate([u, d2]).reshape(n + 1, -1) for _, u, d2 in snapshots],
         axis=1,
     )
     return csv_table(header, [times, *coords, *values])
+
+
+def _initial_state(cfg: ExperimentConfig, system: SystemDef, M: int) -> StateField:
+    """The configured initial data on the grid of half-resolution M, checked against the system."""
+    state0 = build_initial(cfg.initial, cfg.init_params, make_grid(system.d, M))
+    if state0.n != system.n:
+        raise ConfigError(f"state has {state0.n} components, system expects {system.n}")
+    return state0
+
+
+class _ComputeFault(RuntimeError):
+    """A ValueError raised once the inputs are resolved: a fault of the computation, not of the input."""
+
+
+@contextmanager
+def _computing():
+    try:
+        yield
+    except ValueError as exc:
+        raise _ComputeFault(str(exc)) from exc
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     if cfg.M is None:
         raise ConfigError("run requires M")
     system = _resolve_system(cfg.system)
-    grid = make_grid(system.d, cfg.M)
-    state0 = build_initial(cfg.initial, cfg.init_params, grid)
+    projected0 = dealias(_initial_state(cfg, system, cfg.M))  # the data as evolve projects them
     evolve_cfg = _evolve_config(cfg)
-    projected0 = dealias(state0)  # the data as evolve projects them
-    initial = (0.0, projected0, curvature(projected0))
-    summary = []
-    for kind in cfg.schemes:
-        result = evolve(SchemeSpec(kind), system, state0, evolve_cfg)
-        outdir = os.path.join(cfg.out, kind)
-        final = result.final_state
-        d2 = curvature(final)
-        _write(os.path.join(outdir, "monitors.csv"), monitor_csv(result))
-        _write(os.path.join(outdir, "spectrum.csv"), _spectrum_csv(final))
-        snapshots = [initial, (result.final_time, final, d2)]
-        _write(os.path.join(outdir, "snapshots.csv"), _snapshot_csv(snapshots))
-        summary.append((kind, result.status, result.blowup_time,
-                        sobolev_norm(final, 0), sobolev_norm(final, 1), linf(d2)))
-        print(f"{kind}: {result.status}"
-              + (f" at t={result.blowup_time}" if result.blowup_time is not None else ""))
-    header = ["scheme", "status", "blowup_time", "Hs0", "Hs1", "max_d2u"]
-    _write(os.path.join(cfg.out, "summary.csv"), csv_table(header, list(zip(*summary))))
+    with _computing():
+        results = evolve_lockstep([SchemeSpec(kind) for kind in cfg.schemes], system, projected0, evolve_cfg)
+        # the curvatures of the initial and of every final state, in one stacked transform
+        states = np.stack([projected0.half, *(r.final_state.half for r in results)])
+        d2 = curvature(StateField(projected0.grid, states))
+        d2_max = linf(d2)
+        initial = (0.0, to_samples(projected0), to_samples(d2)[0])
+        summary = []
+        for kind, result, d2_final, d2u in zip(cfg.schemes, results, to_samples(d2)[1:], d2_max[1:]):
+            outdir = os.path.join(cfg.out, kind)
+            final = result.final_state
+            _write(os.path.join(outdir, "monitors.csv"), monitor_csv(result))
+            _write(os.path.join(outdir, "spectrum.csv"), _spectrum_csv(final))
+            snapshots = [initial, (result.final_time, to_samples(final), d2_final)]
+            _write(os.path.join(outdir, "snapshots.csv"), _snapshot_csv(final.grid, snapshots))
+            summary.append((kind, result.status, result.blowup_time,
+                            sobolev_norm(final, 0), sobolev_norm(final, 1), d2u))
+            print(f"{kind}: {result.status}"
+                  + (f" at t={result.blowup_time}" if result.blowup_time is not None else ""))
+        header = ["scheme", "status", "blowup_time", "Hs0", "Hs1", "max_d2u"]
+        _write(os.path.join(cfg.out, "summary.csv"), csv_table(header, list(zip(*summary))))
     return 0
 
 
 def cmd_converge(cfg: ExperimentConfig) -> int:
     if not cfg.M_list or cfg.M_ref is None:
         raise ConfigError("converge requires M_list and M_ref")
+    if cfg.M_ref <= max(cfg.M_list):
+        raise ConfigError("reference resolution must exceed every tested resolution")
     system = _resolve_system(cfg.system)
-    report = convergence_study(
-        system,
-        cfg.schemes,
-        cfg.initial,
-        cfg.init_params,
-        cfg.M_list,
-        cfg.M_ref,
-        _evolve_config(cfg),
-        s_norms=cfg.s_norms,
-        jobs=cfg.jobs,
-    )
-    _write(os.path.join(cfg.out, "report.csv"), report_csv(report))
-    table = report_table(report)
-    _write(os.path.join(cfg.out, "report.txt"), table)
-    print(table, end="")
+    _initial_state(cfg, system, min(cfg.M_list))  # the study builds it on each grid
+    evolve_cfg = _evolve_config(cfg)
+    with _computing():
+        report = convergence_study(
+            system,
+            cfg.schemes,
+            cfg.initial,
+            cfg.init_params,
+            cfg.M_list,
+            cfg.M_ref,
+            evolve_cfg,
+            s_norms=cfg.s_norms,
+            jobs=cfg.jobs,
+        )
+        _write(os.path.join(cfg.out, "report.csv"), report_csv(report))
+        table = report_table(report)
+        _write(os.path.join(cfg.out, "report.txt"), table)
+        print(table, end="")
     return 0
 
 

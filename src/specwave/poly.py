@@ -86,10 +86,11 @@ class Poly:
 
     def __call__(self, point: Sequence[float]) -> float:
         """Value at one point: eval_on on a one-point stack, so the same bits as in a batch."""
-        return float(self.eval_on(np.asarray(point, dtype=np.float64)[:, None])[0])
+        return float(self.eval_on(np.asarray(point, dtype=np.float64)[None])[0])
 
-    def eval_on(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
-        """Evaluate pointwise on a stack of component sample arrays.
+    def eval_on(self, arrays: np.ndarray) -> np.ndarray:
+        """Evaluate pointwise on component samples, variable i at arrays[:, i]
+        (a stack of states, or a list of points).
 
         Gives the bits of a sum of the monomials in term order that starts
         from zeros, without the zeros: the first monomial is written into
@@ -98,9 +99,9 @@ class Poly:
         end when every monomial can be -0.0.
         """
         if not self.terms:
-            return np.zeros_like(arrays[0])
+            return np.zeros_like(arrays[:, 0])
         (e, c), *rest = self.terms
-        out = _monomial(e, c, arrays, np.empty_like(arrays[0]))
+        out = _monomial(e, c, arrays, np.empty_like(arrays[:, 0]))
         term = np.empty_like(out) if rest else None
         for e, c in rest:
             out += _monomial(e, c, arrays, term)
@@ -111,11 +112,11 @@ class Poly:
         return out
 
 
-def _monomial(e: tuple[int, ...], c: float, arrays: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
-    """c * f_1 * f_2 * ... into out, f = arrays[i] ** p over the nonzero powers
-    p = e[i], multiplied left to right; a coefficient of exactly 1.0 is not
-    multiplied, since 1.0 * f is f."""
-    factors = [(arrays[i], p) for i, p in enumerate(e) if p]
+def _monomial(e: tuple[int, ...], c: float, arrays: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """c * f_1 * f_2 * ... into out, f = arrays[:, i] ** p over the nonzero
+    powers p = e[i], multiplied left to right; a coefficient of exactly 1.0
+    is not multiplied, since 1.0 * f is f."""
+    factors = [(arrays[:, i], p) for i, p in enumerate(e) if p]
     if not factors:
         out.fill(c)
         return out

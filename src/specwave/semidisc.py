@@ -24,8 +24,10 @@ products, in one of two forms:
 
 On a state supported in |k| <= N, which every state evolve makes is,
 both forms are exact on the retained modes, so they agree there to
-rounding.  The flux form needs 2n real transforms per call, the
-collocated form n(d+2).
+rounding.  The flux form needs 2n real transforms per state, the
+collocated form n(d+2).  A call on a stack of S states, one per scheme,
+makes them in the same number of transform calls as one state: each call
+transforms the whole stack, 2nS (flux) or n(d+2)S real transforms.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ class SchemeSpec:
 
 
 def poly_coefficient_samples(poly: Poly, comp_samples: np.ndarray, grid: Grid) -> np.ndarray:
-    """Collocation values of a polynomial coefficient field.
+    """Collocation values of a polynomial coefficient field on a stack of
+    states, component i of each at comp_samples[:, i].
 
     Degree <= 1 entries are evaluated directly (exact on the grid).  Higher
     degrees are built monomial by monomial with a projection onto modes
@@ -83,15 +86,15 @@ def poly_coefficient_samples(poly: Poly, comp_samples: np.ndarray, grid: Grid) -
     """
     if poly.degree() <= 1:
         return poly.eval_on(comp_samples)
-    out = np.zeros(grid.shape)
+    out = np.zeros(comp_samples[:, 0].shape)
     for expo, coeff in poly.terms:
         cur = None
         for i, p in enumerate(expo):
             for _ in range(p):
                 if cur is None:
-                    cur = comp_samples[i]
+                    cur = comp_samples[:, i]
                 else:
-                    cur = half_to_samples(grid, samples_to_half(grid, cur * comp_samples[i]) * grid.dealias_mask)
+                    cur = half_to_samples(grid, samples_to_half(grid, cur * comp_samples[:, i]) * grid.dealias_mask)
         out = out + (coeff if cur is None else coeff * cur)
     return out
 
@@ -112,50 +115,65 @@ def entry_terms(mats) -> tuple[tuple[Poly, ...], tuple[tuple[int, int, int, int]
 
 
 def collocated_half(grid: Grid, u: np.ndarray, du, polys, terms) -> np.ndarray:
-    """Half spectrum of sum over terms (i, j, c, p) of polys[p](U) * du[j][c] into row i."""
+    """Half spectrum of sum over terms (i, j, c, p) of polys[p](U) * du[j][:, c]
+    into row i, on a stack of states: component c of each at [:, c]."""
     coeff = [poly_coefficient_samples(p, u, grid) for p in polys]
     rows = np.zeros_like(u)
     for i, j, c, p in terms:
-        rows[i] += coeff[p] * du[j][c]
+        rows[:, i] += coeff[p] * du[j][:, c]
     return samples_to_half(grid, rows)
 
 
-def _multiplier_table(grid: Grid, mats, m, shared: dict) -> tuple[tuple[int, int, np.ndarray], ...]:
-    """(row, column, m * sum_j P_j[row, column] i k_j) for every (row, column)
-    where some P_j is nonzero.  Equal multipliers are one array: shared maps
-    (m, the P_j[row, column]) to the arrays already built."""
+def _scheme_axis(arrays: list) -> np.ndarray:
+    """Per-scheme arrays along a leading scheme axis: a view of the one array
+    for one scheme, else a stack of them broadcast to one shape (a scalar
+    multiplier leaves a broadcast vector, with the bits of the full array)."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(np.broadcast_arrays(*arrays))
+
+
+def _multiplier_table(grid: Grid, mats, ms, shared: dict) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """(row, column, m * sum_j P_j[row, column] i k_j along the scheme axis,
+    one m per scheme) for every (row, column) where some P_j is nonzero.
+    Equal multipliers are one array: shared maps (the ms, the
+    P_j[row, column]) to the arrays already built."""
     table = []
     for i, c in zip(*np.nonzero(sum(np.abs(P) for P in mats))):
-        key = (id(m),) + tuple(float(P[i, c]) for P in mats)
+        entries = tuple(float(P[i, c]) for P in mats)
+        key = tuple(map(id, ms)) + entries
         if key not in shared:
-            shared[key] = m * sum(a * dk for a, dk in zip(key[1:], grid.diff_mult) if a)
+            ik = sum(a * dk for a, dk in zip(entries, grid.diff_mult) if a)
+            shared[key] = _scheme_axis([m * ik for m in ms])
         table.append((int(i), int(c), shared[key]))
     return tuple(table)
 
 
 def _apply_table(table, half: np.ndarray) -> np.ndarray:
-    """Sum over the terms (i, c, mult) of mult * half[c] into row i, in table
-    order; a row's first product is written, not added to zeros, and a row
-    with no term is zero."""
+    """Sum over the terms (i, c, mult) of mult * half[:, c] into row i of a
+    stack, in table order; a row's first product is written, not added to
+    zeros, and a row with no term is zero."""
     out = np.empty_like(half, order="C")
-    written = [False] * len(half)
+    rows, comps = out.swapaxes(0, 1), half.swapaxes(0, 1)  # rows[i] is out[:, i]
+    written = [False] * len(comps)
     for i, c, mult in table:
         if written[i]:
-            out[i] += mult * half[c]
+            rows[i] += mult * comps[c]
         else:
-            np.multiply(mult, half[c], out=out[i])
+            np.multiply(mult, comps[c], out=rows[i])
             written[i] = True
     for i, w in enumerate(written):
         if not w:
-            out[i] = 0.0
+            rows[i] = 0.0
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class RhsPlan:
-    """What rhs needs for one (scheme, system, grid), built once by rhs_plan.
+    """What rhs needs for one (scheme, system, grid), built once by rhs_plan;
+    scheme is one SchemeSpec, or a tuple of S of them for a stack of states.
 
     lin_terms holds (row, column, m_lin * sum_j A0_j[row, column] i k_j).
+    Every multiplier has a leading scheme axis (of one for one scheme), and
+    m_nl the shape (S, 1, ..., M+1), to broadcast over the components.
     On the flux path, flux holds the components of sys.Q and flux_terms
     (row, column, m_nl * sum_j SJ0_j[row, column] i k_j); polys and terms
     are then empty.  On the collocated path flux and flux_terms are empty,
@@ -164,7 +182,7 @@ class RhsPlan:
     multipliers of the two tables are one array.
     """
 
-    scheme: SchemeSpec
+    scheme: SchemeSpec | tuple[SchemeSpec, ...]
     sys: SystemDef
     grid: Grid
     m_nl: np.ndarray
@@ -175,48 +193,61 @@ class RhsPlan:
     flux_terms: tuple[tuple[int, int, np.ndarray], ...]
 
 
-def rhs_plan(scheme: SchemeSpec, sys: SystemDef, grid: Grid) -> RhsPlan:
+def rhs_plan(scheme: SchemeSpec | tuple[SchemeSpec, ...], sys: SystemDef, grid: Grid) -> RhsPlan:
     """Build the multiplier tables and entry lists of a scheme's right-hand
-    side on a grid; the flux path is taken whenever the system has a flux sys.Q."""
+    side on a grid, or of a tuple of schemes' on a stack of states; the
+    flux path is taken whenever the system has a flux sys.Q."""
     if grid.d != sys.d:
         raise ValueError(f"grid dimension {grid.d} does not match system d={sys.d}")
-    sharp = scheme.kind == "sharp"  # the sharp filter at the cutoff is the grid's one mask
-    m_nl = grid.dealias_mask if sharp else filter_multiplier(FilterSpec("smooth", scheme.cutoff(grid)), grid)
+    schemes = (scheme,) if isinstance(scheme, SchemeSpec) else scheme
+    # the sharp filter at the cutoff is the grid's one mask
+    m_nl = [grid.dealias_mask if s.kind == "sharp" else filter_multiplier(FilterSpec("smooth", s.cutoff(grid)), grid)
+            for s in schemes]
+    m_lin = [1.0 if s.kind == "smooth-nl" else m for s, m in zip(schemes, m_nl)]
     shared: dict = {}
-    lin_terms = _multiplier_table(grid, sys.A0, 1.0 if scheme.kind == "smooth-nl" else m_nl, shared)
+    lin_terms = _multiplier_table(grid, sys.A0, m_lin, shared)
+    m_row = _scheme_axis(m_nl)[:, None]  # broadcast over the components
     if sys.Q is None:
-        return RhsPlan(scheme, sys, grid, m_nl, lin_terms, *entry_terms(sys.A1), (), ())
-    return RhsPlan(scheme, sys, grid, m_nl, lin_terms, (), (), sys.Q, _multiplier_table(grid, sys.SJ0, m_nl, shared))
+        return RhsPlan(scheme, sys, grid, m_row, lin_terms, *entry_terms(sys.A1), (), ())
+    flux_terms = _multiplier_table(grid, sys.SJ0, m_nl, shared)
+    return RhsPlan(scheme, sys, grid, m_row, lin_terms, (), (), sys.Q, flux_terms)
 
 
 def rhs(
-    scheme: SchemeSpec,
+    scheme: SchemeSpec | tuple[SchemeSpec, ...],
     sys: SystemDef,
     state: StateField,
     plan: RhsPlan | None = None,
 ) -> StateField:
-    """Right-hand side of the chosen semi-discretization at a state.
+    """Right-hand side of the chosen semi-discretization at a state, or of
+    a tuple of schemes at a stack of states, the i-th scheme at the i-th
+    state (the stack's leading axis).
 
     A plan from rhs_plan(scheme, sys, state.grid) saves rebuilding the
     multipliers on every call.  U is read from the state's cached samples,
     so a state already sampled (by the blow-up check and the monitors) is
     not transformed again.  Per call on a fresh state on the flux path: one
-    inverse transform of U and one forward transform of Q(U), 2n real
-    transforms.  On the collocated path: one inverse transform of U and of
-    each d_j U and one forward transform of the nonlinear sum, n(d+2).  A
-    sampled state costs n inverse transforms fewer.
+    inverse transform call of U and one forward transform call of Q(U), 2n
+    real transforms per state.  On the collocated path: one inverse
+    transform call of U and of each d_j U and one forward transform call
+    of the nonlinear sum, n(d+2) per state.  A sampled state or stack
+    costs the inverse transform call of U less.
     """
     grid = state.grid
     if state.n != sys.n:
         raise ValueError(f"state has {state.n} components, system expects {sys.n}")
+    stacked = not isinstance(scheme, SchemeSpec)
+    half, u = state.half, state.samples
+    if (half.ndim == grid.d + 2) != stacked or (stacked and len(half) != len(scheme)):
+        raise ValueError("a stack of states needs one scheme per state, one state one scheme")
     if plan is None:
         plan = rhs_plan(scheme, sys, grid)
     elif plan.scheme != scheme or plan.sys is not sys or plan.grid != grid:
         raise ValueError("plan was built for another scheme, system or grid")
-    half = state.half
-    u = state.samples
+    if not stacked:  # a stack of one
+        half, u = half[None], u[None]
     if plan.flux:
-        nl = _apply_table(plan.flux_terms, samples_to_half(grid, np.stack([p.eval_on(u) for p in plan.flux])))
+        nl = _apply_table(plan.flux_terms, samples_to_half(grid, np.stack([p.eval_on(u) for p in plan.flux], axis=1)))
     else:
         du = [half_to_samples(grid, half * dk) for dk in grid.diff_mult]
         nl = plan.m_nl * collocated_half(grid, u, du, plan.polys, plan.terms)
@@ -229,4 +260,4 @@ def rhs(
     parts = out.view(np.float64)
     np.add(parts, 0.0, out=parts)
     np.negative(parts, out=parts)
-    return StateField(grid, out)
+    return StateField(grid, out if stacked else out[0])

@@ -11,7 +11,10 @@ acts on that half; a sum over it (the H^s norms, the L^2 inner product)
 counts each coefficient with its multiplicity in the full spectrum
 (Grid.half_multiplicity), and coefficients_at gathers the coefficients at
 given modes.  No other module knows the layout, and no command reads the
-full spectrum StateField.coeffs.  The transforms run through numpy.fft:
+full spectrum StateField.coeffs.  A stack of states, one per scheme evolved
+in lockstep, has a leading scheme axis; the transforms, the arithmetic and
+the norms act on every state of a stack at once, and a norm of a stack is
+one value per state.  The transforms run through numpy.fft:
 rfft/irfft on 1D grids, rfftn/irfftn over the two grid axes on 2D grids.
 The 2D forward transform writes into one preallocated array (out=);
 without it numpy allocates a second full-size output, and that allocation,
@@ -138,7 +141,8 @@ def make_grid(d: int, M: int) -> Grid:
 class StateField:
     """Vector of n real periodic fields on one shared grid, stored as the half
     spectrum of each component stacked along axis 0, shape (n, ..., M+1);
-    a scalar field has n=1.
+    a scalar field has n=1.  A stack of S such states, one per scheme of a
+    lockstep evolution, has shape (S, n, ..., M+1).
     """
 
     grid: Grid
@@ -146,7 +150,7 @@ class StateField:
 
     @property
     def n(self) -> int:
-        return self.half.shape[0]
+        return self.half.shape[-self.grid.d - 1]
 
     @cached_property
     def samples(self) -> np.ndarray:
@@ -164,8 +168,9 @@ class StateField:
         return full
 
     def component(self, i: int) -> "StateField":
-        """Component i as a one-component state."""
-        return StateField(self.grid, self.half[i][None])
+        """Component i as a one-component state (of each state of a stack)."""
+        h = self.half
+        return StateField(self.grid, h[i][None] if h.ndim == self.grid.d + 1 else h[:, i][:, None])
 
     def __add__(self, other: "StateField") -> "StateField":
         return StateField(self.grid, self.half + other.half)
@@ -180,6 +185,37 @@ class StateField:
 
     def __neg__(self) -> "StateField":
         return StateField(self.grid, -self.half)
+
+
+def _is_stack(x: StateField) -> bool:
+    return x.half.ndim > x.grid.d + 1
+
+
+def _stack(x: StateField, a: np.ndarray) -> np.ndarray:
+    """a, an array laid out like x's half or samples, with the scheme axis
+    of a stack: a itself when x is a stack, a view with an axis of one when
+    x is one state."""
+    return a if _is_stack(x) else a[None]
+
+
+def _per_state(ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
+    """Reduce with ufunc (np.add for a sum) over every axis of values but
+    the leading scheme axis; the same bits as np.sum or np.max of each state."""
+    return ufunc.reduce(values.reshape(len(values), -1), axis=1)
+
+
+def _unstack(x: StateField, r: np.ndarray):
+    """One value per state of x: r for a stack, its one entry as a float for one state."""
+    return r if _is_stack(x) else float(r[0])
+
+
+def _carry(x: StateField, view) -> StateField:
+    """The state (or stack) view(x.half), with samples view(x.samples) when
+    x has sampled already, so that they are not transformed again."""
+    st = StateField(x.grid, view(x.half))
+    if "samples" in x.__dict__:  # where cached_property keeps them
+        st.__dict__["samples"] = view(x.__dict__["samples"])
+    return st
 
 
 def hermitian_symmetrize(coeffs: np.ndarray, d: int) -> np.ndarray:
@@ -198,9 +234,10 @@ def samples_to_half(grid: Grid, samples: np.ndarray) -> np.ndarray:
     One rfftn call for both d: same bits, slower 1D (8 -> 14 us at M=64, 27 -> 32 us at M=1024).
     """
     if grid.d == 1:
-        return np.fft.rfft(samples, norm="forward") * grid.half_phase
-    out = np.empty(samples.shape[:-1] + (grid.M + 1,), dtype=np.complex128)
-    np.fft.rfftn(samples, axes=(-2, -1), norm="forward", out=out)
+        out = np.fft.rfft(samples, norm="forward")
+    else:
+        out = np.empty(samples.shape[:-1] + (grid.M + 1,), dtype=np.complex128)
+        np.fft.rfftn(samples, axes=(-2, -1), norm="forward", out=out)
     out *= grid.half_phase
     return out
 
@@ -279,8 +316,16 @@ def apply_filter(x: StateField, spec: FilterSpec):
 
 
 def dealias(x: StateField):
-    """Zero the top third of modes: the sharp filter at the grid's cutoff dealias_N."""
-    return StateField(x.grid, x.half * x.grid.dealias_mask)
+    """Zero the top third of modes: the sharp filter at the grid's cutoff
+    dealias_N.  A state already zero there is returned as it is, with its
+    samples: the product would give the same bits."""
+    grid, n = x.grid, x.grid.dealias_N
+    beyond = [x.half[..., n + 1 :]]  # last axis: modes N+1..M
+    if grid.d == 2:  # leading axis in FFT order: N < |k| rows
+        beyond.append(x.half[..., n + 1 : grid.two_m - n, :])
+    if not any(np.any(part) for part in beyond):
+        return x
+    return StateField(grid, x.half * grid.dealias_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +347,8 @@ def sobolev_norm(x: StateField, s: float) -> float:
     if s != 0:
         w = w * (1.0 + grid.k_sq) ** s
     h = x.half
-    total = np.sum(w * (h.real**2 + h.imag**2))
-    return float(np.sqrt(total * (2.0 * np.pi) ** grid.d))
+    total = _per_state(np.add, _stack(x, w * (h.real**2 + h.imag**2)))
+    return _unstack(x, np.sqrt(total * (2.0 * np.pi) ** grid.d))
 
 
 def l2_inner(a: StateField, b: StateField) -> float:
@@ -318,7 +363,7 @@ def l2_inner(a: StateField, b: StateField) -> float:
 
 def linf(x: StateField) -> float:
     """Max absolute value over collocation points and components."""
-    return float(np.max(np.abs(to_samples(x))))
+    return _unstack(x, _per_state(np.maximum, _stack(x, np.abs(to_samples(x)))))
 
 
 def max_mode_support(x: StateField) -> int:

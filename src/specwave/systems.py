@@ -22,7 +22,7 @@ from importlib.resources import files
 import numpy as np
 
 from .poly import Poly, PolyMatrix
-from .spectral import StateField, to_samples
+from .spectral import StateField, _per_state, _stack, _unstack, to_samples
 
 __all__ = [
     "SystemDef",
@@ -179,7 +179,7 @@ def sample_hyperbolic_points(sys: SystemDef, count: int = 200) -> np.ndarray:
         drawn += 256
         inside = np.ones(len(pts), dtype=bool)
         for _, p in sys.predicates:
-            inside &= p.eval_on(pts.T) > 0.0
+            inside &= p.eval_on(pts) > 0.0
         accepted.extend(pts[inside][: count - len(accepted)])
     return np.array(accepted)
 
@@ -271,7 +271,8 @@ def check_system(sys: SystemDef) -> list[tuple[str, str, str, list[str]]]:
 
 
 def hamiltonian_energy(sys: SystemDef, state: StateField) -> float:
-    """Energy: the integral of the system's density H (sys.H, derived from S).
+    """Energy: the integral of the system's density H (sys.H, derived from S),
+    one per state of a stack.
 
     The collocation sum cell_volume * sum H(U) over the state's samples.
     For a state supported in |k| <= N it is the exact integral when
@@ -279,4 +280,5 @@ def hamiltonian_energy(sys: SystemDef, state: StateField) -> float:
     folds none of them onto k = 0.  Every state evolve produces has
     3N < 2M, which covers the cubic shallow-water density.
     """
-    return state.grid.cell_volume * float(np.sum(sys.H.eval_on(to_samples(state))))
+    total = _per_state(np.add, sys.H.eval_on(_stack(state, to_samples(state))))
+    return _unstack(state, state.grid.cell_volume * total)

@@ -1,4 +1,10 @@
-"""Fixed-step RK4 evolution with blow-up detection and trajectory monitors."""
+"""Fixed-step RK4 evolution with blow-up detection and trajectory monitors.
+
+The schemes of one run evolve in lockstep as one stack of states (a leading
+scheme axis): each right-hand side, RK4 combine, finiteness check and
+monitor sample acts on the whole stack at once, and a scheme that blows up
+leaves the stack while the others go on.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +17,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .semidisc import SchemeSpec, rhs, rhs_plan
-from .spectral import StateField, dealias, differentiate, linf, sobolev_norm, to_samples
+from .spectral import (
+    StateField,
+    _carry,
+    _per_state,
+    _stack,
+    _unstack,
+    dealias,
+    differentiate,
+    linf,
+    sobolev_norm,
+    to_samples,
+)
 from .systems import SystemDef, hamiltonian_energy
 
 __all__ = [
@@ -20,6 +37,7 @@ __all__ = [
     "EvolveResult",
     "rk4_step",
     "evolve",
+    "evolve_lockstep",
     "standard_monitors",
     "curvature",
     "second_derivative_max",
@@ -31,27 +49,32 @@ Monitor = tuple[str, Callable[[StateField], float]]
 
 
 class BlowUpError(RuntimeError):
-    """Raised when an RK4 stage produces non-finite coefficients."""
+    """Raised when an RK4 stage produces non-finite coefficients; states
+    lists the positions in the stack of the states that did (0 for one state)."""
 
-    def __init__(self, stage: str):
+    def __init__(self, stage: str, states: tuple[int, ...] = (0,)):
         super().__init__(f"non-finite values in RK4 stage {stage}")
         self.stage = stage
+        self.states = states
 
 
 def _check_finite(state: StateField, stage: str) -> StateField:
-    """Raise BlowUpError(stage) on a non-finite coefficient.  A non-finite
-    entry makes the sum of squared moduli non-finite, so the entrywise test
-    runs only when that sum is not finite: a non-finite entry, or finite
-    entries whose squares overflow.  The sum is np.vdot, which raises no
-    floating-point warnings and takes half the time of half.sum()."""
+    """Raise BlowUpError(stage) on a non-finite coefficient, naming the
+    states of a stack that hold one.  A non-finite entry makes the sum of
+    squared moduli non-finite, so the entrywise test runs only when that
+    sum is not finite: a non-finite entry, or finite entries whose squares
+    overflow.  The sum is np.vdot, which raises no floating-point warnings
+    and takes half the time of half.sum()."""
     half = state.half
-    if not np.isfinite(np.vdot(half, half)) and not np.all(np.isfinite(half)):
-        raise BlowUpError(stage)
+    if not np.isfinite(np.vdot(half, half)):
+        finite = _per_state(np.logical_and, np.isfinite(_stack(state, half)))
+        if not finite.all():
+            raise BlowUpError(stage, tuple(np.flatnonzero(~finite).tolist()))
     return state
 
 
 def rk4_step(rhs_fn: Callable[[StateField], StateField], state: StateField, dt: float) -> StateField:
-    """One classical Runge-Kutta 4 update.
+    """One classical Runge-Kutta 4 update, of one state or a stack of them.
 
     The stages are summed in one fresh accumulator in the operation order of
     u + dt/6 (k1 + 2 k2 + 2 k3 + k4), which gives the same bits; no stage
@@ -112,13 +135,14 @@ def standard_monitors(sys: SystemDef) -> list[Monitor]:
 
     The energy column is present when the system has a density H, i.e. when
     its symmetrizer is a Hessian (see SystemDef), and the curvature column
-    when the system has a component 1, the velocity it reads.
+    when the system has a component 1, the velocity it reads.  Each monitor
+    gives a float on one state and one value per state on a stack.
 
     The norms sum the half spectrum and need no transform.  The margins
     and the energy read the state's cached samples, so with the blow-up
     check and the first RK4 stage of the next step they share one inverse
-    transform (n real ones) of each sampled state; max_d2u adds one of the
-    curvature.
+    transform call (n real transforms per state) of each sampled state or
+    stack; max_d2u adds one of the curvature.
     """
     monitors: list[Monitor] = [
         ("Hs0", lambda st: sobolev_norm(st, 0)),
@@ -126,7 +150,8 @@ def standard_monitors(sys: SystemDef) -> list[Monitor]:
     ]
     for name, p in sys.predicates:
         monitors.append(
-            (f"margin_{name}", lambda st, _p=p: float(np.min(_p.eval_on(to_samples(st)))))
+            (f"margin_{name}",
+             lambda st, _p=p: _unstack(st, _per_state(np.minimum, _p.eval_on(_stack(st, to_samples(st))))))
         )
     if sys.H is not None:
         monitors.append(("hamiltonian", lambda st: hamiltonian_energy(sys, st)))
@@ -136,7 +161,8 @@ def standard_monitors(sys: SystemDef) -> list[Monitor]:
 
 
 def curvature(state: StateField) -> StateField:
-    """The second spectral x-derivative of component 1 (the velocity), a scalar field."""
+    """The second spectral x-derivative of component 1 (the velocity), a
+    scalar field (of each state of a stack)."""
     return differentiate(differentiate(state.component(1), 0), 0)
 
 
@@ -159,21 +185,39 @@ def evolve(
     state0: StateField,
     cfg: EvolveConfig,
 ) -> EvolveResult:
-    """March the semi-discrete system from the projected initial data to T.
+    """evolve_lockstep of one scheme: a stack of one, which holds views of
+    the arrays of one state."""
+    return evolve_lockstep((scheme,), sys, state0, cfg)[0]
+
+
+def evolve_lockstep(
+    schemes: Sequence[SchemeSpec],
+    sys: SystemDef,
+    state0: StateField,
+    cfg: EvolveConfig,
+) -> list[EvolveResult]:
+    """March the semi-discrete system from the projected initial data to T
+    under each scheme, all in one stack of states; one result per scheme.
 
     The initial state is projected onto the retained mode cube (all schemes
-    start from the sharp projection of the data).  Monitors are sampled at
-    t=0, every stride steps and at the final time; blow-up is declared on
-    non-finite stage values or when the max-norm exceeds the configured
-    growth factor.  The first RK4 stage reads the samples of the current
-    state, cached by the blow-up check when the state was sampled; with
-    monitor_stride > 1 an unsampled state gets them from that stage, and
-    keeps them through the step.
+    start from the sharp projection of the data); already projected data
+    are used as they are, with their samples.  Monitors are sampled at t=0
+    (once: every scheme starts from the same state), every stride steps and
+    at the final time.  Blow-up is declared on non-finite stage values or
+    when the max-norm exceeds the configured growth factor; the scheme that
+    blows up leaves the stack with the time, state and monitor rows of a
+    run of its own, and the others go on.  Each step is one RK4 step of
+    the stack: a stage that is non-finite in some states is computed again
+    without them, which gives the others the same bits.  The first RK4
+    stage reads the samples of the current stack, cached by the blow-up
+    check when the stack was sampled; with monitor_stride > 1 an unsampled
+    stack gets them from that stage, and keeps them through the step.
     """
     if state0.n != sys.n:  # rhs's check, made before the t=0 monitors read the components
         raise ValueError(f"state has {state0.n} components, system expects {sys.n}")
-    plan = rhs_plan(scheme, sys, state0.grid)
-    state = dealias(state0)
+    schemes = tuple(schemes)
+    grid = state0.grid
+    plan = rhs_plan(schemes, sys, grid)
     n_full, partial = _step_plan(cfg.T, cfg.dt)
     n_steps = n_full + len(partial)
     if cfg.monitor_stride is not None:
@@ -182,33 +226,59 @@ def evolve(
         stride = max(1, math.ceil(n_steps / 200))
     monitors = standard_monitors(sys)
     names = [name for name, _ in monitors]
-    rows: list[tuple[float, ...]] = []
 
-    linf0 = linf(state)
-    rhs_fn = lambda st: rhs(scheme, sys, st, plan)
+    projected = dealias(state0)
+    first = (0.0, *(fn(projected) for _, fn in monitors))
+    rows = [[first] for _ in schemes]
+    linf0 = linf(projected)
+    state = _carry(projected, lambda a: np.broadcast_to(a, (len(schemes),) + a.shape))
+    del projected  # the stack's views hold its arrays until the first step replaces them
+    live = list(range(len(schemes)))  # the scheme of each state of the stack
+    results: list[EvolveResult | None] = [None] * len(schemes)
 
-    def sample(t: float, st: StateField) -> None:
-        rows.append((t, *(fn(st) for _, fn in monitors)))
+    def leave(out: list[int], st: StateField, t: float, blowup_time: float) -> StateField:
+        """Record the states at positions out as blown up and drop them from the stack."""
+        nonlocal plan, live
+        for k in out:
+            results[live[k]] = EvolveResult(_carry(st, lambda a: a[k]), t, "blowup", blowup_time, names, rows[live[k]])
+        keep = [k for k in range(len(live)) if k not in out]
+        live = [live[k] for k in keep]
+        if live:
+            plan = rhs_plan(tuple(schemes[j] for j in live), sys, grid)
+        return _carry(st, lambda a: a[keep])
 
-    def exploded(st: StateField) -> bool:
-        peak = linf(st)  # NaN or inf when any sample is
-        return not math.isfinite(peak) or (linf0 > 0.0 and peak > cfg.blowup_threshold * linf0)
-
-    sample(0.0, state)
+    # glibc gives a free heap top above its trim threshold (128 KB at start)
+    # back to the system, so the stack's per-stage temporaries, about 100 KB
+    # each for three 1D schemes at M=1024, were faulted in again at every
+    # stage (run-1d: 37k minor page faults against 5k).  Freeing one block
+    # above the mmap threshold raises both thresholds (mallopt(3), dynamic
+    # mmap threshold), and these temporaries then stay on the heap.
+    np.empty(1 << 15)
+    rhs_fn = lambda st: rhs(plan.scheme, sys, st, plan)
     t = 0.0
     for i, h in enumerate(itertools.chain(itertools.repeat(cfg.dt, n_full), partial)):
-        try:
-            new_state = rk4_step(rhs_fn, state, h)
-        except BlowUpError:
-            return EvolveResult(state, t, "blowup", t + h, names, rows)
+        while True:
+            try:
+                new_state = rk4_step(rhs_fn, state, h)
+                break
+            except BlowUpError as err:
+                state = leave(list(err.states), state, t, t + h)
+                if not live:
+                    return results
         t = t + h
         state = new_state
-        last = i == n_steps - 1
-        if (i + 1) % stride == 0 or last:
-            if exploded(state):
-                return EvolveResult(state, t, "blowup", t, names, rows)
-            sample(t, state)
-    return EvolveResult(state, cfg.T, "completed", None, names, rows)
+        if (i + 1) % stride == 0 or i == n_steps - 1:
+            peak = linf(state)  # NaN or inf where any sample is
+            exploded = ~np.isfinite(peak) | ((linf0 > 0.0) & (peak > cfg.blowup_threshold * linf0))
+            if exploded.any():
+                state = leave(np.flatnonzero(exploded).tolist(), state, t, t)
+                if not live:
+                    return results
+            for k, row in enumerate(zip(*(fn(state).tolist() for _, fn in monitors))):
+                rows[live[k]].append((t, *row))
+    for k, j in enumerate(live):
+        results[j] = EvolveResult(_carry(state, lambda a: a[k]), cfg.T, "completed", None, names, rows[j])
+    return results
 
 
 def _cell(v) -> str:

@@ -258,7 +258,7 @@ def energy_functional(sys: SystemDef, state: StateField, s: float, variant: str 
             if not entry.terms:
                 continue
             w_ab = dealias(state_from_samples(grid, (v_samp[a] * v_samp[b])[None]))
-            coeff = poly_coefficient_samples(entry, u_samp, grid)
+            coeff = poly_coefficient_samples(entry, u_samp[None], grid)[0]  # a stack of one state
             total += l2_inner(state_from_samples(grid, coeff[None]), w_ab)
     return total
 
@@ -300,6 +300,14 @@ def count_transforms(monkeypatch, npoints: int) -> Counter:
 
             monkeypatch.setattr(lib, name, counted)
     return counts
+
+
+def quartic_energy_system() -> SystemDef:
+    """n=1 with S = 1 + u^2 and A = S: A = SJ0 S holds, but deg H = 4, so
+    rhs takes the collocated path, with one projected product for u^2."""
+    one, u = Poly.const(1, 1.0), poly_var(1, 0)
+    S = PolyMatrix.build(1, [[one + u * u]])
+    return SystemDef(name="quartic-energy", d=1, n=1, A=(S,), S=S, SJ0=(np.eye(1),))
 
 
 def irrotational_equivalence_check(state: StateField) -> float:

@@ -30,7 +30,7 @@ from specwave.spectral import (
     to_samples,
 )
 from specwave.systems import check_compatibility_AS, check_factorization, check_symmetrizer
-from specwave.timeint import EvolveConfig, evolve, monitor_csv, rk4_step, second_derivative_max
+from specwave.timeint import EvolveConfig, evolve, evolve_lockstep, monitor_csv, rk4_step, second_derivative_max
 
 from oracles import (
     coeffs_from_dict,
@@ -71,14 +71,16 @@ def study_1d():
 
 @pytest.fixture(scope="session")
 def zero_depth_runs():
-    """Criterion 7 runs: init_zero_depth at 2M = 2^10 and 2^11, T = 0.1."""
+    """Criterion 7 runs: init_zero_depth at 2M = 2^10 and 2^11, T = 0.1,
+    both schemes of a resolution evolved in lockstep."""
     sv = saint_venant_1d()
     out = {}
+    kinds = ("sharp", "smooth-nl")
     for M in (512, 1024):
         grid = make_grid(1, M)
         st0 = build_initial("init_zero_depth", {}, grid)
-        for kind in ("sharp", "smooth-nl"):
-            res = evolve(SchemeSpec(kind), sv, st0, EvolveConfig(dt=1e-4, T=0.1))
+        results = evolve_lockstep([SchemeSpec(kind) for kind in kinds], sv, st0, EvolveConfig(dt=1e-4, T=0.1))
+        for kind, res in zip(kinds, results):
             assert res.completed
             out[(2 * M, kind)] = second_derivative_max(res.final_state)
     return out

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from specwave import analysis
 from specwave.analysis import (
     ConvergenceReport,
     convergence_study,
@@ -25,7 +26,9 @@ from specwave.spectral import (
     state_from_samples,
     to_samples,
 )
-from specwave.timeint import EvolveConfig, second_derivative_max
+from specwave.initial import build_initial
+from specwave.semidisc import SchemeSpec
+from specwave.timeint import EvolveConfig, evolve, second_derivative_max
 
 from oracles import (
     apply_lambda,
@@ -305,6 +308,35 @@ class TestConvergenceStudy:
         serial = convergence_study(sv, **kwargs, jobs=1)
         parallel = convergence_study(sv, **kwargs, jobs=2)
         assert report_csv(serial) == report_csv(parallel)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_case_per_resolution_matches_one_scheme_runs(self, jobs, monkeypatch):
+        # each resolution evolves the study's schemes in lockstep, and every
+        # row's errors are those of the scheme's own evolve, to the bit
+        sv = saint_venant_1d()
+        cfg = EvolveConfig(dt=1e-3, T=0.01)
+        schemes, M_list = ["smooth-nl", "sharp"], [16, 8]
+        cases = []
+        lockstep = analysis.evolve_lockstep
+
+        def counted(schemes, *args):
+            cases.append(schemes)
+            return lockstep(schemes, *args)
+
+        if jobs == 1:  # the cases run in this process
+            monkeypatch.setattr(analysis, "evolve_lockstep", counted)
+        report = convergence_study(sv, schemes, "init1", {"alpha": 1.5}, M_list, 64, cfg, jobs=jobs)
+        if jobs == 1:
+            assert [[s.kind for s in case] for case in cases] == [schemes, schemes]
+        ref = evolve(SchemeSpec("sharp"), sv, build_initial("init1", {"alpha": 1.5}, make_grid(1, 64)), cfg)
+        rows = [(r.M, r.scheme, r.status, r.errors) for r in report.rows]
+        want = []
+        for M in sorted(M_list):
+            for kind in schemes:
+                alone = evolve(SchemeSpec(kind), sv, build_initial("init1", {"alpha": 1.5}, make_grid(1, M)), cfg)
+                errors = {s: relative_error(alone.final_state, ref.final_state, s) for s in (0.0, 1.0)}
+                want.append((M, kind, alone.status, errors))
+        assert rows == want
 
     def test_reference_must_be_finer(self):
         sv = saint_venant_1d()

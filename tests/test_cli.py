@@ -90,12 +90,14 @@ class TestRun:
             assert "np." not in read(path), path
 
     def test_inverse_transforms_per_run(self, tmp_path, monkeypatch):
-        # Each evolve: 4 rhs per step, each but the first inverse-transforming
-        # the n = 2 components of U (flux path; the first reads the samples
-        # of the state sampled at the end of the previous step), and per
-        # monitor sample one of the state (n) plus one for max_d2u.
-        # Outside evolve: the projected initial state and its curvature once
-        # per run, and the curvature of each final state once.
+        # The lockstep evolve: one t=0 monitor sample of the projected data,
+        # the state (n = 2) and max_d2u (1), shared by every scheme and by the
+        # t=0 snapshot; per step 4 rhs on the stack, each but the first
+        # inverse-transforming the n components of U of each scheme (flux
+        # path; the first reads the samples of the stack sampled at the end
+        # of the previous step, or the shared samples of the data); per
+        # later monitor sample n + 1 per scheme.  After it: the curvature of
+        # the initial and of each final state, once, in one stacked call.
         counts = count_transforms(monkeypatch, 32)  # 2M = 32
         code = main(
             ["run", "--system", "saint-venant-1d", "--scheme", "sharp smooth-all smooth-nl",
@@ -104,8 +106,8 @@ class TestRun:
         )
         assert code == 0
         n, steps, samples, schemes = 2, 2, 3, 3
-        per_evolve = steps * 3 * n + samples * (n + 1)
-        assert counts["inverse"] == schemes * (per_evolve + 1) + (n + 1)
+        evolve = (n + 1) + schemes * (steps * 3 * n + (samples - 1) * (n + 1))
+        assert counts["inverse"] == evolve + (schemes + 1)
 
     def test_unknown_initial_exits_nonzero(self, tmp_path, capsys):
         code = main(
@@ -663,13 +665,53 @@ class TestUsageErrors:
         def fault(*args, **kwargs):
             raise RuntimeError("injected fault")
 
-        monkeypatch.setattr("specwave.cli.evolve", fault)
+        monkeypatch.setattr("specwave.cli.evolve_lockstep", fault)
         code = main(
             ["run", "--system", "saint-venant-1d", "--initial", "init1", "--M", "16",
              "--dt", "1e-3", "--T", "0.002", "--out", str(tmp_path / "out")]
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("internal error: injected fault")
+
+
+class TestExitPaths:
+    """run and converge resolve the system, grids and initial data before they
+    evolve: a ValueError before that point is an input error (exit 1), one
+    raised by the computation after it a numerical fault (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--system", "saint-venant-1d", "--initial", "init2D", "--M", "16"],
+             "error: init2D requires a 2-dimensional grid, got d=1\n"),
+            (["converge", "--system", "saint-venant-1d", "--initial", "init1", "--M-list", "8 16", "--M-ref", "16"],
+             "error: reference resolution must exceed every tested resolution\n"),
+        ],
+        ids=["run-initial-data", "converge-grids"],
+    )
+    def test_value_error_before_evolving_exits_1(self, tmp_path, capsys, monkeypatch, argv, message):
+        def never(*args, **kwargs):
+            raise AssertionError("evolved")
+
+        monkeypatch.setattr("specwave.timeint.rhs", never)
+        assert main([*argv, "--dt", "1e-3", "--T", "0.002", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--M", "16"], ["converge", "--M-list", "8", "--M-ref", "16"]],
+        ids=["run", "converge"],
+    )
+    def test_value_error_while_evolving_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        def fault(*args, **kwargs):
+            raise ValueError("injected numerical fault")
+
+        monkeypatch.setattr("specwave.timeint.rhs", fault)
+        code = main([*argv, "--system", "saint-venant-1d", "--initial", "init1", "--dt", "1e-3", "--T", "0.002",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "internal error: injected numerical fault\n"
 
 
 class TestConfigParsing:

@@ -41,7 +41,7 @@ def test_eval_on_arrays():
     p = Poly.from_terms(2, {(1, 0): 1.0, (0, 2): -1.0})
     a = np.array([1.0, 2.0, 3.0])
     b = np.array([1.0, 0.0, 2.0])
-    assert np.allclose(p.eval_on([a, b]), a - b**2)
+    assert np.allclose(p.eval_on(np.stack([a, b], axis=1)), a - b**2)
 
 
 @st.composite
@@ -61,7 +61,7 @@ def polys_and_samples(draw):
 @given(polys_and_samples())
 def test_eval_on_matches_zero_filled_sum_bit_for_bit(case):
     p, samples = case
-    got, want = p.eval_on(samples), eval_on_zero_filled(p, samples)
+    got, want = p.eval_on(samples.T), eval_on_zero_filled(p, samples)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -70,8 +70,8 @@ def test_eval_on_zero_signs():
     # a sum from zeros never ends in -0.0; a product that is -0.0 stays out of it
     x = np.array([-0.0, 0.0, 2.0])
     for p in (poly_var(1, 0), Poly.from_terms(1, {(1,): -1.0}), Poly.from_terms(1, {(2,): -3.0})):
-        assert not np.any(np.signbit(p.eval_on(x[None])[:2]))
-    assert np.array_equal(Poly.zero(1).eval_on(x[None]), np.zeros(3))
+        assert not np.any(np.signbit(p.eval_on(x[:, None])[:2]))
+    assert np.array_equal(Poly.zero(1).eval_on(x[:, None]), np.zeros(3))
 
 
 def test_arithmetic():

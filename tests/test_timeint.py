@@ -1,6 +1,7 @@
 """RK4 stepping, evolution loop, monitors and blow-up detection."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from specwave import timeint
 from specwave.initial import build_initial
 from specwave.poly import Poly, PolyMatrix
-from specwave.semidisc import SchemeSpec, rhs, rhs_plan
+from specwave.semidisc import SCHEME_KINDS, SchemeSpec, rhs, rhs_plan
 from specwave.spectral import (
     StateField,
     differentiate,
@@ -23,6 +24,7 @@ from specwave.timeint import (
     EvolveResult,
     csv_table,
     evolve,
+    evolve_lockstep,
     monitor_csv,
     rk4_step,
     _step_plan,
@@ -36,8 +38,10 @@ from oracles import (
     from_coeffs,
     from_function,
     poly_var,
+    quartic_energy_system,
     saint_venant_1d,
     saint_venant_2d_hamiltonian,
+    saint_venant_2d_standard,
     zero_state,
 )
 
@@ -321,6 +325,85 @@ class TestEvolve:
         assert _step_plan(0.001, 3e-4) == (3, [0.001 - 3 * 3e-4])
         assert _step_plan(0.05, 1e-5) == (5000, [])
         assert _step_plan(0.0, 1e-3) == (0, [])
+
+
+def assert_same_run(got: EvolveResult, want: EvolveResult) -> None:
+    """The same outcome to the bit: status, times, final state and monitor rows."""
+    assert (got.status, got.final_time, got.blowup_time) == (want.status, want.final_time, want.blowup_time)
+    assert got.final_state.half.shape == want.final_state.half.shape
+    assert got.final_state.half.tobytes() == want.final_state.half.tobytes()
+    assert got.monitor_names == want.monitor_names
+    assert np.array(got.monitor_rows).tobytes() == np.array(want.monitor_rows).tobytes()
+
+
+class TestLockstep:
+    """evolve_lockstep gives each scheme of the stack the run evolve gives it alone."""
+
+    @pytest.mark.parametrize(
+        "make_sys, initial, M",
+        [
+            (saint_venant_1d, "init1", 32),  # flux path
+            (saint_venant_2d_hamiltonian, "init2D", 8),  # flux path
+            (saint_venant_2d_standard, "init2D", 8),  # collocated path
+            (quartic_energy_system, None, 16),  # collocated, with a projected product
+        ],
+        ids=["sv1d", "sv2d-hamiltonian", "sv2d-standard", "quartic"],
+    )
+    def test_stack_matches_one_scheme_runs(self, make_sys, initial, M):
+        sysd = make_sys()
+        g = make_grid(sysd.d, M)
+        if initial is None:
+            st0 = state_from_samples(g, 0.3 * np.sin(g.mesh[0])[None])
+        else:
+            st0 = build_initial(initial, {}, g)
+        # 5 steps, the last one partial, sampled after steps 2 and 4 and at T
+        cfg = EvolveConfig(dt=1e-3, T=0.0045, monitor_stride=2)
+        kinds = ("smooth-nl", "sharp", "smooth-all")
+        results = evolve_lockstep([SchemeSpec(k) for k in kinds], sysd, st0, cfg)
+        assert [r.status for r in results] == ["completed"] * 3
+        for kind, res in zip(kinds, results):
+            assert_same_run(res, evolve(SchemeSpec(kind), sysd, st0, cfg))
+
+    @pytest.mark.parametrize("threshold, sharp_by_growth", [(1e6, False), (3.0, True)], ids=["stages", "growth"])
+    def test_scheme_that_blows_up_leaves_the_stack(self, threshold, sharp_by_growth):
+        # dt = 0.08 at 2M = 128 is beyond the RK4 stability limit of the sharp
+        # and smooth-nl schemes, whose linear parts reach |k| = N, but not of
+        # smooth-all, which filters the linear part too: sharp and smooth-nl
+        # blow up at different steps and smooth-all completes.  smooth-nl
+        # ends on a non-finite stage, and sharp too unless the growth
+        # threshold stops it first, at a monitor sample
+        sv = saint_venant_1d()
+        st0 = build_initial("init1", {}, make_grid(1, 64))
+        cfg = EvolveConfig(dt=0.08, T=2.0, monitor_stride=7, blowup_threshold=threshold)
+        kinds = SCHEME_KINDS
+
+        def run(call):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = call()
+            return out, [str(w.message) for w in caught]
+
+        results, stacked_warnings = run(lambda: evolve_lockstep([SchemeSpec(k) for k in kinds], sv, st0, cfg))
+        assert [r.status for r in results] == ["blowup", "completed", "blowup"]
+        assert (results[0].final_time == results[0].blowup_time) == sharp_by_growth
+        assert results[2].final_time < results[2].blowup_time
+        alone_warnings = []
+        for kind, res in zip(kinds, results):
+            alone, caught = run(lambda: evolve(SchemeSpec(kind), sv, st0, cfg))
+            assert_same_run(res, alone)
+            alone_warnings += caught
+        assert results[0].blowup_time != results[2].blowup_time
+        # the stack warns where the schemes alone warn, not for the states that left it
+        assert sorted(stacked_warnings) == sorted(alone_warnings)
+
+    def test_one_scheme_is_a_stack_of_views(self):
+        # evolve holds the arrays of one state: its result's final state is
+        # a view of the stack of one, not a copy
+        sv = saint_venant_1d()
+        st0 = build_initial("init1", {}, make_grid(1, 16))
+        res = evolve(SchemeSpec("sharp"), sv, st0, EvolveConfig(dt=1e-3, T=0.002))
+        assert res.final_state.half.shape == (2, 17)
+        assert res.final_state.half.base is not None and res.final_state.half.base.shape == (1, 2, 17)
 
 
 class TestCsvTable:
