@@ -158,16 +158,13 @@ def _initial_state(cfg: ExperimentConfig, system: SystemDef, M: int) -> StateFie
     return state0
 
 
-class _ComputeFault(RuntimeError):
-    """A ValueError raised once the inputs are resolved: a fault of the computation, not of the input."""
-
-
 @contextmanager
 def _computing():
+    """Once the inputs are resolved, a ValueError is a fault of the computation, not of the input: exit 2."""
     try:
         yield
     except ValueError as exc:
-        raise _ComputeFault(str(exc)) from exc
+        raise RuntimeError(str(exc)) from exc
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:

@@ -187,15 +187,11 @@ class StateField:
         return StateField(self.grid, -self.half)
 
 
-def _is_stack(x: StateField) -> bool:
-    return x.half.ndim > x.grid.d + 1
-
-
 def _stack(x: StateField, a: np.ndarray) -> np.ndarray:
     """a, an array laid out like x's half or samples, with the scheme axis
     of a stack: a itself when x is a stack, a view with an axis of one when
     x is one state."""
-    return a if _is_stack(x) else a[None]
+    return a if x.half.ndim > x.grid.d + 1 else a[None]
 
 
 def _per_state(ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
@@ -206,7 +202,7 @@ def _per_state(ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
 
 def _unstack(x: StateField, r: np.ndarray):
     """One value per state of x: r for a stack, its one entry as a float for one state."""
-    return r if _is_stack(x) else float(r[0])
+    return r if x.half.ndim > x.grid.d + 1 else float(r[0])
 
 
 def _carry(x: StateField, view) -> StateField:

@@ -268,10 +268,12 @@ def evolve_lockstep(
         t = t + h
         state = new_state
         if (i + 1) % stride == 0 or i == n_steps - 1:
-            peak = linf(state)  # NaN or inf where any sample is
-            exploded = ~np.isfinite(peak) | ((linf0 > 0.0) & (peak > cfg.blowup_threshold * linf0))
-            if exploded.any():
-                state = leave(np.flatnonzero(exploded).tolist(), state, t, t)
+            exploded = [
+                k for k, peak in enumerate(linf(state).tolist())  # NaN or inf where any sample is
+                if not math.isfinite(peak) or (linf0 > 0.0 and peak > cfg.blowup_threshold * linf0)
+            ]
+            if exploded:
+                state = leave(exploded, state, t, t)
                 if not live:
                     return results
             for k, row in enumerate(zip(*(fn(state).tolist() for _, fn in monitors))):
