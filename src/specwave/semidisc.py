@@ -247,7 +247,12 @@ def rhs(
     if not stacked:  # a stack of one
         half, u = half[None], u[None]
     if plan.flux:
-        nl = _apply_table(plan.flux_terms, samples_to_half(grid, np.stack([p.eval_on(u) for p in plan.flux], axis=1)))
+        # Q(U) joined along the component axis (np.stack(axis=1) without its
+        # wrapper's cost), in one expression: its samples are freed once
+        # transformed, before the table is applied
+        nl = _apply_table(
+            plan.flux_terms, samples_to_half(grid, np.concatenate([p.eval_on(u)[:, None] for p in plan.flux], axis=1))
+        )
     else:
         du = [half_to_samples(grid, half * dk) for dk in grid.diff_mult]
         nl = plan.m_nl * collocated_half(grid, u, du, plan.polys, plan.terms)
