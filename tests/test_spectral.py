@@ -311,6 +311,21 @@ class TestFilters:
         assert np.array_equal(dealias(once).coeffs, once.coeffs)
         assert np.allclose(once.coeffs, f.coeffs, atol=1e-14)
 
+    @pytest.mark.parametrize("d, M", [(1, 16), (2, 8)])
+    def test_dealias_returns_a_projected_state_as_it_is(self, d, M):
+        # the projection of projected data is the data, samples included;
+        # a coefficient beyond the cutoff on either axis is projected away
+        g = make_grid(d, M)
+        once = dealias(state_from_samples(g, np.random.default_rng(d).normal(size=(2,) + g.shape)))
+        once.samples
+        assert dealias(once) is once
+        for beyond in ((0,) * (d - 1) + (g.dealias_N + 1,), (g.dealias_N + 1,) + (0,) * (d - 1)):
+            half = once.half.copy()
+            half[(1, *beyond)] = 1.0
+            projected = dealias(StateField(g, half))
+            assert projected.half.tobytes() == (half * g.dealias_mask).tobytes()
+            assert projected.half[(1, *beyond)] == 0.0
+
     def test_ramp_profile_values(self):
         assert smooth_ramp(0.5) == 1.0
         assert smooth_ramp(0.75) == 0.25
