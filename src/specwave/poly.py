@@ -84,10 +84,6 @@ class Poly:
             [(e[:i] + (e[i] - 1,) + e[i + 1 :], e[i] * c) for e, c in self.terms if e[i]],
         )
 
-    def __call__(self, point: Sequence[float]) -> float:
-        """Value at one point: eval_on on a one-point stack, so the same bits as in a batch."""
-        return float(self.eval_on(np.asarray(point, dtype=np.float64)[None])[0])
-
     def eval_on(self, arrays: np.ndarray) -> np.ndarray:
         """Evaluate pointwise on component samples, variable i at arrays[:, i]
         (a stack of states, or a list of points).
@@ -163,10 +159,6 @@ class PolyMatrix:
 
     def max_degree(self) -> int:
         return max(p.degree() for row in self.entries for p in row)
-
-    def eval(self, point: Sequence[float]) -> np.ndarray:
-        """Entrywise evaluation at a point in R^n."""
-        return np.array([[p(point) for p in row] for row in self.entries])
 
     def constant_part(self) -> np.ndarray:
         return np.array([[p.constant() for p in row] for row in self.entries])

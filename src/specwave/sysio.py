@@ -27,7 +27,7 @@ import numpy as np
 from .poly import Poly, PolyMatrix
 from .systems import SystemDef
 
-__all__ = ["parse_system", "parse_system_text", "serialize_system", "SystemFormatError"]
+__all__ = ["parse_system", "parse_system_text", "SystemFormatError"]
 
 
 class SystemFormatError(ValueError):
@@ -173,33 +173,6 @@ def _to_index(token: str, line_no: int) -> int:
         return int(token)
     except ValueError:
         raise SystemFormatError(line_no, f"expected an integer, got {token!r}") from None
-
-
-def _poly_text(p: Poly) -> str:
-    return " ".join(f"({' '.join(str(e) for e in expo)}) {repr(c)}" for expo, c in p.terms)
-
-
-def serialize_system(sys: SystemDef) -> str:
-    lines = [f"name {sys.name}", f"dim {sys.d}", f"size {sys.n}"]
-    for j, Aj in enumerate(sys.A, start=1):
-        for i in range(sys.n):
-            for k in range(sys.n):
-                p = Aj.entries[i][k]
-                if p.terms:
-                    lines.append(f"A {j} {i + 1} {k + 1} {_poly_text(p)}")
-    if sys.S is not None:
-        for i in range(sys.n):
-            for k in range(sys.n):
-                p = sys.S.entries[i][k]
-                if p.terms:
-                    lines.append(f"S {i + 1} {k + 1} {_poly_text(p)}")
-    if sys.SJ0 is not None:
-        for j, mat in enumerate(sys.SJ0, start=1):
-            flat = " ".join(repr(float(v)) for v in np.asarray(mat).ravel())
-            lines.append(f"SJ0 {j} {flat}")
-    for pname, poly in sys.predicates:
-        lines.append(f"pred {pname} {_poly_text(poly)}")
-    return "\n".join(lines) + "\n"
 
 
 def _require_header(d, n, line_no: int) -> None:

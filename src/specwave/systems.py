@@ -52,13 +52,8 @@ class SystemDef:
     def __post_init__(self) -> None:
         if len(self.A) != self.d:
             raise ValueError("need one coefficient matrix per spatial direction")
-        A0 = tuple(Aj.constant_part() for Aj in self.A)
-        A1 = tuple(Aj.minus_constant() for Aj in self.A)
-        for Aj, A0j, A1j in zip(self.A, A0, A1):
-            if not (PolyMatrix.from_constant(A0j, Aj.nvars) + A1j).equals(Aj):
-                raise AssertionError("constant/varying split does not reproduce A_j")
-        object.__setattr__(self, "A0", A0)
-        object.__setattr__(self, "A1", A1)
+        object.__setattr__(self, "A0", tuple(Aj.constant_part() for Aj in self.A))
+        object.__setattr__(self, "A1", tuple(Aj.minus_constant() for Aj in self.A))
         object.__setattr__(self, "H", None if self.S is None else _energy_density(self.S))
 
     @cached_property
@@ -134,13 +129,12 @@ class CheckReport:
     """Outcome of a structural check over a set of sample points."""
 
     name: str
-    passed: bool
     n_samples: int
     failures: list[str] = field(default_factory=list)
 
-    def add_failure(self, msg: str) -> None:
-        self.passed = False
-        self.failures.append(msg)
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def _halton(start: int, count: int, d: int) -> np.ndarray:
@@ -181,7 +175,7 @@ def sample_hyperbolic_points(sys: SystemDef, count: int = 200) -> np.ndarray:
         for _, p in sys.predicates:
             inside &= p.eval_on(pts) > 0.0
         accepted.extend(pts[inside][: count - len(accepted)])
-    return np.array(accepted)
+    return np.array(accepted).reshape(-1, sys.n)
 
 
 def check_symmetrizer(sys: SystemDef, samples: np.ndarray | None = None) -> CheckReport:
@@ -191,16 +185,17 @@ def check_symmetrizer(sys: SystemDef, samples: np.ndarray | None = None) -> Chec
         raise ValueError(f"system {sys.name!r} has no symmetrizer registered")
     if samples is None:
         samples = sample_hyperbolic_points(sys)
-    report = CheckReport("symmetrizer", True, len(samples))
+    report = CheckReport("symmetrizer", len(samples))
     if not sys.S.is_symmetric():
-        report.add_failure("S not symmetric")
+        report.failures.append("S not symmetric")
     for j, Aj in enumerate(sys.A):
         if not (sys.S @ Aj).is_symmetric():
-            report.add_failure(f"S*A_{j} not symmetric")
-    for p in samples:
-        lam = np.linalg.eigvalsh(sys.S.eval(p))
-        if lam[0] <= 0.0:
-            report.add_failure(f"S not positive definite at {tuple(p)} (min eig {lam[0]:.3e})")
+            report.failures.append(f"S*A_{j} not symmetric")
+    values = np.array([[p.eval_on(samples) for p in row] for row in sys.S.entries])  # S[a, b] at each sample
+    lowest = np.linalg.eigvalsh(values.transpose(2, 0, 1))[:, 0]
+    bad = lowest <= 0.0
+    for p, lam in zip(samples[bad], lowest[bad]):
+        report.failures.append(f"S not positive definite at {tuple(p)} (min eig {lam:.3e})")
     return report
 
 
@@ -208,17 +203,17 @@ def check_compatibility_AS(sys: SystemDef) -> CheckReport:
     """Symmetry of S0 A0_j, S0 A1_j(U) + S1(U) A0_j and S1(U) A1_j(U), proved on coefficients."""
     if sys.S is None:
         raise ValueError(f"system {sys.name!r} has no symmetrizer registered")
-    report = CheckReport("compatibility", True, 0)
+    report = CheckReport("compatibility", 0)
     S0 = PolyMatrix.from_constant(sys.S.constant_part(), sys.n)
     S1 = sys.S.minus_constant()
     for j, (a0, A1j) in enumerate(zip(sys.A0, sys.A1)):
         A0j = PolyMatrix.from_constant(a0, sys.n)
         if not (S0 @ A0j).is_symmetric():
-            report.add_failure(f"S0*A0_{j} not symmetric")
+            report.failures.append(f"S0*A0_{j} not symmetric")
         if not (S0 @ A1j + S1 @ A0j).is_symmetric():
-            report.add_failure(f"S0*A1_{j} + S1*A0_{j} not symmetric")
+            report.failures.append(f"S0*A1_{j} + S1*A0_{j} not symmetric")
         if not (S1 @ A1j).is_symmetric():
-            report.add_failure(f"S1*A1_{j} not symmetric")
+            report.failures.append(f"S1*A1_{j} not symmetric")
     return report
 
 
@@ -226,12 +221,12 @@ def check_factorization(sys: SystemDef) -> CheckReport:
     """Exact polynomial identity A_j(U) = SJ0_j S(U), coefficient by coefficient."""
     if sys.SJ0 is None or sys.S is None:
         raise ValueError(f"system {sys.name!r} has no factorization A_j = SJ0_j S registered")
-    report = CheckReport("factorization", True, 0)
+    report = CheckReport("factorization", 0)
     for j, (sj0, Aj) in enumerate(zip(sys.SJ0, sys.A)):
         if np.max(np.abs(sj0 - sj0.T)) > 0.0:
-            report.add_failure(f"SJ0_{j} not symmetric")
+            report.failures.append(f"SJ0_{j} not symmetric")
         if not (PolyMatrix.from_constant(sj0, sys.n) @ sys.S).equals(Aj):
-            report.add_failure(f"A_{j} != SJ0_{j} * S as polynomials")
+            report.failures.append(f"A_{j} != SJ0_{j} * S as polynomials")
     return report
 
 

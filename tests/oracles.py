@@ -3,8 +3,9 @@
 The oracles are deliberately naive (dense sums, dict-based convolutions)
 and share no code path with the package internals.  The helpers, unlike
 the oracles, go through the package's public API: they build states,
-evaluate a filter symbol and the energy functional, count transforms and
-compare two right-hand sides.  No command calls any of them, so they live
+evaluate a polynomial at one point, a filter symbol and the energy
+functional, write a system definition file, count transforms and compare
+two right-hand sides.  No command calls any of them, so they live
 here rather than in the package.  The reference builders of the three
 built-in systems, written in polynomial algebra, check the definition
 files the package ships and parses.
@@ -53,6 +54,44 @@ def poly_equals(a: Poly, b: Poly) -> bool:
 def zero_matrix(n: int, nvars: int) -> PolyMatrix:
     z = Poly.zero(nvars)
     return PolyMatrix(n, tuple(tuple(z for _ in range(n)) for _ in range(n)))
+
+
+def poly_at(poly: Poly, point: Sequence[float]) -> float:
+    """Value at one point: eval_on on a one-point stack, so the same bits as in a batch."""
+    return float(poly.eval_on(np.asarray(point, dtype=np.float64)[None])[0])
+
+
+def matrix_at(mat: PolyMatrix, point: Sequence[float]) -> np.ndarray:
+    """Entrywise value of a polynomial matrix at one point."""
+    return np.array([[poly_at(p, point) for p in row] for row in mat.entries])
+
+
+def _poly_text(p: Poly) -> str:
+    return " ".join(f"({' '.join(str(e) for e in expo)}) {repr(c)}" for expo, c in p.terms)
+
+
+def serialize_system(sys: SystemDef) -> str:
+    """Definition-file text of a system, the inverse of sysio.parse_system_text."""
+    lines = [f"name {sys.name}", f"dim {sys.d}", f"size {sys.n}"]
+    for j, Aj in enumerate(sys.A, start=1):
+        for i in range(sys.n):
+            for k in range(sys.n):
+                p = Aj.entries[i][k]
+                if p.terms:
+                    lines.append(f"A {j} {i + 1} {k + 1} {_poly_text(p)}")
+    if sys.S is not None:
+        for i in range(sys.n):
+            for k in range(sys.n):
+                p = sys.S.entries[i][k]
+                if p.terms:
+                    lines.append(f"S {i + 1} {k + 1} {_poly_text(p)}")
+    if sys.SJ0 is not None:
+        for j, mat in enumerate(sys.SJ0, start=1):
+            flat = " ".join(repr(float(v)) for v in np.asarray(mat).ravel())
+            lines.append(f"SJ0 {j} {flat}")
+    for pname, poly in sys.predicates:
+        lines.append(f"pred {pname} {_poly_text(poly)}")
+    return "\n".join(lines) + "\n"
 
 
 def eval_on_zero_filled(poly: Poly, arrays) -> np.ndarray:
@@ -447,7 +486,7 @@ def csv_cell(v) -> str:
 
 def in_domain(sys: SystemDef, point: Sequence[float]) -> bool:
     """Whether every hyperbolicity predicate of the system is positive at one point."""
-    return all(p(point) > 0.0 for _, p in sys.predicates)
+    return all(poly_at(p, point) > 0.0 for _, p in sys.predicates)
 
 
 def hyperbolic_points_by_point(sys, count: int) -> np.ndarray:

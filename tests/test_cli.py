@@ -15,9 +15,8 @@ import specwave
 from specwave.cli import _build_config, _parser, main, parse_config_text
 from specwave.presets import CONFIG_KEYS, get_preset, preset_names
 from specwave.spectral import StateField
-from specwave.sysio import serialize_system
 
-from oracles import count_transforms, saint_venant_1d
+from oracles import count_transforms, saint_venant_1d, serialize_system
 
 FLAG_SUBCOMMANDS = ("run", "converge", "probe-jn")
 
@@ -374,6 +373,34 @@ class TestCheckSystem:
         path = tmp_path / "sys.txt"
         path.write_text(serialize_system(saint_venant_1d()))
         assert main(["check-system", str(path)]) == 0
+
+    def test_indefinite_symmetrizer_lines(self, tmp_path, capsys):
+        # the 1D system with the depth predicate alone: S = [[1, u], [u, 1+eta]]
+        # is indefinite where 1 + eta > 0 but u^2 > 1 + eta; the failures come
+        # in sample order, the first five in full
+        path = tmp_path / "sys.txt"
+        path.write_text(
+            "name indefinite-1d\ndim 1\nsize 2\n"
+            "A 1 1 1 (0 1) 1.0\nA 1 1 2 (0 0) 1.0 (1 0) 1.0\nA 1 2 1 (0 0) 1.0\nA 1 2 2 (0 1) 1.0\n"
+            "S 1 1 (0 0) 1.0\nS 1 2 (0 1) 1.0\nS 2 1 (0 1) 1.0\nS 2 2 (0 0) 1.0 (1 0) 1.0\n"
+            "SJ0 1 0.0 1.0 1.0 0.0\npred U (0 0) 1.0 (1 0) 1.0\n"
+        )
+        assert main(["check-system", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "polynomial-entries: PASS (max degree 1)\n"
+            "symmetrizer: FAIL (symmetry exact; positive definite at 200 samples)\n"
+            "  S not positive definite at (np.float64(-0.9), np.float64(-0.9)) (min eig -4.562e-01)\n"
+            "  S not positive definite at (np.float64(-0.7875), np.float64(0.6999999999999998)) (min eig -1.969e-01)\n"
+            "  S not positive definite at (np.float64(-0.8718750000000001), np.float64(0.5222222222222223))"
+            " (min eig -1.162e-01)\n"
+            "  S not positive definite at (np.float64(-0.6468750000000001), np.float64(-0.8111111111111111))"
+            " (min eig -1.967e-01)\n"
+            "  S not positive definite at (np.float64(-0.534375), np.float64(0.7888888888888889)) (min eig -1.001e-01)\n"
+            "  ... 19 more failures\n"
+            "compatibility-split: PASS (exact)\n"
+            "constant-factorization: PASS (exact)\n"
+            "energy-density: PASS (exact: S = D^2 H)\n"
+        )
 
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

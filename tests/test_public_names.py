@@ -26,10 +26,6 @@ BENCH = ROOT / "bench"
 PACKAGE = Path(specwave.__file__).resolve().parent
 MODULES = ["specwave"] + [f"specwave.{info.name}" for info in pkgutil.iter_modules(specwave.__path__)]
 
-# serialize_system is the inverse of the system file format that parse_system
-# reads: it belongs with the format even though only tests write files with it.
-UNUSED_PUBLIC_ALLOWED = {"serialize_system"}
-
 
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -150,8 +146,7 @@ def test_all_names_exist(module):
 
 
 def test_every_public_name_is_used_outside_tests():
-    unused = [(source, name) for source, name in public_names_unused() if name not in UNUSED_PUBLIC_ALLOWED]
-    assert not unused, "public names only tests use; move them to tests/oracles.py"
+    assert not public_names_unused(), "public names only tests use; move them to tests/oracles.py"
 
 
 def test_every_public_method_is_used_outside_tests():

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from specwave.systems import check_factorization
-from specwave.sysio import (
-    SystemFormatError,
-    parse_system,
-    parse_system_text,
+from specwave.sysio import SystemFormatError, parse_system, parse_system_text
+
+from oracles import (
+    matrix_at,
+    poly_equals,
+    saint_venant_1d,
+    saint_venant_2d_hamiltonian,
+    saint_venant_2d_standard,
     serialize_system,
 )
-
-from oracles import poly_equals, saint_venant_1d, saint_venant_2d_hamiltonian, saint_venant_2d_standard
 
 
 @pytest.mark.parametrize(
@@ -57,7 +59,7 @@ size 1
 A 1 1 1 (1) 2.0  # trailing comment
 """
     sysd = parse_system_text(text)
-    assert sysd.A[0].eval([3.0])[0, 0] == 6.0
+    assert matrix_at(sysd.A[0], [3.0])[0, 0] == 6.0
 
 
 def test_error_reports_line_number():

@@ -31,6 +31,7 @@ from oracles import (
     full_wavenumbers,
     hyperbolic_points_by_point,
     in_domain,
+    matrix_at,
     poly_var,
     quadrature_inner,
     saint_venant_1d,
@@ -45,21 +46,21 @@ ALL_SYSTEMS = [saint_venant_1d, saint_venant_2d_standard, saint_venant_2d_hamilt
 class TestEvalMatrix:
     def test_sv1d_at_origin(self):
         sv = saint_venant_1d()
-        assert np.allclose(sv.A[0].eval([0, 0]), [[0, 1], [1, 0]])
+        assert np.allclose(matrix_at(sv.A[0], [0, 0]), [[0, 1], [1, 0]])
 
     def test_sv1d_at_point(self):
         sv = saint_venant_1d()
-        assert np.allclose(sv.A[0].eval([0.5, 0.2]), [[0.2, 1.5], [1.0, 0.2]])
+        assert np.allclose(matrix_at(sv.A[0], [0.5, 0.2]), [[0.2, 1.5], [1.0, 0.2]])
 
     def test_zero_matrix(self):
         z = zero_matrix(2, 2)
-        assert np.allclose(z.eval([3.0, -1.0]), np.zeros((2, 2)))
+        assert np.allclose(matrix_at(z, [3.0, -1.0]), np.zeros((2, 2)))
 
 
 class TestSaintVenant1D:
     def test_symmetrizer_at_origin_is_identity(self):
         sv = saint_venant_1d()
-        assert np.allclose(sv.S.eval([0, 0]), np.eye(2))
+        assert np.allclose(matrix_at(sv.S, [0, 0]), np.eye(2))
 
     def test_factorization_exact(self):
         rep = check_factorization(saint_venant_1d())
@@ -70,7 +71,7 @@ class TestSaintVenant1D:
         rng = np.random.default_rng(0)
         for _ in range(20):
             p = rng.normal(size=2)
-            assert np.allclose(sv.SJ0[0] @ sv.S.eval(p), sv.A[0].eval(p), atol=1e-14)
+            assert np.allclose(sv.SJ0[0] @ matrix_at(sv.S, p), matrix_at(sv.A[0], p), atol=1e-14)
 
     def test_sa_symmetric_in_domain(self):
         sv = saint_venant_1d()
@@ -81,7 +82,7 @@ class TestSaintVenant1D:
             if not in_domain(sv, p):
                 continue
             count += 1
-            sa = sv.S.eval(p) @ sv.A[0].eval(p)
+            sa = matrix_at(sv.S, p) @ matrix_at(sv.A[0], p)
             assert np.max(np.abs(sa - sa.T)) < 1e-14
 
     def test_both_predicates_registered(self):
@@ -92,7 +93,7 @@ class TestSaintVenant1D:
 class TestSaintVenant2D:
     def test_standard_a1_at_origin(self):
         sv = saint_venant_2d_standard()
-        assert np.allclose(sv.A[0].eval([0, 0, 0]), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+        assert np.allclose(matrix_at(sv.A[0], [0, 0, 0]), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
 
     def test_standard_compatibility(self):
         rep = check_compatibility_AS(saint_venant_2d_standard())
@@ -108,11 +109,11 @@ class TestSaintVenant2D:
 
     def test_hamiltonian_spd_at_origin(self):
         sv = saint_venant_2d_hamiltonian()
-        assert np.allclose(np.linalg.eigvalsh(sv.S.eval([0, 0, 0])), [1, 1, 1])
+        assert np.allclose(np.linalg.eigvalsh(matrix_at(sv.S, [0, 0, 0])), [1, 1, 1])
 
     def test_hamiltonian_not_spd_outside_domain(self):
         sv = saint_venant_2d_hamiltonian()
-        lam = np.linalg.eigvalsh(sv.S.eval([0.0, 0.8, 0.8]))
+        lam = np.linalg.eigvalsh(matrix_at(sv.S, [0.0, 0.8, 0.8]))
         assert lam[0] < 0  # 1 + eta - |u|^2 = -0.28
 
     def test_strict_domain_inside_standard_domain(self):
@@ -183,6 +184,28 @@ class TestStructuralChecks:
             S=PolyMatrix.from_constant(np.eye(2), 2),
         )
         assert check_compatibility_AS(sysd).passed
+
+    @pytest.mark.parametrize("count", [0, 1, 200])
+    @pytest.mark.parametrize("make", ALL_SYSTEMS)
+    def test_batched_definiteness_matches_point_loop(self, make, count):
+        # one batched eigvalsh fails the points a one-by-one loop fails, in
+        # sample order and with the same eigenvalues; the points fill twice
+        # the sampled box, where every S is indefinite at some
+        sysd = make()
+        samples = 2.0 * sample_hyperbolic_points(replace(sysd, predicates=()), count=count)
+        want = [
+            f"S not positive definite at {tuple(p)} (min eig {lam:.3e})"
+            for p in samples
+            if (lam := np.linalg.eigvalsh(matrix_at(sysd.S, p))[0]) <= 0.0
+        ]
+        assert check_symmetrizer(sysd, samples).failures == want
+        assert count < 200 or want
+
+    def test_no_point_in_domain_leaves_no_samples(self):
+        sysd = replace(saint_venant_1d(), predicates=(("never", Poly.const(2, -1.0)),))
+        assert sample_hyperbolic_points(sysd).shape == (0, 2)
+        rep = check_symmetrizer(sysd)
+        assert rep.passed and rep.n_samples == 0
 
     def test_split_exactness(self):
         for factory in ALL_SYSTEMS:
@@ -359,7 +382,7 @@ class TestDerivedFlux:
 class TestStandardSymmetrizer1D:
     def test_diagonal_form(self):
         s = energy_symmetrizer(saint_venant_1d())
-        assert np.allclose(s.eval([0.3, 0.7]), [[1.0, 0.0], [0.0, 1.3]])
+        assert np.allclose(matrix_at(s, [0.3, 0.7]), [[1.0, 0.0], [0.0, 1.3]])
 
     def test_same_entries_as_diag(self):
         one, eta, zero = Poly.const(2, 1.0), poly_var(2, 0), Poly.zero(2)
@@ -372,7 +395,7 @@ class TestStandardSymmetrizer1D:
         rng = np.random.default_rng(2)
         for _ in range(20):
             p = rng.uniform(-0.5, 0.5, size=2)
-            sa = s.eval(p) @ sv.A[0].eval(p)
+            sa = matrix_at(s, p) @ matrix_at(sv.A[0], p)
             assert np.max(np.abs(sa - sa.T)) < 1e-14
 
 

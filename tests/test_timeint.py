@@ -120,6 +120,21 @@ class TestRK4Step:
             out = rk4_step(lambda s: big, zero_state(g, 1), 1e-300)  # no BlowUpError
         assert out.half.shape == big.half.shape
 
+    def test_check_names_nonfinite_states_without_warnings(self):
+        # states 1, 4 and 5 are finite, but the square of 1e200 and the sum
+        # of state 4's 1e308s overflow
+        g = make_grid(1, 8)
+        half = np.zeros((6, 2, g.M + 1), dtype=complex)
+        half[:, 1, 3] = [np.inf, 1e200, -np.inf, complex(0.0, np.nan), 1.0, 2.0]
+        half[4] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError) as err:
+                timeint._check_finite(StateField(g, half), "k3")
+            for k in (1, 4, 5):
+                timeint._check_finite(StateField(g, half[k : k + 1]), "k3")
+        assert (err.value.stage, err.value.states) == ("k3", (0, 2, 3))
+
     @pytest.mark.parametrize("make_sys, M", [(saint_venant_1d, 32), (saint_venant_2d_hamiltonian, 8)])
     def test_combine_matches_expression_bit_for_bit(self, make_sys, M):
         sysd = make_sys()
@@ -395,6 +410,23 @@ class TestLockstep:
         assert results[0].blowup_time != results[2].blowup_time
         # the stack warns where the schemes alone warn, not for the states that left it
         assert sorted(stacked_warnings) == sorted(alone_warnings)
+
+    @pytest.mark.parametrize("make_sys, initial", [
+        (saint_venant_1d, "init1"), (saint_venant_2d_hamiltonian, "init2D"), (saint_venant_2d_standard, "init2D"),
+    ])
+    def test_steps_make_no_blas_call(self, monkeypatch, make_sys, initial):
+        # BLAS runs threads of its own, which outnumber the CPUs when worker
+        # processes evolve side by side
+        sysd = make_sys()
+        st0 = build_initial(initial, {}, make_grid(sysd.d, 8))
+
+        def blas(*args, **kwargs):
+            raise AssertionError("BLAS call on the run path")
+
+        for name in ("vdot", "dot", "inner", "tensordot"):
+            monkeypatch.setattr(np, name, blas)
+        results = evolve_lockstep([SchemeSpec(k) for k in SCHEME_KINDS], sysd, st0, EvolveConfig(dt=1e-3, T=0.003))
+        assert [r.status for r in results] == ["completed"] * 3
 
     def test_one_scheme_is_a_stack_of_views(self):
         # evolve holds the arrays of one state: its result's final state is
