@@ -68,7 +68,7 @@ def _check_finite(state: StateField, stage: str) -> StateField:
     np.vdot, calls no BLAS: BLAS threads would outnumber the CPUs when
     worker processes evolve side by side."""
     half = state.half
-    if not np.isfinite(np.einsum("i->", np.ravel(half).view(np.float64))):
+    if not math.isfinite(np.einsum("i->", np.ravel(half).view(np.float64))):
         finite = _per_state(np.logical_and, np.isfinite(_stack(state, half)))
         if not finite.all():
             raise BlowUpError(stage, tuple(np.flatnonzero(~finite).tolist()))
