@@ -47,8 +47,11 @@ def _init2d(
     v_h: float,
     s: float,
 ) -> StateField:
-    """Separable 2D data with an N-mode perturbation of amplitude N^-s."""
-    x, y = grid.mesh
+    """Separable 2D data with an N-mode perturbation of amplitude N^-s.
+
+    Each factor is evaluated on the axis points and broadcast: the same
+    products, entry by entry, as on the full mesh."""
+    x, y = grid.axis_points[:, None], grid.axis_points[None, :]
     n = grid.dealias_N
     eta = (h0 - 1.0) * np.cos(x) * np.cos(y)
     u = u_l * np.sin(x) * np.cos(y) + u_h * np.sin(n * x) * np.cos(n * y) / n**s

@@ -186,10 +186,11 @@ def evolve(
     sys: SystemDef,
     state0: StateField,
     cfg: EvolveConfig,
+    monitors: Sequence[Monitor] | None = None,
 ) -> EvolveResult:
     """evolve_lockstep of one scheme: a stack of one, which holds views of
     the arrays of one state."""
-    return evolve_lockstep((scheme,), sys, state0, cfg)[0]
+    return evolve_lockstep((scheme,), sys, state0, cfg, monitors)[0]
 
 
 def evolve_lockstep(
@@ -197,16 +198,19 @@ def evolve_lockstep(
     sys: SystemDef,
     state0: StateField,
     cfg: EvolveConfig,
+    monitors: Sequence[Monitor] | None = None,
 ) -> list[EvolveResult]:
     """March the semi-discrete system from the projected initial data to T
     under each scheme, all in one stack of states; one result per scheme.
 
     The initial state is projected onto the retained mode cube (all schemes
     start from the sharp projection of the data); already projected data
-    are used as they are, with their samples.  Monitors are sampled at t=0
-    (once: every scheme starts from the same state), every stride steps and
-    at the final time.  Blow-up is declared on non-finite stage values or
-    when the max-norm exceeds the configured growth factor; the scheme that
+    are used as they are, with their samples.  Monitors (None: the
+    standard_monitors of sys; () records only the times) are sampled at
+    t=0 (once: every scheme starts from the same state), every stride steps
+    and at the final time.  Blow-up is declared on non-finite stage values
+    or when the max-norm, checked at those samples with or without
+    monitors, exceeds the configured growth factor; the scheme that
     blows up leaves the stack with the time, state and monitor rows of a
     run of its own, and the others go on.  Each step is one RK4 step of
     the stack: a stage that is non-finite in some states is computed again
@@ -226,7 +230,8 @@ def evolve_lockstep(
         stride = cfg.monitor_stride
     else:
         stride = max(1, math.ceil(n_steps / 200))
-    monitors = standard_monitors(sys)
+    if monitors is None:
+        monitors = standard_monitors(sys)
     names = [name for name, _ in monitors]
 
     projected = dealias(state0)
@@ -278,8 +283,9 @@ def evolve_lockstep(
                 state = leave(exploded, state, t, t)
                 if not live:
                     return results
-            for k, row in enumerate(zip(*(fn(state).tolist() for _, fn in monitors))):
-                rows[live[k]].append((t, *row))
+            values = [fn(state).tolist() for _, fn in monitors]
+            for k, j in enumerate(live):
+                rows[j].append((t, *(v[k] for v in values)))
     for k, j in enumerate(live):
         results[j] = EvolveResult(_carry(state, lambda a: a[k]), cfg.T, "completed", None, names, rows[j])
     return results

@@ -3,8 +3,8 @@
 The oracles are deliberately naive (dense sums, dict-based convolutions)
 and share no code path with the package internals.  The helpers, unlike
 the oracles, go through the package's public API: they build states,
-evaluate a polynomial at one point, a filter symbol and the energy
-functional, write a system definition file, count transforms and compare
+evaluate a polynomial at one point, a filter symbol, the energy
+functional and one relative error, write a system definition file, count transforms and compare
 two right-hand sides.  No command calls any of them, so they live
 here rather than in the package.  The reference builders of the three
 built-in systems, written in polynomial algebra, check the definition
@@ -27,8 +27,10 @@ from specwave.spectral import (
     Grid,
     StateField,
     dealias,
+    embed,
     l2_inner,
     smooth_ramp,
+    sobolev_norm,
     state_from_samples,
     to_samples,
 )
@@ -259,6 +261,23 @@ def embed_full(x: StateField, fine: Grid) -> StateField:
     tgt[(slice(None), *[np.mod(ka, fine.two_m) for ka in k])] = split
     tgt[(slice(None), *[np.mod(-ka, fine.two_m) for ka in k])] = np.conj(split)
     return StateField(fine, tgt[..., : fine.M + 1])
+
+
+def relative_error(u: StateField, ref: StateField, s: float) -> float:
+    """Relative H^s gap to a reference on a finer (or equal) grid, one
+    state at a time.  The convergence study computes each row's errors in
+    the same operations, with the reference norm taken once.
+
+    The coarse state is zero-padded onto the reference mode set and the
+    norms are taken directly on the Fourier coefficients.
+    """
+    if ref.grid.M < u.grid.M:
+        raise ValueError("reference grid must be at least as fine as the candidate")
+    padded = embed(u, ref.grid)
+    denom = sobolev_norm(ref, s)
+    if denom == 0.0:
+        raise ValueError("reference state has zero norm")
+    return sobolev_norm(padded - ref, s) / denom
 
 
 def filter_symbol(spec: FilterSpec, k: Sequence[float]) -> float:

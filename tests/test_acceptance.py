@@ -17,7 +17,6 @@ import pytest
 from specwave.analysis import (
     convergence_study,
     jn_study,
-    relative_error,
 )
 from specwave.cli import main
 from specwave.initial import build_initial

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from specwave import analysis
+from specwave import analysis, timeint
 from specwave.analysis import (
     ConvergenceReport,
     convergence_study,
@@ -13,7 +13,6 @@ from specwave.analysis import (
     jn_counterexample_states,
     jn_probe,
     jn_study,
-    relative_error,
     report_csv,
     report_table,
 )
@@ -39,6 +38,7 @@ from oracles import (
     from_function,
     full_wavenumbers,
     quadrature_inner,
+    relative_error,
     saint_venant_1d,
     saint_venant_2d_hamiltonian,
     sobolev_from_dict,
@@ -308,6 +308,20 @@ class TestConvergenceStudy:
         serial = convergence_study(sv, **kwargs, jobs=1)
         parallel = convergence_study(sv, **kwargs, jobs=2)
         assert report_csv(serial) == report_csv(parallel)
+
+    def test_study_evaluates_no_monitor(self, monkeypatch):
+        # the report reads no monitor row, so neither the reference nor any
+        # case builds the standard monitors
+        def never(sys):
+            raise AssertionError("standard monitors built")
+
+        monkeypatch.setattr(timeint, "standard_monitors", never)
+        report = convergence_study(
+            saint_venant_1d(), ["sharp", "smooth-nl"], "init1", {"alpha": 1.5}, [8, 16], 64,
+            EvolveConfig(dt=1e-3, T=0.005, monitor_stride=2), jobs=1,
+        )
+        assert [r.status for r in report.rows] == ["completed"] * 4
+        assert all(set(r.errors) == {0.0, 1.0} for r in report.rows)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_one_case_per_resolution_matches_one_scheme_runs(self, jobs, monkeypatch):

@@ -741,6 +741,21 @@ class TestExitPaths:
         assert capsys.readouterr().err == "internal error: injected numerical fault\n"
 
 
+    def test_zero_reference_exits_2(self, tmp_path, capsys):
+        # all-zero init2D data: the study evolves, then finds the reference
+        # norm zero at the first completed row and writes nothing
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(
+            "system = saint-venant-2d-hamiltonian\ninitial = init2D\n"
+            "init.h0 = 1\ninit.u_l = 0\ninit.v_l = 0\ninit.u_h = 0\ninit.v_h = 0\n"
+            "M_list = 4 8\nM_ref = 16\ndt = 1e-3\nT = 0.002\n"
+        )
+        code = main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "internal error: reference state has zero norm\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):

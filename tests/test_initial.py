@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specwave.initial import INITIAL_NAMES, build_initial
-from specwave.spectral import make_grid, sobolev_norm, to_samples
+from specwave.spectral import make_grid, sobolev_norm, state_from_samples, to_samples
 
 from oracles import from_coeffs, full_wavenumbers
 
@@ -71,6 +71,22 @@ def test_init2d_formulas():
     assert np.max(np.abs(samples[0] - eta)) < 1e-13
     assert np.max(np.abs(samples[1] - u)) < 1e-13
     assert np.max(np.abs(samples[2] - v)) < 1e-13
+
+
+@pytest.mark.parametrize("M", [16, 128])
+def test_init2d_separable_matches_full_mesh(M):
+    # the factors on the axis points, broadcast, give the full mesh formula's bits
+    g = make_grid(2, M)
+    n = g.dealias_N
+    params = dict(h0=0.7, u_l=0.3, v_l=-0.2, u_h=1.5, v_h=-0.5, s=1.5)
+    x, y = g.mesh
+    eta = (0.7 - 1.0) * np.cos(x) * np.cos(y)
+    u = 0.3 * np.sin(x) * np.cos(y) + 1.5 * np.sin(n * x) * np.cos(n * y) / n**1.5
+    v = -0.2 * np.cos(x) * np.sin(y) + -0.5 * np.cos(n * x) * np.sin(n * y) / n**1.5
+    want = state_from_samples(g, np.stack([eta, u, v]))
+    got = build_initial("init2D", params, g)
+    assert to_samples(got).tobytes() == to_samples(want).tobytes()
+    assert got.half.tobytes() == want.half.tobytes()
 
 
 def test_init2d_requires_2d_grid():

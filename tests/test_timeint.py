@@ -411,6 +411,44 @@ class TestLockstep:
         # the stack warns where the schemes alone warn, not for the states that left it
         assert sorted(stacked_warnings) == sorted(alone_warnings)
 
+    def test_no_monitors_record_the_times_of_the_same_run(self):
+        # the runs of test_scheme_that_blows_up_leaves_the_stack with the
+        # growth threshold: sharp blows up on growth at a stride sample,
+        # smooth-all completes and smooth-nl ends on a non-finite stage.
+        # Without monitors the growth check runs at the same samples, and
+        # they feed the next step's first stage as before
+        sv = saint_venant_1d()
+        st0 = build_initial("init1", {}, make_grid(1, 64))
+        cfg = EvolveConfig(dt=0.08, T=2.0, monitor_stride=7, blowup_threshold=3.0)
+        schemes = [SchemeSpec(k) for k in SCHEME_KINDS]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            monitored = evolve_lockstep(schemes, sv, st0, cfg)
+            bare = evolve_lockstep(schemes, sv, st0, cfg, ())
+        assert [r.status for r in bare] == ["blowup", "completed", "blowup"]
+        assert bare[0].final_time == bare[0].blowup_time
+        assert bare[2].final_time < bare[2].blowup_time
+        for got, want in zip(bare, monitored):
+            assert (got.status, got.final_time, got.blowup_time) == (want.status, want.final_time, want.blowup_time)
+            assert got.final_state.half.tobytes() == want.final_state.half.tobytes()
+            assert got.monitor_names == []
+            assert got.monitor_rows == [row[:1] for row in want.monitor_rows]
+            assert monitor_csv(got).splitlines()[1:] == [repr(row[0]) for row in want.monitor_rows]
+
+    def test_no_monitors_on_one_scheme(self, monkeypatch):
+        # evolve passes the monitors on; with none, standard_monitors is not called
+        def never(sys):
+            raise AssertionError("standard monitors built")
+
+        sv = saint_venant_1d()
+        st0 = build_initial("init1", {}, make_grid(1, 16))
+        cfg = EvolveConfig(dt=1e-3, T=0.0045, monitor_stride=2)
+        want = evolve(SchemeSpec("smooth-nl"), sv, st0, cfg)
+        monkeypatch.setattr(timeint, "standard_monitors", never)
+        got = evolve(SchemeSpec("smooth-nl"), sv, st0, cfg, ())
+        assert got.final_state.half.tobytes() == want.final_state.half.tobytes()
+        assert got.monitor_rows == [(0.0,), (0.002,), (0.004,), (0.0045,)] == [row[:1] for row in want.monitor_rows]
+
     @pytest.mark.parametrize("make_sys, initial", [
         (saint_venant_1d, "init1"), (saint_venant_2d_hamiltonian, "init2D"), (saint_venant_2d_standard, "init2D"),
     ])
