@@ -4,11 +4,11 @@ The oracles are deliberately naive (dense sums, dict-based convolutions)
 and share no code path with the package internals.  The helpers, unlike
 the oracles, go through the package's public API: they build states,
 evaluate a polynomial at one point, a filter symbol, the energy
-functional and one relative error, write a system definition file, count transforms and compare
-two right-hand sides.  No command calls any of them, so they live
-here rather than in the package.  The reference builders of the three
-built-in systems, written in polynomial algebra, check the definition
-files the package ships and parses.
+functional and one relative error, write a system definition file,
+count transforms and compare two right-hand sides.  No command calls
+any of them, so they live here rather than in the package.  The
+reference builders of the three built-in systems, written in polynomial
+algebra, check the definition files the package ships and parses.
 """
 
 from __future__ import annotations

@@ -433,21 +433,6 @@ class TestLockstep:
             assert got.final_state.half.tobytes() == want.final_state.half.tobytes()
             assert got.monitor_names == []
             assert got.monitor_rows == [row[:1] for row in want.monitor_rows]
-            assert monitor_csv(got).splitlines()[1:] == [repr(row[0]) for row in want.monitor_rows]
-
-    def test_no_monitors_on_one_scheme(self, monkeypatch):
-        # evolve passes the monitors on; with none, standard_monitors is not called
-        def never(sys):
-            raise AssertionError("standard monitors built")
-
-        sv = saint_venant_1d()
-        st0 = build_initial("init1", {}, make_grid(1, 16))
-        cfg = EvolveConfig(dt=1e-3, T=0.0045, monitor_stride=2)
-        want = evolve(SchemeSpec("smooth-nl"), sv, st0, cfg)
-        monkeypatch.setattr(timeint, "standard_monitors", never)
-        got = evolve(SchemeSpec("smooth-nl"), sv, st0, cfg, ())
-        assert got.final_state.half.tobytes() == want.final_state.half.tobytes()
-        assert got.monitor_rows == [(0.0,), (0.002,), (0.004,), (0.0045,)] == [row[:1] for row in want.monitor_rows]
 
     @pytest.mark.parametrize("make_sys, initial", [
         (saint_venant_1d, "init1"), (saint_venant_2d_hamiltonian, "init2D"), (saint_venant_2d_standard, "init2D"),
