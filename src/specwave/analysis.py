@@ -21,7 +21,6 @@ from .spectral import (
     max_mode_support,
     sobolev_norm,
     state_from_samples,
-    to_samples,
 )
 from .systems import SystemDef
 from .timeint import EvolveConfig, csv_table, evolve, evolve_lockstep
@@ -107,8 +106,7 @@ def jn_probe(sys: SystemDef, U: StateField, V: StateField, N: int) -> float:
 def _matvec_exact(P: PolyMatrix, coeff_state: StateField, vec: StateField) -> StateField:
     """P(U) applied pointwise to a vector field, no projection."""
     grid = coeff_state.grid
-    u, du = to_samples(coeff_state)[None], to_samples(vec)[None]  # stacks of one state
-    return StateField(grid, collocated_half(grid, u, [du], *entry_terms([P]))[0])
+    return StateField(grid, collocated_half(grid, coeff_state.variables, [vec.variables], *entry_terms([P])))
 
 
 def jn_counterexample_states(N: int, p: int, q: int) -> tuple[StateField, StateField]:
@@ -121,7 +119,7 @@ def jn_counterexample_states(N: int, p: int, q: int) -> tuple[StateField, StateF
         raise ValueError(f"need p << N, got p={p}, N={N}")
     m_work = 1 << max(4, math.ceil(math.log2(3.0 * (N + p) / 2.0)))
     grid = make_grid(1, m_work)
-    x = grid.mesh[0]
+    x = grid.axis_points
     U = state_from_samples(grid, np.stack([-0.5 * np.cos(p * x), np.sin(p * x)]))
     V = state_from_samples(grid, np.stack([np.zeros_like(x), np.sin((N - q) * x)]))
     return U, V

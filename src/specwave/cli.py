@@ -142,7 +142,8 @@ def _snapshot_csv(grid: Grid, snapshots: list[tuple[float, np.ndarray, np.ndarra
     header = ["time", *coord_cols, *(f"comp{i}" for i in range(n)), "d2_comp1"]
     times = np.repeat([t for t, _, _ in snapshots], grid.npoints)
     # row-major: the last axis varies fastest
-    coords = [np.tile(x.ravel(), len(snapshots)) for x in grid.mesh]
+    mesh = np.meshgrid(*[grid.axis_points] * grid.d, indexing="ij")
+    coords = [np.tile(x.ravel(), len(snapshots)) for x in mesh]
     values = np.concatenate(
         [np.concatenate([u, d2]).reshape(n + 1, -1) for _, u, d2 in snapshots],
         axis=1,

@@ -20,7 +20,7 @@ def _init1(grid: Grid, alpha: float) -> StateField:
     """Localized heap of water: eta = exp(-|x|^alpha) exp(-4 x^2) / 2, u = 0 (alpha > 0)."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    x = grid.mesh[0]
+    x = grid.axis_points
     eta = 0.5 * np.exp(-np.abs(x) ** alpha) * np.exp(-4.0 * x**2)
     return state_from_samples(grid, np.stack([eta, np.zeros_like(x)]))
 
@@ -31,7 +31,7 @@ def _init_dip(grid: Grid, depth: float) -> StateField:
     With depth 1/2 (init2) the data lie inside 1+eta>0 and outside
     1+eta-u^2>0; with depth 1 (init_zero_depth) they touch zero depth at x=0.
     """
-    x = grid.mesh[0]
+    x = grid.axis_points
     n = grid.dealias_N
     eta = -depth * np.cos(x)
     u = np.sin(x) + np.sin(n * x) / n**2

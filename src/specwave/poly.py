@@ -85,8 +85,8 @@ class Poly:
         )
 
     def eval_on(self, arrays: np.ndarray) -> np.ndarray:
-        """Evaluate pointwise on component samples, variable i at arrays[:, i]
-        (a stack of states, or a list of points).
+        """Evaluate pointwise, variable i at arrays[i]: a state's or a stack's
+        StateField.variables, or a point set as columns (points.T).
 
         Gives the bits of a sum of the monomials in term order that starts
         from zeros, without the zeros: the first monomial is written into
@@ -95,9 +95,9 @@ class Poly:
         end when every monomial can be -0.0.
         """
         if not self.terms:
-            return np.zeros_like(arrays[:, 0])
+            return np.zeros_like(arrays[0])
         (e, c), *rest = self.terms
-        out = _monomial(e, c, arrays, np.empty_like(arrays[:, 0]))
+        out = _monomial(e, c, arrays, np.empty_like(arrays[0]))
         term = np.empty_like(out) if rest else None
         for e, c in rest:
             out += _monomial(e, c, arrays, term)
@@ -109,10 +109,10 @@ class Poly:
 
 
 def _monomial(e: tuple[int, ...], c: float, arrays: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """c * f_1 * f_2 * ... into out, f = arrays[:, i] ** p over the nonzero
+    """c * f_1 * f_2 * ... into out, f = arrays[i] ** p over the nonzero
     powers p = e[i], multiplied left to right; a coefficient of exactly 1.0
     is not multiplied, since 1.0 * f is f."""
-    factors = [(arrays[:, i], p) for i, p in enumerate(e) if p]
+    factors = [(arrays[i], p) for i, p in enumerate(e) if p]
     if not factors:
         out.fill(c)
         return out
@@ -181,16 +181,14 @@ class PolyMatrix:
         return PolyMatrix.build(self.n, rows)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        nv = self.nvars
-        rows = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                acc = Poly.zero(nv)
-                for k in range(self.n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(row)
+        """Each entry is one merge of the products' terms in k order, which
+        adds each exponent's coefficients in the order of a sum over k."""
+        n = range(self.n)
+        rows = [
+            [Poly.from_terms(self.nvars, [t for k in n for t in (self.entries[i][k] * other.entries[k][j]).terms])
+             for j in n]
+            for i in n
+        ]
         return PolyMatrix.build(self.n, rows)
 
     def transpose(self) -> "PolyMatrix":

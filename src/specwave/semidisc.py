@@ -77,8 +77,9 @@ class SchemeSpec:
 
 
 def poly_coefficient_samples(poly: Poly, comp_samples: np.ndarray, grid: Grid) -> np.ndarray:
-    """Collocation values of a polynomial coefficient field on a stack of
-    states, component i of each at comp_samples[:, i].
+    """Collocation values of a polynomial coefficient field, variable i at
+    comp_samples[i]: a state's samples, or a stack's with the component
+    axis first.
 
     Degree <= 1 entries are evaluated directly (exact on the grid).  Higher
     degrees are built monomial by monomial with a projection onto modes
@@ -86,15 +87,15 @@ def poly_coefficient_samples(poly: Poly, comp_samples: np.ndarray, grid: Grid) -
     """
     if poly.degree() <= 1:
         return poly.eval_on(comp_samples)
-    out = np.zeros(comp_samples[:, 0].shape)
+    out = np.zeros(comp_samples[0].shape)
     for expo, coeff in poly.terms:
         cur = None
         for i, p in enumerate(expo):
             for _ in range(p):
                 if cur is None:
-                    cur = comp_samples[:, i]
+                    cur = comp_samples[i]
                 else:
-                    cur = half_to_samples(grid, samples_to_half(grid, cur * comp_samples[:, i]) * grid.dealias_mask)
+                    cur = half_to_samples(grid, samples_to_half(grid, cur * comp_samples[i]) * grid.dealias_mask)
         out = out + (coeff if cur is None else coeff * cur)
     return out
 
@@ -115,12 +116,14 @@ def entry_terms(mats) -> tuple[tuple[Poly, ...], tuple[tuple[int, int, int, int]
 
 
 def collocated_half(grid: Grid, u: np.ndarray, du, polys, terms) -> np.ndarray:
-    """Half spectrum of sum over terms (i, j, c, p) of polys[p](U) * du[j][:, c]
-    into row i, on a stack of states: component c of each at [:, c]."""
+    """Half spectrum of sum over terms (i, j, c, p) of polys[p](U) * du[j][c]
+    into row i, variables first: u and each du[j] hold component c at [c]
+    (a state's samples, or a stack's with the component axis first), and
+    row i of the result is at [i]."""
     coeff = [poly_coefficient_samples(p, u, grid) for p in polys]
     rows = np.zeros_like(u)
     for i, j, c, p in terms:
-        rows[:, i] += coeff[p] * du[j][:, c]
+        rows[i] += coeff[p] * du[j][c]
     return samples_to_half(grid, rows)
 
 
@@ -246,6 +249,7 @@ def rhs(
         raise ValueError("plan was built for another scheme, system or grid")
     if not stacked:  # a stack of one
         half, u = half[None], u[None]
+    u = u.swapaxes(0, 1)  # variables first
     if plan.flux:
         # Q(U) joined along the component axis (np.stack(axis=1) without its
         # wrapper's cost), in one expression: its samples are freed once
@@ -254,8 +258,8 @@ def rhs(
             plan.flux_terms, samples_to_half(grid, np.concatenate([p.eval_on(u)[:, None] for p in plan.flux], axis=1))
         )
     else:
-        du = [half_to_samples(grid, half * dk) for dk in grid.diff_mult]
-        nl = plan.m_nl * collocated_half(grid, u, du, plan.polys, plan.terms)
+        du = [half_to_samples(grid, half * dk).swapaxes(0, 1) for dk in grid.diff_mult]
+        nl = plan.m_nl * collocated_half(grid, u, du, plan.polys, plan.terms).swapaxes(0, 1)
     out = _apply_table(plan.lin_terms, half)
     out += nl
     # -(lin + nl) with the bits of a table sum that starts from zeros: + 0.0

@@ -22,7 +22,7 @@ from importlib.resources import files
 import numpy as np
 
 from .poly import Poly, PolyMatrix
-from .spectral import StateField, _per_state, _stack, _unstack, to_samples
+from .spectral import StateField
 
 __all__ = [
     "SystemDef",
@@ -173,7 +173,7 @@ def sample_hyperbolic_points(sys: SystemDef, count: int = 200) -> np.ndarray:
         drawn += 256
         inside = np.ones(len(pts), dtype=bool)
         for _, p in sys.predicates:
-            inside &= p.eval_on(pts) > 0.0
+            inside &= p.eval_on(pts.T) > 0.0
         accepted.extend(pts[inside][: count - len(accepted)])
     return np.array(accepted).reshape(-1, sys.n)
 
@@ -191,7 +191,7 @@ def check_symmetrizer(sys: SystemDef, samples: np.ndarray | None = None) -> Chec
     for j, Aj in enumerate(sys.A):
         if not (sys.S @ Aj).is_symmetric():
             report.failures.append(f"S*A_{j} not symmetric")
-    values = np.array([[p.eval_on(samples) for p in row] for row in sys.S.entries])  # S[a, b] at each sample
+    values = np.array([[p.eval_on(samples.T) for p in row] for row in sys.S.entries])  # S[a, b] at each sample
     lowest = np.linalg.eigvalsh(values.transpose(2, 0, 1))[:, 0]
     bad = lowest <= 0.0
     for p, lam in zip(samples[bad], lowest[bad]):
@@ -275,5 +275,4 @@ def hamiltonian_energy(sys: SystemDef, state: StateField) -> float:
     folds none of them onto k = 0.  Every state evolve produces has
     3N < 2M, which covers the cubic shallow-water density.
     """
-    total = _per_state(np.add, sys.H.eval_on(_stack(state, to_samples(state))))
-    return _unstack(state, state.grid.cell_volume * total)
+    return state.grid.cell_volume * state.per_state(np.add, sys.H.eval_on(state.variables))

@@ -17,18 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .semidisc import SchemeSpec, rhs, rhs_plan
-from .spectral import (
-    StateField,
-    _carry,
-    _per_state,
-    _stack,
-    _unstack,
-    dealias,
-    differentiate,
-    linf,
-    sobolev_norm,
-    to_samples,
-)
+from .spectral import StateField, dealias, differentiate, linf, sobolev_norm
 from .systems import SystemDef, hamiltonian_energy
 
 __all__ = [
@@ -69,7 +58,7 @@ def _check_finite(state: StateField, stage: str) -> StateField:
     worker processes evolve side by side."""
     half = state.half
     if not math.isfinite(np.einsum("i->", np.ravel(half).view(np.float64))):
-        finite = _per_state(np.logical_and, np.isfinite(_stack(state, half)))
+        finite = state.per_state(np.logical_and, np.isfinite(half))
         if not finite.all():
             raise BlowUpError(stage, tuple(np.flatnonzero(~finite).tolist()))
     return state
@@ -138,7 +127,8 @@ def standard_monitors(sys: SystemDef) -> list[Monitor]:
     The energy column is present when the system has a density H, i.e. when
     its symmetrizer is a Hessian (see SystemDef), and the curvature column
     when the system has a component 1, the velocity it reads.  Each monitor
-    gives a float on one state and one value per state on a stack.
+    reduces with StateField.per_state: a numpy scalar on one state, one
+    value per state on a stack.
 
     The norms sum the half spectrum and need no transform.  The margins
     and the energy read the state's cached samples, so with the blow-up
@@ -152,8 +142,7 @@ def standard_monitors(sys: SystemDef) -> list[Monitor]:
     ]
     for name, p in sys.predicates:
         monitors.append(
-            (f"margin_{name}",
-             lambda st, _p=p: _unstack(st, _per_state(np.minimum, _p.eval_on(_stack(st, to_samples(st))))))
+            (f"margin_{name}", lambda st, _p=p: st.per_state(np.minimum, _p.eval_on(st.variables)))
         )
     if sys.H is not None:
         monitors.append(("hamiltonian", lambda st: hamiltonian_energy(sys, st)))
@@ -235,10 +224,10 @@ def evolve_lockstep(
     names = [name for name, _ in monitors]
 
     projected = dealias(state0)
-    first = (0.0, *(fn(projected) for _, fn in monitors))
+    first = (0.0, *(fn(projected).tolist() for _, fn in monitors))  # Python numbers, as in the later rows
     rows = [[first] for _ in schemes]
     linf0 = linf(projected)
-    state = _carry(projected, lambda a: np.broadcast_to(a, (len(schemes),) + a.shape))
+    state = projected.view(lambda a: np.broadcast_to(a, (len(schemes),) + a.shape))
     del projected  # the stack's views hold its arrays until the first step replaces them
     live = list(range(len(schemes)))  # the scheme of each state of the stack
     results: list[EvolveResult | None] = [None] * len(schemes)
@@ -247,12 +236,12 @@ def evolve_lockstep(
         """Record the states at positions out as blown up and drop them from the stack."""
         nonlocal plan, live
         for k in out:
-            results[live[k]] = EvolveResult(_carry(st, lambda a: a[k]), t, "blowup", blowup_time, names, rows[live[k]])
+            results[live[k]] = EvolveResult(st.view(lambda a: a[k]), t, "blowup", blowup_time, names, rows[live[k]])
         keep = [k for k in range(len(live)) if k not in out]
         live = [live[k] for k in keep]
         if live:
             plan = rhs_plan(tuple(schemes[j] for j in live), sys, grid)
-        return _carry(st, lambda a: a[keep])
+        return st.view(lambda a: a[keep])
 
     # glibc gives a free heap top above its trim threshold (128 KB at start)
     # back to the system, so the stack's per-stage temporaries, about 100 KB
@@ -287,7 +276,7 @@ def evolve_lockstep(
             for k, j in enumerate(live):
                 rows[j].append((t, *(v[k] for v in values)))
     for k, j in enumerate(live):
-        results[j] = EvolveResult(_carry(state, lambda a: a[k]), cfg.T, "completed", None, names, rows[j])
+        results[j] = EvolveResult(state.view(lambda a: a[k]), cfg.T, "completed", None, names, rows[j])
     return results
 
 

@@ -59,8 +59,8 @@ def zero_matrix(n: int, nvars: int) -> PolyMatrix:
 
 
 def poly_at(poly: Poly, point: Sequence[float]) -> float:
-    """Value at one point: eval_on on a one-point stack, so the same bits as in a batch."""
-    return float(poly.eval_on(np.asarray(point, dtype=np.float64)[None])[0])
+    """Value at one point: eval_on on a one-column point set, so the same bits as in a batch."""
+    return float(poly.eval_on(np.asarray(point, dtype=np.float64)[:, None])[0])
 
 
 def matrix_at(mat: PolyMatrix, point: Sequence[float]) -> np.ndarray:
@@ -190,13 +190,18 @@ def saint_venant_2d_hamiltonian() -> SystemDef:
     )
 
 
+def mesh(grid: Grid) -> tuple[np.ndarray, ...]:
+    """The collocation coordinates, one full array per axis (the Grid keeps only axis_points)."""
+    return tuple(np.meshgrid(*[grid.axis_points] * grid.d, indexing="ij"))
+
+
 def zero_state(grid: Grid, n: int) -> StateField:
     return StateField(grid, np.zeros((n,) + grid.shape[:-1] + (grid.M + 1,), dtype=np.complex128))
 
 
 def from_function(grid: Grid, f: Callable[..., np.ndarray]) -> StateField:
     """Sample a real function of d coordinates at the collocation points (n=1)."""
-    values = np.asarray(f(*grid.mesh), dtype=np.float64)
+    values = np.asarray(f(*mesh(grid)), dtype=np.float64)
     return state_from_samples(grid, np.broadcast_to(values, grid.shape)[None])
 
 
@@ -316,7 +321,7 @@ def energy_functional(sys: SystemDef, state: StateField, s: float, variant: str 
             if not entry.terms:
                 continue
             w_ab = dealias(state_from_samples(grid, (v_samp[a] * v_samp[b])[None]))
-            coeff = poly_coefficient_samples(entry, u_samp[None], grid)[0]  # a stack of one state
+            coeff = poly_coefficient_samples(entry, u_samp, grid)
             total += l2_inner(state_from_samples(grid, coeff[None]), w_ab)
     return total
 

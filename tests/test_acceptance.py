@@ -36,6 +36,7 @@ from oracles import (
     convolve_dicts,
     from_coeffs,
     full_wavenumbers,
+    mesh,
     naive_inverse,
     phase_conj,
     random_band_limited,
@@ -265,7 +266,7 @@ def test_c05_dealiasing_oracle_equivalence():
         def sample_2d(spec):
             out = np.zeros(grid.shape, dtype=complex)
             for (k1, k2), v in spec.items():
-                out += v * np.exp(1j * (k1 * grid.mesh[0] + k2 * grid.mesh[1]))
+                out += v * np.exp(1j * (k1 * mesh(grid)[0] + k2 * mesh(grid)[1]))
             return out.real
 
         for _ in range(20):

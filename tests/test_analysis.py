@@ -37,6 +37,7 @@ from oracles import (
     from_coeffs,
     from_function,
     full_wavenumbers,
+    mesh,
     quadrature_inner,
     relative_error,
     saint_venant_1d,
@@ -120,14 +121,14 @@ class TestEnergyFunctional:
     def test_flat_depth_matches_l2(self):
         g = make_grid(1, 32)
         sv = saint_venant_1d()
-        x = g.mesh[0]
+        x = mesh(g)[0]
         st = state_from_samples(g, np.stack([np.zeros_like(x), np.sin(x)]))
         assert np.isclose(energy_functional(sv, st, 0, "standard"), np.pi)
 
     def test_hamiltonian_form_quadrature(self):
         g = make_grid(1, 64)
         sv = saint_venant_1d()
-        x = g.mesh[0]
+        x = mesh(g)[0]
         eta, u = -0.5 * np.cos(x), np.sin(x)
         st = state_from_samples(g, np.stack([eta, u]))
         val = energy_functional(sv, st, 0, "hamiltonian")
@@ -141,7 +142,7 @@ class TestEnergyFunctional:
     def test_sobolev_weighting(self):
         g = make_grid(1, 64)
         sv = saint_venant_1d()
-        x = g.mesh[0]
+        x = mesh(g)[0]
         st = state_from_samples(g, np.stack([np.zeros_like(x), np.sin(3 * x)]))
         # flat depth: F_s = |Lambda^s u|_L2^2 = (1+9)^s * pi
         for s in (0, 1, 2):
@@ -150,7 +151,7 @@ class TestEnergyFunctional:
     def test_equivalence_with_eigenvalue_bounds(self):
         g = make_grid(1, 64)
         sv = saint_venant_1d()
-        x = g.mesh[0]
+        x = mesh(g)[0]
         eta, u = -0.3 * np.cos(x), 0.4 * np.sin(x)
         st = state_from_samples(g, np.stack([eta, u]))
         samples = to_samples(st)
@@ -176,7 +177,7 @@ class TestJnProbe:
     def test_constant_background_vanishes(self):
         sv = saint_venant_1d()
         g = make_grid(1, 64)
-        x = g.mesh[0]
+        x = mesh(g)[0]
         U = state_from_samples(g, np.stack([0.2 * np.ones_like(x), 0.1 * np.ones_like(x)]))
         V = state_from_samples(g, np.stack([np.zeros_like(x), np.sin(16 * x)]))
         assert abs(jn_probe(sv, U, V, N=16)) < 1e-12
@@ -219,7 +220,7 @@ class TestJnProbe:
     def test_insufficient_resolution_rejected(self):
         sv = saint_venant_1d()
         g = make_grid(1, 32)
-        x = g.mesh[0]
+        x = mesh(g)[0]
         U = state_from_samples(g, np.stack([-0.5 * np.cos(x), np.sin(x)]))
         V = state_from_samples(g, np.stack([np.zeros_like(x), np.sin(30 * x)]))
         with pytest.raises(ValueError):
@@ -235,7 +236,7 @@ class TestJnProbe:
 class TestSecondDerivativeMax:
     def test_sine(self):
         g = make_grid(1, 32)
-        st = state_from_samples(g, np.stack([np.cos(g.mesh[0]), np.sin(g.mesh[0])]))
+        st = state_from_samples(g, np.stack([np.cos(mesh(g)[0]), np.sin(mesh(g)[0])]))
         assert np.isclose(second_derivative_max(st), 1.0)
 
     def test_scaled_high_mode(self):
@@ -243,7 +244,7 @@ class TestSecondDerivativeMax:
         n = g.dealias_N
         st = state_from_samples(
             g,
-            np.stack([np.zeros(g.shape), np.sin(n * g.mesh[0]) / n**2]),
+            np.stack([np.zeros(g.shape), np.sin(n * mesh(g)[0]) / n**2]),
         )
         assert np.isclose(second_derivative_max(st), 1.0)
 

@@ -6,7 +6,7 @@ import pytest
 from specwave.initial import INITIAL_NAMES, build_initial
 from specwave.spectral import make_grid, sobolev_norm, state_from_samples, to_samples
 
-from oracles import from_coeffs, full_wavenumbers
+from oracles import from_coeffs, full_wavenumbers, mesh
 
 
 def test_catalog_names():
@@ -63,7 +63,7 @@ def test_init2d_formulas():
     n = g.dealias_N
     params = dict(h0=0.5, u_l=2, v_l=-2, u_h=1, v_h=-1, s=2)
     st = build_initial("init2D", params, g)
-    x, y = g.mesh
+    x, y = mesh(g)
     eta = (0.5 - 1.0) * np.cos(x) * np.cos(y)
     u = 2 * np.sin(x) * np.cos(y) + np.sin(n * x) * np.cos(n * y) / n**2
     v = -2 * np.cos(x) * np.sin(y) - np.cos(n * x) * np.sin(n * y) / n**2
@@ -79,7 +79,7 @@ def test_init2d_separable_matches_full_mesh(M):
     g = make_grid(2, M)
     n = g.dealias_N
     params = dict(h0=0.7, u_l=0.3, v_l=-0.2, u_h=1.5, v_h=-0.5, s=1.5)
-    x, y = g.mesh
+    x, y = mesh(g)
     eta = (0.7 - 1.0) * np.cos(x) * np.cos(y)
     u = 0.3 * np.sin(x) * np.cos(y) + 1.5 * np.sin(n * x) * np.cos(n * y) / n**1.5
     v = -0.2 * np.cos(x) * np.sin(y) + -0.5 * np.cos(n * x) * np.sin(n * y) / n**1.5

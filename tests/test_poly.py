@@ -7,7 +7,17 @@ from hypothesis import strategies as st
 
 from specwave.poly import Poly, PolyMatrix
 
-from oracles import eval_on_zero_filled, matrix_at, poly_at, poly_equals, poly_var, zero_matrix
+from oracles import (
+    eval_on_zero_filled,
+    matrix_at,
+    poly_at,
+    poly_equals,
+    poly_var,
+    saint_venant_1d,
+    saint_venant_2d_hamiltonian,
+    saint_venant_2d_standard,
+    zero_matrix,
+)
 
 
 def test_from_terms_merges_and_drops_zeros():
@@ -41,7 +51,7 @@ def test_eval_on_arrays():
     p = Poly.from_terms(2, {(1, 0): 1.0, (0, 2): -1.0})
     a = np.array([1.0, 2.0, 3.0])
     b = np.array([1.0, 0.0, 2.0])
-    assert np.allclose(p.eval_on(np.stack([a, b], axis=1)), a - b**2)
+    assert np.allclose(p.eval_on(np.stack([a, b])), a - b**2)
 
 
 @st.composite
@@ -61,17 +71,28 @@ def polys_and_samples(draw):
 @given(polys_and_samples())
 def test_eval_on_matches_zero_filled_sum_bit_for_bit(case):
     p, samples = case
-    got, want = p.eval_on(samples.T), eval_on_zero_filled(p, samples)
+    got, want = p.eval_on(samples), eval_on_zero_filled(p, samples)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("make_sys", [saint_venant_1d, saint_venant_2d_hamiltonian, saint_venant_2d_standard])
+def test_eval_on_point_columns_match_poly_at(make_sys):
+    # a point set goes in as columns, points.T: variable i of every point at [i]
+    sysd = make_sys()
+    points = np.random.default_rng(7).uniform(-0.9, 0.9, size=(9, sysd.n))
+    polys = [p for _, p in sysd.predicates] + [p for row in sysd.S.entries for p in row]
+    for p in polys + ([sysd.H] if sysd.H is not None else []):
+        want = np.array([poly_at(p, point) for point in points])
+        assert p.eval_on(points.T).tobytes() == want.tobytes()
 
 
 def test_eval_on_zero_signs():
     # a sum from zeros never ends in -0.0; a product that is -0.0 stays out of it
     x = np.array([-0.0, 0.0, 2.0])
     for p in (poly_var(1, 0), Poly.from_terms(1, {(1,): -1.0}), Poly.from_terms(1, {(2,): -3.0})):
-        assert not np.any(np.signbit(p.eval_on(x[:, None])[:2]))
-    assert np.array_equal(Poly.zero(1).eval_on(x[:, None]), np.zeros(3))
+        assert not np.any(np.signbit(p.eval_on(x[None])[:2]))
+    assert np.array_equal(Poly.zero(1).eval_on(x[None]), np.zeros(3))
 
 
 def test_arithmetic():
@@ -105,6 +126,35 @@ def test_matrix_product_matches_pointwise():
     for _ in range(10):
         pt = rng.normal(size=2)
         assert np.allclose(matrix_at(prod, pt), matrix_at(a, pt) @ matrix_at(b, pt), atol=1e-12)
+
+
+@st.composite
+def poly_matrix_pairs(draw):
+    """Two n x n polynomial matrices (n <= 4) in 1-3 variables, coefficients
+    of either sign from 1e-8 to 1e8, so that products cancel and round."""
+    n, nvars = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    coeffs = st.builds(lambda sign, mag: sign * 10.0**mag, st.sampled_from([-1.0, 1.0]), st.floats(-8.0, 8.0))
+    polys = st.builds(
+        lambda terms: Poly.from_terms(nvars, terms),
+        st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * nvars), coeffs), max_size=4),
+    )
+    return [PolyMatrix.build(n, draw(st.lists(st.lists(polys, min_size=n, max_size=n), min_size=n, max_size=n)))
+            for _ in range(2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_matrix_pairs())
+def test_matrix_product_is_the_fold_over_k(pair):
+    # one merge per entry adds each exponent's coefficients in k order,
+    # as the sum acc + a[i][k] * b[k][j] over k does, so the bits agree
+    a, b = pair
+    prod = a @ b
+    for i in range(a.n):
+        for j in range(a.n):
+            acc = Poly.zero(a.nvars)
+            for k in range(a.n):
+                acc = acc + a.entries[i][k] * b.entries[k][j]
+            assert prod.entries[i][j] == acc
 
 
 def test_symmetry_check():

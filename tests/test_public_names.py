@@ -1,10 +1,11 @@
 """Public names: what the benchmark scripts import, and every module's __all__.
 
-Two checks stand in for a linter: every name in a package module's
+Three checks stand in for a linter: every name in a package module's
 __all__, and every public method of a package class, is used by the
 package or the benchmark scripts (a name only tests call belongs in
-tests/oracles.py), and no package module keeps an unused module-level
-import.
+tests/oracles.py); no package module keeps an unused module-level import;
+and no package module imports an underscore name from another, so that
+what a module keeps private stays its own.
 
 The method check matches by attribute name alone: a method counts as used
 when any package or bench file reads an attribute of that name, on
@@ -128,6 +129,17 @@ def unused_imports(path: Path) -> list[str]:
     return unused
 
 
+def private_imports() -> list[tuple[str, str]]:
+    """(module file, name) for every underscore name a package module imports
+    from a package module, at module level or inside a function."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "specwave"):
+                found += [(path.name, alias.name) for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
 def test_bench_imports_found():
     assert {mod for _, mod, _ in bench_imports()} >= {"specwave.cli", "specwave.semidisc", "specwave.spectral"}
 
@@ -151,6 +163,10 @@ def test_every_public_name_is_used_outside_tests():
 
 def test_every_public_method_is_used_outside_tests():
     assert not public_methods_unused(), "public methods only tests use; move them to tests/oracles.py"
+
+
+def test_no_private_imports_across_modules():
+    assert not private_imports(), "a private name used by another module belongs to a public API"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

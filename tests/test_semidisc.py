@@ -40,6 +40,7 @@ from oracles import (
     from_coeffs,
     full_wavenumbers,
     irrotational_equivalence_check,
+    mesh,
     naive_inverse,
     phase_conj,
     poly_var,
@@ -62,7 +63,7 @@ def random_state(rng, grid, n, support):
         else:
             out = np.zeros(grid.shape, dtype=complex)
             for (k1, k2), v in spec.items():
-                out += v * np.exp(1j * (k1 * grid.mesh[0] + k2 * grid.mesh[1]))
+                out += v * np.exp(1j * (k1 * mesh(grid)[0] + k2 * mesh(grid)[1]))
             comps.append(out.real)
     return state_from_samples(grid, np.array(comps))
 
@@ -118,7 +119,7 @@ class TestAdvectiveTerm:
 
     def test_sv1d_single_mode(self):
         g = make_grid(1, 32)
-        x = g.mesh[0]
+        x = mesh(g)[0]
         sv = saint_venant_1d()
         st = state_from_samples(g, np.stack([np.zeros_like(x), np.sin(x)]))
         adv = to_samples(-rhs(SchemeSpec("sharp"), sv, st))
@@ -133,7 +134,7 @@ class TestAdvectiveTerm:
 
     def test_constant_state(self):
         g = make_grid(1, 16)
-        x = g.mesh[0]
+        x = mesh(g)[0]
         sv = saint_venant_1d()
         st = state_from_samples(g, np.stack([0.3 * np.ones_like(x), np.zeros_like(x)]))
         adv = -rhs(SchemeSpec("sharp"), sv, st)
@@ -517,7 +518,7 @@ class TestEnergyCancellation:
 class TestIrrotationalEquivalence:
     def test_curl_free_states_agree(self):
         g = make_grid(2, 16)
-        x, y = g.mesh
+        x, y = mesh(g)
         eta = 0.2 * np.cos(x) * np.cos(y)
         u = np.sin(x) * np.cos(y)
         v = np.cos(x) * np.sin(y)
@@ -526,7 +527,7 @@ class TestIrrotationalEquivalence:
 
     def test_rotational_states_differ(self):
         g = make_grid(2, 16)
-        x, y = g.mesh
+        x, y = mesh(g)
         st = state_from_samples(
             g, np.stack([np.zeros_like(x), np.sin(y), np.zeros_like(x)])
         )
@@ -534,7 +535,7 @@ class TestIrrotationalEquivalence:
 
     def test_zero_velocity(self):
         g = make_grid(2, 8)
-        x, y = g.mesh
+        x, y = mesh(g)
         st = state_from_samples(
             g, np.stack([0.3 * np.cos(x), np.zeros_like(x), np.zeros_like(y)])
         )

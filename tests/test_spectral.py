@@ -29,6 +29,7 @@ from oracles import (
     apply_lambda,
     coeffs_from_dict,
     convolve_dicts,
+    count_transforms,
     dict_from_coeffs,
     embed_full,
     filter_symbol,
@@ -36,6 +37,7 @@ from oracles import (
     from_function,
     full_wavenumbers,
     l2_inner_full,
+    mesh,
     naive_dft,
     naive_inverse,
     phase_conj,
@@ -58,7 +60,7 @@ class TestGrid:
     def test_2d_grid_point_count(self):
         g = make_grid(2, 8)
         assert g.npoints == 256
-        assert g.mesh[0].shape == (16, 16)
+        assert g.shape == (16, 16)
 
     def test_rejects_unsupported(self):
         with pytest.raises(ValueError):
@@ -203,7 +205,7 @@ class TestDifferentiate:
         g = make_grid(1, 8)
         f = from_function(g, lambda x: np.sin(3 * x))
         d = differentiate(f, 0)
-        assert np.max(np.abs(to_samples(d) - 3 * np.cos(3 * g.mesh[0]))) < 1e-12
+        assert np.max(np.abs(to_samples(d) - 3 * np.cos(3 * mesh(g)[0]))) < 1e-12
 
     def test_constant_derivative_zero(self):
         g = make_grid(1, 8)
@@ -214,7 +216,7 @@ class TestDifferentiate:
         g = make_grid(2, 16)
         f = from_function(g, lambda x, y: np.sin(2 * x) * np.cos(5 * y))
         d = differentiate(f, 1)
-        exact = -5 * np.sin(2 * g.mesh[0]) * np.sin(5 * g.mesh[1])
+        exact = -5 * np.sin(2 * mesh(g)[0]) * np.sin(5 * mesh(g)[1])
         assert np.max(np.abs(to_samples(d) - exact)) < 1e-12
 
     def test_axis_out_of_range(self):
@@ -430,12 +432,12 @@ class TestDealiasedProducts:
         rng = np.random.default_rng(200)
         g = make_grid(2, 6)
         n = g.dealias_N
-        xs = g.mesh[0].ravel() + 1j * 0
+        xs = mesh(g)[0].ravel() + 1j * 0
 
         def sample_2d(spec):
             out = np.zeros(g.shape, dtype=complex)
             for (k1, k2), v in spec.items():
-                out += v * np.exp(1j * (k1 * g.mesh[0] + k2 * g.mesh[1]))
+                out += v * np.exp(1j * (k1 * mesh(g)[0] + k2 * mesh(g)[1]))
             return out.real
 
         for _ in range(5):
@@ -485,15 +487,15 @@ class TestCommutatorScaling:
     def test_smooth_commutator_bounded(self):
         # |[S_N, f] g|_{H^s} stays bounded (no growth) as N doubles
         g = make_grid(1, 256)
-        f_samp = np.exp(np.cos(g.mesh[0]))
-        g_samp = np.sin(g.mesh[0]) * np.exp(np.sin(g.mesh[0]))
+        f_samp = np.exp(np.cos(mesh(g)[0]))
+        g_samp = np.sin(mesh(g)[0]) * np.exp(np.sin(mesh(g)[0]))
         vals = self._commutator_norms(g, f_samp, g_samp, "smooth")
         assert max(vals) <= 2.0 * vals[0]
 
     def test_sharp_commutator_recorded(self):
         g = make_grid(1, 256)
-        f_samp = np.exp(np.cos(g.mesh[0]))
-        g_samp = np.sin(g.mesh[0]) * np.exp(np.sin(g.mesh[0]))
+        f_samp = np.exp(np.cos(mesh(g)[0]))
+        g_samp = np.sin(mesh(g)[0]) * np.exp(np.sin(mesh(g)[0]))
         vals = self._commutator_norms(g, f_samp, g_samp, "sharp")
         assert all(np.isfinite(v) for v in vals)
 
@@ -530,7 +532,34 @@ class TestCachedSamples:
         doubled = to_samples(st * 2.0)
         assert doubled is not base
         assert np.max(np.abs(doubled - 2.0 * base)) < 1e-15
-        assert np.max(np.abs(to_samples(differentiate(st, 0))[0] - np.cos(g.mesh[0]))) < 1e-13
+        assert np.max(np.abs(to_samples(differentiate(st, 0))[0] - np.cos(mesh(g)[0]))) < 1e-13
+
+
+    def test_view_carries_cached_samples(self, monkeypatch):
+        g = make_grid(2, 8)
+        st = state_from_samples(g, np.random.default_rng(4).normal(size=(3,) + g.shape))
+        stack = st.view(lambda a: np.broadcast_to(a, (2,) + a.shape))
+        assert "samples" not in st.__dict__ and "samples" not in stack.__dict__
+        first = to_samples(st)
+        counts = count_transforms(monkeypatch, g.npoints)
+        stack = st.view(lambda a: np.broadcast_to(a, (2,) + a.shape))
+        assert stack.half.shape == (2, 3, 16, 9) and np.shares_memory(stack.half, st.half)
+        assert np.shares_memory(to_samples(stack), first) and to_samples(stack).shape == (2,) + first.shape
+        assert to_samples(stack.view(lambda a: a[1])).tobytes() == first.tobytes()
+        assert counts["inverse"] == 0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_variables_put_the_component_axis_first(self, d):
+        g = make_grid(d, 8)
+        rng = np.random.default_rng(5)
+        one = state_from_samples(g, rng.normal(size=(2,) + g.shape))
+        assert one.variables.shape == one.samples.shape and np.shares_memory(one.variables, one.samples)
+        stack = StateField(g, np.stack([one.half, 2.0 * one.half, -one.half]))
+        assert stack.variables.shape == (2, 3) + g.shape and np.shares_memory(stack.variables, stack.samples)
+        for i in range(2):
+            assert np.array_equal(stack.variables[i], stack.samples[:, i])
+            assert stack.component(i).half.shape == (3, 1) + g.shape[:-1] + (g.M + 1,)
+            assert np.array_equal(stack.component(i).half[:, 0], stack.half[:, i])
 
 
 class TestStoredHalf:
@@ -559,7 +588,7 @@ class TestHelpers:
         st = from_function(g, lambda x: np.sin(3 * x) + np.cos(5 * x))
         up = embed(st, fine)
         assert np.isclose(sobolev_norm(up, 0), sobolev_norm(st, 0), rtol=1e-13)
-        x = fine.mesh[0]
+        x = mesh(fine)[0]
         assert np.max(np.abs(to_samples(up)[0] - (np.sin(3 * x) + np.cos(5 * x)))) < 1e-12
 
     @pytest.mark.parametrize("d, m, fine_m", [(1, 8, 16), (1, 6, 32), (2, 4, 8), (2, 6, 16)])

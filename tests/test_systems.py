@@ -32,6 +32,7 @@ from oracles import (
     hyperbolic_points_by_point,
     in_domain,
     matrix_at,
+    mesh,
     poly_var,
     quadrature_inner,
     saint_venant_1d,
@@ -271,7 +272,7 @@ class TestMargins:
 
     def test_flat_negative_depth(self):
         g = make_grid(1, 8)
-        x = g.mesh[0]
+        x = mesh(g)[0]
         st = state_from_samples(g, np.stack([-np.ones_like(x), np.zeros_like(x)]))
         m = margins(saint_venant_1d(), st)
         assert abs(m["U"]) < 1e-12
@@ -288,13 +289,13 @@ class TestHamiltonianEnergy:
 
     def test_flat_depth_sine_velocity(self):
         g = make_grid(1, 32)
-        x = g.mesh[0]
+        x = mesh(g)[0]
         st = state_from_samples(g, np.stack([np.zeros_like(x), np.sin(x)]))
         assert np.isclose(hamiltonian_energy(SV1D, st), 0.5 * np.pi)
 
     def test_cubic_term_against_quadrature(self):
         g = make_grid(1, 64)
-        x = g.mesh[0]
+        x = mesh(g)[0]
         eta = -0.5 * np.cos(x)
         u = np.sin(x)
         st = state_from_samples(g, np.stack([eta, u]))
@@ -306,7 +307,7 @@ class TestHamiltonianEnergy:
 
     def test_2d_energy(self):
         g = make_grid(2, 16)
-        x, y = g.mesh
+        x, y = mesh(g)
         eta = 0.1 * np.cos(x) * np.cos(y)
         u = np.sin(x) * np.cos(y)
         v = -np.cos(x) * np.sin(y)

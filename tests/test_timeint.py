@@ -14,6 +14,7 @@ from specwave.semidisc import SCHEME_KINDS, SchemeSpec, rhs, rhs_plan
 from specwave.spectral import (
     StateField,
     differentiate,
+    linf,
     make_grid,
     sobolev_norm,
     state_from_samples,
@@ -27,6 +28,7 @@ from specwave.timeint import (
     evolve_lockstep,
     monitor_csv,
     rk4_step,
+    standard_monitors,
     _step_plan,
 )
 
@@ -37,6 +39,7 @@ from oracles import (
     csv_cell,
     from_coeffs,
     from_function,
+    mesh,
     poly_var,
     quartic_energy_system,
     saint_venant_1d,
@@ -216,6 +219,8 @@ class TestEvolve:
         assert csv.splitlines()[0] == "time,Hs0,Hs1,margin_U,margin_UH,hamiltonian,max_d2u"
         assert res.monitor_rows[0][0] == 0.0
         assert np.isclose(res.monitor_rows[-1][0], 0.01)
+        # every row holds Python numbers, the t=0 row of one state as the rows of the stack
+        assert {type(v) for row in res.monitor_rows for v in row} == {float}
 
     def test_partial_final_step_lands_on_T(self):
         sv = saint_venant_1d()
@@ -296,7 +301,7 @@ class TestEvolve:
         a = PolyMatrix.build(2, [[1e300 * x, zero], [zero, 1e300 * y]])
         sysd = SystemDef(name="overflow", d=1, n=2, A=(a,))
         g = make_grid(1, 16)
-        st0 = state_from_samples(g, np.stack([np.sin(g.mesh[0]), np.cos(g.mesh[0])]))
+        st0 = state_from_samples(g, np.stack([np.sin(mesh(g)[0]), np.cos(mesh(g)[0])]))
         with np.errstate(over="ignore", invalid="ignore"):
             res = evolve(SchemeSpec("sharp"), sysd, st0, EvolveConfig(dt=1e-3, T=0.01, monitor_stride=100))
         assert res.status == "blowup"
@@ -308,7 +313,7 @@ class TestEvolve:
         u = poly_var(1, 0)
         burgers = SystemDef(name="burgers", d=1, n=1, A=(PolyMatrix.build(1, [[u]]),))
         g = make_grid(1, 16)
-        st0 = state_from_samples(g, 0.1 * np.sin(g.mesh[0])[None])
+        st0 = state_from_samples(g, 0.1 * np.sin(mesh(g)[0])[None])
         res = evolve(SchemeSpec("sharp"), burgers, st0, EvolveConfig(dt=1e-3, T=0.01))
         assert res.completed
         assert res.monitor_names == ["Hs0", "Hs1"]
@@ -368,7 +373,7 @@ class TestLockstep:
         sysd = make_sys()
         g = make_grid(sysd.d, M)
         if initial is None:
-            st0 = state_from_samples(g, 0.3 * np.sin(g.mesh[0])[None])
+            st0 = state_from_samples(g, 0.3 * np.sin(mesh(g)[0])[None])
         else:
             st0 = build_initial(initial, {}, g)
         # 5 steps, the last one partial, sampled after steps 2 and 4 and at T
@@ -459,6 +464,56 @@ class TestLockstep:
         res = evolve(SchemeSpec("sharp"), sv, st0, EvolveConfig(dt=1e-3, T=0.002))
         assert res.final_state.half.shape == (2, 17)
         assert res.final_state.half.base is not None and res.final_state.half.base.shape == (1, 2, 17)
+
+
+def three_states(make_sys):
+    """A system, three different states of it and the stack of the three."""
+    sysd = make_sys()
+    base = build_initial("init2", {}, make_grid(1, 16)) if sysd.d == 1 else build_initial("init2D", {}, make_grid(2, 8))
+    states = [base * c for c in (0.5, 1.0, 1.5)]
+    return sysd, states, StateField(states[0].grid, np.stack([st.half for st in states]))
+
+
+class TestOneStateAgainstStack:
+    """Each per-state reduction gives every state of a stack the bits of that
+    state alone: a numpy scalar for one state, one value per state for a stack."""
+
+    @pytest.mark.parametrize("make_sys", [saint_venant_1d, saint_venant_2d_hamiltonian, saint_venant_2d_standard])
+    def test_norms_and_monitors(self, make_sys):
+        sysd, states, stack = three_states(make_sys)
+        reductions = [("linf", linf), *standard_monitors(sysd)]  # Hs0, Hs1: sobolev_norm at s = 0 and 1
+        names = [name for name, _ in reductions]
+        assert {"Hs0", "Hs1", "max_d2u"} <= set(names)
+        assert sum(name.startswith("margin_") for name in names) == len(sysd.predicates) > 0
+        assert ("hamiltonian" in names) == (sysd.H is not None)
+        for name, fn in reductions:
+            alone = [fn(st) for st in states]
+            assert all(isinstance(v, np.float64) for v in alone), name
+            assert len(set(alone)) == 3, name  # the states differ in every reduction
+            got = fn(stack)
+            assert got.shape == (3,), name
+            assert got.tobytes() == np.array(alone).tobytes(), name
+
+    def test_check_finite(self):
+        # state 1 overflows the sum of all parts but is finite; state 2 holds a NaN
+        _, states, stack = three_states(saint_venant_1d)
+        g = stack.grid
+        half = stack.half.copy()
+        half[1, 0, 2] = half[1, 1, 2] = 1e308
+        half[2, 1, 3] = np.nan
+        check = timeint._check_finite
+        assert check(stack, "k1") is stack
+        assert all(check(st, "k1") is st for st in states)
+        with np.errstate(over="ignore"), pytest.raises(BlowUpError) as err:
+            check(StateField(g, half), "k2")
+        assert err.value.states == (2,)
+        for k in (0, 1):
+            alone = StateField(g, half[k])
+            with np.errstate(over="ignore"):
+                assert check(alone, "k2") is alone
+        with pytest.raises(BlowUpError) as err:
+            check(StateField(g, half[2]), "k2")
+        assert err.value.states == (0,)
 
 
 class TestCsvTable:
