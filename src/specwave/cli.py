@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import convergence_study, jn_study, report_csv, report_table
 from .initial import build_initial
 from .presets import CONFIG_KEYS, ConfigError, get_preset, parse_config_text, preset_names
 from .semidisc import SCHEME_KINDS, SchemeSpec
@@ -203,6 +202,8 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
         raise ConfigError("converge requires M_list and M_ref")
     if cfg.M_ref <= max(cfg.M_list):
         raise ConfigError("reference resolution must exceed every tested resolution")
+    from .analysis import convergence_study, report_csv, report_table  # on demand: run does not load it
+
     system = _resolve_system(cfg.system)
     _initial_state(cfg, system, min(cfg.M_list))  # the study builds it on each grid
     evolve_cfg = _evolve_config(cfg)
@@ -239,6 +240,8 @@ def cmd_check_system(cfg: ExperimentConfig) -> int:
 def cmd_probe_jn(cfg: ExperimentConfig) -> int:
     if not cfg.N_list:
         raise ConfigError("probe-jn requires N_list")
+    from .analysis import jn_study
+
     system = _resolve_system(cfg.system)
     study = jn_study(system, cfg.N_list, p=cfg.p, q=cfg.q)
     _write(os.path.join(cfg.out, "jn.csv"), csv_table(["N", "J"], [study["N"], study["J"]]))

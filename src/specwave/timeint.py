@@ -4,13 +4,22 @@ The schemes of one run evolve in lockstep as one stack of states (a leading
 scheme axis): each right-hand side, RK4 combine, finiteness check and
 monitor sample acts on the whole stack at once, and a scheme that blows up
 leaves the stack while the others go on.
+
+The march holds one heap policy: on glibc, its loop runs with heap trimming
+and mmap of large blocks held off, so the arrays each RK4 stage frees are
+reused by the next stage instead of being unmapped and faulted in again;
+the heap is trimmed and glibc's default thresholds restored when it ends.
+rk4_step drops each stage result as soon as its sum holds it, so a stage
+frees what the next one allocates.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import sys as _sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -69,15 +78,23 @@ def rk4_step(rhs_fn: Callable[[StateField], StateField], state: StateField, dt: 
 
     The stages are summed in one fresh accumulator in the operation order of
     u + dt/6 (k1 + 2 k2 + 2 k3 + k4), which gives the same bits; no stage
-    result is written to, since rhs_fn may return one object twice.
+    result is written to, since rhs_fn may return one object twice.  Each
+    stage result is dropped as soon as the accumulator holds it, before the
+    next rhs_fn call, so besides the accumulator at most one stage result is
+    alive and the arrays of the others return to the heap for the next
+    stage to reuse.
     """
     k1 = _check_finite(rhs_fn(state), "k1")
     k2 = _check_finite(rhs_fn(state + (0.5 * dt) * k1), "k2")
-    k3 = _check_finite(rhs_fn(state + (0.5 * dt) * k2), "k3")
-    k4 = _check_finite(rhs_fn(state + dt * k3), "k4")
     acc = k2.half * 2.0
     acc += k1.half
+    stage = state + (0.5 * dt) * k2
+    del k1, k2
+    k3 = _check_finite(rhs_fn(stage), "k3")
+    stage = state + dt * k3
     acc += k3.half * 2.0
+    del k3
+    k4 = _check_finite(rhs_fn(stage), "k4")
     acc += k4.half
     acc *= dt / 6.0
     acc += state.half
@@ -182,6 +199,57 @@ def evolve(
     return evolve_lockstep((scheme,), sys, state0, cfg, monitors)[0]
 
 
+# mallopt(3) parameter numbers, from glibc's malloc.h
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _glibc():
+    """The C library's malloc tuning calls through ctypes when os.confstr
+    names glibc, else None."""
+    try:
+        version = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name here
+        return None
+    if not version.startswith("glibc"):
+        return None
+    import ctypes  # loaded by the first march, not by every command
+
+    libc = ctypes.CDLL(None)
+    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    libc.mallopt.restype = ctypes.c_int
+    libc.malloc_trim.argtypes = (ctypes.c_size_t,)
+    libc.malloc_trim.restype = ctypes.c_int
+    return libc
+
+
+@contextmanager
+def _march_heap():
+    """Keep the temporaries an RK4 march frees on the glibc heap, for the
+    next stage to reuse, and give the heap back when the march ends.
+
+    By default glibc returns a free heap top above its trim threshold to
+    the system and maps blocks above its mmap threshold one by one; both
+    start at 128 KiB and move with what the process freed before, so the
+    stages' temporaries were faulted in again at every stage in some heap
+    layouts and not in others.  During the march the trim threshold is
+    1 GiB and the mmap threshold glibc's maximum, 32 MiB; on exit the free
+    heap top is trimmed and both go back to glibc's documented defaults,
+    128 KiB each.  Where os.confstr names no glibc this does nothing.
+    """
+    libc = _glibc()
+    if libc is None:
+        yield
+        return
+    libc.mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    try:
+        yield
+    finally:
+        libc.malloc_trim(0)
+        libc.mallopt(_M_TRIM_THRESHOLD, 128 << 10)
+        libc.mallopt(_M_MMAP_THRESHOLD, 128 << 10)
+
+
 def evolve_lockstep(
     schemes: Sequence[SchemeSpec],
     sys: SystemDef,
@@ -243,38 +311,32 @@ def evolve_lockstep(
             plan = rhs_plan(tuple(schemes[j] for j in live), sys, grid)
         return st.view(lambda a: a[keep])
 
-    # glibc gives a free heap top above its trim threshold (128 KB at start)
-    # back to the system, so the stack's per-stage temporaries, about 100 KB
-    # each for three 1D schemes at M=1024, were faulted in again at every
-    # stage (run-1d: 37k minor page faults against 5k).  Freeing one block
-    # above the mmap threshold raises both thresholds (mallopt(3), dynamic
-    # mmap threshold), and these temporaries then stay on the heap.
-    np.empty(1 << 15)
     rhs_fn = lambda st: rhs(plan.scheme, sys, st, plan)
     t = 0.0
-    for i, h in enumerate(itertools.chain(itertools.repeat(cfg.dt, n_full), partial)):
-        while True:
-            try:
-                new_state = rk4_step(rhs_fn, state, h)
-                break
-            except BlowUpError as err:
-                state = leave(list(err.states), state, t, t + h)
-                if not live:
-                    return results
-        t = t + h
-        state = new_state
-        if (i + 1) % stride == 0 or i == n_steps - 1:
-            exploded = [
-                k for k, peak in enumerate(linf(state).tolist())  # NaN or inf where any sample is
-                if not math.isfinite(peak) or (linf0 > 0.0 and peak > cfg.blowup_threshold * linf0)
-            ]
-            if exploded:
-                state = leave(exploded, state, t, t)
-                if not live:
-                    return results
-            values = [fn(state).tolist() for _, fn in monitors]
-            for k, j in enumerate(live):
-                rows[j].append((t, *(v[k] for v in values)))
+    with _march_heap():
+        for i, h in enumerate(itertools.chain(itertools.repeat(cfg.dt, n_full), partial)):
+            while True:
+                try:
+                    new_state = rk4_step(rhs_fn, state, h)
+                    break
+                except BlowUpError as err:
+                    state = leave(list(err.states), state, t, t + h)
+                    if not live:
+                        return results
+            t = t + h
+            state = new_state
+            if (i + 1) % stride == 0 or i == n_steps - 1:
+                exploded = [
+                    k for k, peak in enumerate(linf(state).tolist())  # NaN or inf where any sample is
+                    if not math.isfinite(peak) or (linf0 > 0.0 and peak > cfg.blowup_threshold * linf0)
+                ]
+                if exploded:
+                    state = leave(exploded, state, t, t)
+                    if not live:
+                        return results
+                values = [fn(state).tolist() for _, fn in monitors]
+                for k, j in enumerate(live):
+                    rows[j].append((t, *(v[k] for v in values)))
     for k, j in enumerate(live):
         results[j] = EvolveResult(state.view(lambda a: a[k]), cfg.T, "completed", None, names, rows[j])
     return results

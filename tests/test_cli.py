@@ -495,7 +495,10 @@ import json, sys
 import specwave.cli
 
 def lazy_loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "concurrent.futures.process")
+    return sorted(
+        m for m in sys.modules
+        if m.split(".")[0] == "scipy" or m in ("concurrent.futures.process", "specwave.analysis")
+    )
 
 loaded = {"import": lazy_loaded()}
 steps = ["--dt", "1e-3", "--T", "0.002"]
@@ -503,17 +506,19 @@ cases = (
     ("1D", "saint-venant-1d", "saint-venant-1d", "init1"),
     ("2D", "saint-venant-2d-standard", "saint-venant-2d-hamiltonian", "init2D"),
 )
-for label, run_system, converge_system, initial in cases:
+for label, run_system, _, initial in cases:
     run = ["run", "--system", run_system, "--initial", initial, *steps, "--M", "16", "--out", "run" + label]
     assert specwave.cli.main(run) == 0
     loaded["run " + label] = lazy_loaded()
+print("--- check-system")
+assert specwave.cli.main(["check-system", "saint-venant-1d"]) == 0
+loaded["check-system"] = lazy_loaded()
+print("--- converge")
+for label, _, converge_system, initial in cases:
     converge = ["converge", "--system", converge_system, "--initial", initial, *steps,
                 "--M-list", "8", "--M-ref", "16", "--jobs", "1", "--out", "conv" + label]
     assert specwave.cli.main(converge) == 0
     loaded["converge " + label] = lazy_loaded()
-print("--- check-system")
-assert specwave.cli.main(["check-system", "saint-venant-1d"]) == 0
-loaded["check-system"] = lazy_loaded()
 print(json.dumps(loaded), file=sys.stderr)
 """
 
@@ -530,11 +535,13 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stderr.splitlines()[-1])
         # no command loads scipy: every transform runs through numpy.fft and the
-        # Halton points of check-system are a numpy radical inverse
+        # Halton points of check-system are a numpy radical inverse; only
+        # converge loads the analysis module
+        study = ["specwave.analysis"]
         assert loaded == {
-            "import": [], "run 1D": [], "converge 1D": [], "run 2D": [], "converge 2D": [], "check-system": [],
+            "import": [], "run 1D": [], "run 2D": [], "check-system": [], "converge 1D": study, "converge 2D": study,
         }
-        check_lines = proc.stdout.split("--- check-system\n", 1)[1].splitlines()
+        check_lines = proc.stdout.split("--- check-system\n", 1)[1].split("--- converge\n", 1)[0].splitlines()
         assert check_lines == [
             "polynomial-entries: PASS (max degree 1)",
             "symmetrizer: PASS (symmetry exact; positive definite at 200 samples)",

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -165,6 +166,23 @@ class TestRK4Step:
         assert np.array_equal(k.coeffs, k_before)
         assert np.array_equal(st.coeffs, st_before)
         assert np.max(np.abs(out.coeffs - (st_before + 0.1 * k_before))) < 1e-15
+
+
+    def test_stage_results_are_dropped_once_summed(self):
+        # besides the accumulator, rk4_step holds at most one stage result:
+        # k1 and k2 are gone at the third rhs_fn call, k3 at the fourth
+        g = make_grid(1, 8)
+        st = from_function(g, np.sin)
+        made, alive = [], []
+
+        def rhs_fn(s):
+            alive.append([ref() is not None for ref in made])
+            k = StateField(g, np.cos(len(made)) * s.half)
+            made.append(weakref.ref(k))
+            return k
+
+        rk4_step(rhs_fn, st, 0.1)
+        assert alive == [[], [True], [False, False], [False, False, False]]
 
 
 class TestMonitorTransformBudget:
@@ -455,6 +473,25 @@ class TestLockstep:
             monkeypatch.setattr(np, name, blas)
         results = evolve_lockstep([SchemeSpec(k) for k in SCHEME_KINDS], sysd, st0, EvolveConfig(dt=1e-3, T=0.003))
         assert [r.status for r in results] == ["completed"] * 3
+
+    @pytest.mark.skipif(timeint._glibc() is None, reason="the march's heap policy acts on glibc only")
+    def test_steps_fault_no_page_twice(self):
+        # the stages' temporaries stay on the heap through the march, so,
+        # after a warm-up, 18 more steps fault in (almost) no more pages
+        import resource
+
+        sysd = saint_venant_2d_hamiltonian()
+        st0 = build_initial("init2D", {}, make_grid(2, 64))
+        schemes = [SchemeSpec("sharp"), SchemeSpec("smooth-nl")]
+        dt = 1e-3
+
+        def faults(T):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            evolve_lockstep(schemes, sysd, st0, EvolveConfig(dt=dt, T=T))
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        faults(2 * dt)
+        assert faults(20 * dt) - faults(2 * dt) < 1000
 
     def test_one_scheme_is_a_stack_of_views(self):
         # evolve holds the arrays of one state: its result's final state is
