@@ -5,12 +5,10 @@ scheme axis): each right-hand side, RK4 combine, finiteness check and
 monitor sample acts on the whole stack at once, and a scheme that blows up
 leaves the stack while the others go on.
 
-The march holds one heap policy: on glibc, its loop runs with heap trimming
-and mmap of large blocks held off, so the arrays each RK4 stage frees are
-reused by the next stage instead of being unmapped and faulted in again;
-the heap is trimmed and glibc's default thresholds restored when it ends.
-rk4_step drops each stage result as soon as its sum holds it, so a stage
-frees what the next one allocates.
+On glibc the step loop runs under one heap policy (_march_heap), and
+rk4_step frees each stage result once its sum holds it, so each stage
+reuses the heap blocks the one before freed instead of faulting in fresh
+pages.
 """
 
 from __future__ import annotations
@@ -224,17 +222,18 @@ def _glibc():
 
 @contextmanager
 def _march_heap():
-    """Keep the temporaries an RK4 march frees on the glibc heap, for the
-    next stage to reuse, and give the heap back when the march ends.
+    """Keep the blocks an RK4 march frees on the glibc heap for the next
+    stage to reuse, and give the heap back when the march ends.
 
-    By default glibc returns a free heap top above its trim threshold to
-    the system and maps blocks above its mmap threshold one by one; both
-    start at 128 KiB and move with what the process freed before, so the
-    stages' temporaries were faulted in again at every stage in some heap
-    layouts and not in others.  During the march the trim threshold is
-    1 GiB and the mmap threshold glibc's maximum, 32 MiB; on exit the free
-    heap top is trimmed and both go back to glibc's documented defaults,
-    128 KiB each.  Where os.confstr names no glibc this does nothing.
+    glibc returns a free heap top above its trim threshold to the system
+    and maps each block above its mmap threshold on its own; both start at
+    128 KiB and move with what the process freed before, so without a
+    policy whether every stage faults its temporaries in afresh depends on
+    the process's earlier allocations.  During the march the trim
+    threshold is 1 GiB and the mmap threshold glibc's maximum, 32 MiB; on
+    exit the free heap top is trimmed and both go back to glibc's
+    documented defaults, 128 KiB each.  Where os.confstr names no glibc
+    this does nothing.
     """
     libc = _glibc()
     if libc is None:
