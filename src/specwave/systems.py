@@ -15,7 +15,7 @@ coefficients; only positive definiteness of S is sampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib.resources import files
 
@@ -26,7 +26,6 @@ from .spectral import StateField
 
 __all__ = [
     "SystemDef",
-    "CheckReport",
     "builtin_names",
     "builtin_system",
     "check_symmetrizer",
@@ -66,7 +65,7 @@ class SystemDef:
         first use and kept: the check multiplies polynomial matrices.
         """
         H = self.H
-        if H is None or self.SJ0 is None or H.degree() > 3 or not check_factorization(self).passed:
+        if H is None or self.SJ0 is None or H.degree() > 3 or check_factorization(self):
             return None
         S0 = self.S.constant_part()
         unit = [tuple(e) for e in np.eye(self.n, dtype=int)]
@@ -124,17 +123,7 @@ def builtin_system(name: str) -> SystemDef:
 # Structural checks
 
 
-@dataclass
-class CheckReport:
-    """Outcome of a structural check over a set of sample points."""
-
-    name: str
-    n_samples: int
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
+SAMPLE_COUNT = 200  # points check_system draws for the definiteness of S
 
 
 def _halton(start: int, count: int, d: int) -> np.ndarray:
@@ -158,76 +147,73 @@ def _halton(start: int, count: int, d: int) -> np.ndarray:
     return out
 
 
-def sample_hyperbolic_points(sys: SystemDef, count: int = 200) -> np.ndarray:
+def sample_hyperbolic_points(sys: SystemDef) -> np.ndarray:
     """Deterministic low-discrepancy samples inside the hyperbolicity domain.
 
     Halton points in the box [-0.9, 0.9]^n, drawn in batches of 256 until
-    count are accepted or 20000 are drawn; each batch is kept where every
-    predicate is positive, in draw order.
+    SAMPLE_COUNT are accepted or 20000 are drawn; each batch is kept where
+    every predicate is positive, in draw order, so the first k points are
+    the first k accepted draws.
     """
     lo, hi = -0.9, 0.9
     accepted: list[np.ndarray] = []
     drawn = 0
-    while len(accepted) < count and drawn < 20000:
+    while len(accepted) < SAMPLE_COUNT and drawn < 20000:
         pts = lo + (hi - lo) * _halton(drawn, 256, sys.n)
         drawn += 256
         inside = np.ones(len(pts), dtype=bool)
         for _, p in sys.predicates:
             inside &= p.eval_on(pts.T) > 0.0
-        accepted.extend(pts[inside][: count - len(accepted)])
+        accepted.extend(pts[inside][: SAMPLE_COUNT - len(accepted)])
     return np.array(accepted).reshape(-1, sys.n)
 
 
-def check_symmetrizer(sys: SystemDef, samples: np.ndarray | None = None) -> CheckReport:
-    """S(U) and every S(U)A_j(U) symmetric, proved on coefficients; S(U)
-    positive definite, sampled inside the hyperbolicity domain."""
+def check_symmetrizer(sys: SystemDef, samples: np.ndarray) -> list[str]:
+    """The failures of: S(U) and every S(U)A_j(U) symmetric, proved on
+    coefficients; S(U) positive definite at each sample point (a row)."""
     if sys.S is None:
         raise ValueError(f"system {sys.name!r} has no symmetrizer registered")
-    if samples is None:
-        samples = sample_hyperbolic_points(sys)
-    report = CheckReport("symmetrizer", len(samples))
-    if not sys.S.is_symmetric():
-        report.failures.append("S not symmetric")
-    for j, Aj in enumerate(sys.A):
-        if not (sys.S @ Aj).is_symmetric():
-            report.failures.append(f"S*A_{j} not symmetric")
+    failures = [] if sys.S.is_symmetric() else ["S not symmetric"]
+    failures += [f"S*A_{j} not symmetric" for j, Aj in enumerate(sys.A) if not (sys.S @ Aj).is_symmetric()]
     values = np.array([[p.eval_on(samples.T) for p in row] for row in sys.S.entries])  # S[a, b] at each sample
     lowest = np.linalg.eigvalsh(values.transpose(2, 0, 1))[:, 0]
     bad = lowest <= 0.0
-    for p, lam in zip(samples[bad], lowest[bad]):
-        report.failures.append(f"S not positive definite at {tuple(p)} (min eig {lam:.3e})")
-    return report
+    failures += [f"S not positive definite at {tuple(p)} (min eig {lam:.3e})"
+                 for p, lam in zip(samples[bad], lowest[bad])]
+    return failures
 
 
-def check_compatibility_AS(sys: SystemDef) -> CheckReport:
-    """Symmetry of S0 A0_j, S0 A1_j(U) + S1(U) A0_j and S1(U) A1_j(U), proved on coefficients."""
+def check_compatibility_AS(sys: SystemDef) -> list[str]:
+    """The failures of: S0 A0_j, S0 A1_j(U) + S1(U) A0_j and S1(U) A1_j(U)
+    symmetric, proved on coefficients."""
     if sys.S is None:
         raise ValueError(f"system {sys.name!r} has no symmetrizer registered")
-    report = CheckReport("compatibility", 0)
+    failures = []
     S0 = PolyMatrix.from_constant(sys.S.constant_part(), sys.n)
     S1 = sys.S.minus_constant()
     for j, (a0, A1j) in enumerate(zip(sys.A0, sys.A1)):
         A0j = PolyMatrix.from_constant(a0, sys.n)
         if not (S0 @ A0j).is_symmetric():
-            report.failures.append(f"S0*A0_{j} not symmetric")
+            failures.append(f"S0*A0_{j} not symmetric")
         if not (S0 @ A1j + S1 @ A0j).is_symmetric():
-            report.failures.append(f"S0*A1_{j} + S1*A0_{j} not symmetric")
+            failures.append(f"S0*A1_{j} + S1*A0_{j} not symmetric")
         if not (S1 @ A1j).is_symmetric():
-            report.failures.append(f"S1*A1_{j} not symmetric")
-    return report
+            failures.append(f"S1*A1_{j} not symmetric")
+    return failures
 
 
-def check_factorization(sys: SystemDef) -> CheckReport:
-    """Exact polynomial identity A_j(U) = SJ0_j S(U), coefficient by coefficient."""
+def check_factorization(sys: SystemDef) -> list[str]:
+    """The failures of the exact polynomial identity A_j(U) = SJ0_j S(U),
+    coefficient by coefficient."""
     if sys.SJ0 is None or sys.S is None:
         raise ValueError(f"system {sys.name!r} has no factorization A_j = SJ0_j S registered")
-    report = CheckReport("factorization", 0)
+    failures = []
     for j, (sj0, Aj) in enumerate(zip(sys.SJ0, sys.A)):
         if np.max(np.abs(sj0 - sj0.T)) > 0.0:
-            report.failures.append(f"SJ0_{j} not symmetric")
+            failures.append(f"SJ0_{j} not symmetric")
         if not (PolyMatrix.from_constant(sj0, sys.n) @ sys.S).equals(Aj):
-            report.failures.append(f"A_{j} != SJ0_{j} * S as polynomials")
-    return report
+            failures.append(f"A_{j} != SJ0_{j} * S as polynomials")
+    return failures
 
 
 def check_system(sys: SystemDef) -> list[tuple[str, str, str, list[str]]]:
@@ -237,14 +223,15 @@ def check_system(sys: SystemDef) -> list[tuple[str, str, str, list[str]]]:
     degree = max(Aj.max_degree() for Aj in sys.A)
     lines = [("polynomial-entries", "PASS", f"max degree {degree}", [])]
 
-    def ran(label: str, report: CheckReport, how: str) -> None:
-        lines.append((label, "PASS" if report.passed else "FAIL", how, report.failures))
+    def ran(label: str, failures: list[str], how: str) -> None:
+        lines.append((label, "FAIL" if failures else "PASS", how, failures))
 
     if sys.S is None:
         lines += [(label, "SKIP", "none registered", []) for label in ("symmetrizer", "compatibility-split")]
     else:
-        report = check_symmetrizer(sys)
-        ran("symmetrizer", report, f"symmetry exact; positive definite at {report.n_samples} samples")
+        samples = sample_hyperbolic_points(sys)
+        how = f"symmetry exact; positive definite at {len(samples)} samples"
+        ran("symmetrizer", check_symmetrizer(sys, samples), how)
         ran("compatibility-split", check_compatibility_AS(sys), "exact")
     if sys.SJ0 is None:
         lines.append(("constant-factorization", "SKIP", "no factor matrices registered", []))

@@ -28,7 +28,7 @@ from specwave.spectral import (
     state_from_samples,
     to_samples,
 )
-from specwave.systems import check_compatibility_AS, check_factorization, check_symmetrizer
+from specwave.systems import check_compatibility_AS, check_factorization, check_symmetrizer, sample_hyperbolic_points
 from specwave.timeint import EvolveConfig, evolve, evolve_lockstep, monitor_csv, rk4_step, second_derivative_max
 
 from oracles import (
@@ -288,19 +288,19 @@ def test_c06_structural_checks():
     ok = True
     details = []
     for sysd in systems:
-        sym = check_symmetrizer(sysd)
+        sym = check_symmetrizer(sysd, sample_hyperbolic_points(sysd))
         compat = check_compatibility_AS(sysd)
-        parts = [f"symmetrizer={'ok' if sym.passed else 'FAIL'}",
-                 f"compat={'ok' if compat.passed else 'FAIL'}"]
-        ok &= sym.passed and compat.passed
+        parts = [f"symmetrizer={'FAIL' if sym else 'ok'}",
+                 f"compat={'FAIL' if compat else 'ok'}"]
+        ok &= not sym and not compat
         if sysd.SJ0 is not None:
             fact = check_factorization(sysd)
-            ok &= fact.passed
-            parts.append(f"factorization={'ok' if fact.passed else 'FAIL'}")
+            ok &= not fact
+            parts.append(f"factorization={'FAIL' if fact else 'ok'}")
         details.append(f"{sysd.name}: {', '.join(parts)}")
     # exact coefficient-level factorization must hold for the two systems
-    assert check_factorization(saint_venant_1d()).passed
-    assert check_factorization(saint_venant_2d_hamiltonian()).passed
+    assert check_factorization(saint_venant_1d()) == []
+    assert check_factorization(saint_venant_2d_hamiltonian()) == []
     for name in ("saint-venant-1d", "saint-venant-2d-standard", "saint-venant-2d-hamiltonian"):
         ok &= main(["check-system", name]) == 0
     report("criterion 6", ok, "; ".join(details))

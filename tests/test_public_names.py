@@ -1,11 +1,13 @@
 """Public names: what the benchmark scripts import, and every module's __all__.
 
-Three checks stand in for a linter: every name in a package module's
+Four checks stand in for a linter: every name in a package module's
 __all__, and every public method of a package class, is used by the
 package or the benchmark scripts (a name only tests call belongs in
-tests/oracles.py); no package module keeps an unused module-level import;
-and no package module imports an underscore name from another, so that
-what a module keeps private stays its own.
+tests/oracles.py); every defaulted parameter of a package function is
+passed by some call there (a default nothing overrides is a constant);
+no package module keeps an unused module-level import; and no package
+module imports an underscore name from another, so that what a module
+keeps private stays its own.
 
 The method check matches by attribute name alone: a method counts as used
 when any package or bench file reads an attribute of that name, on
@@ -140,6 +142,50 @@ def private_imports() -> list[tuple[str, str]]:
     return found
 
 
+def defaulted_parameters():
+    """(module file, callee name, parameter, index) for every parameter with
+    a default of a function or method defined in a package module.  The
+    callee name is the class's for __init__; index is the parameter's place
+    among a call's positional arguments (self and cls not counted), None for
+    a keyword-only parameter."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        methods = {id(stmt): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for stmt in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            bound = id(fn) in methods and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            callee = methods[id(fn)] if bound and fn.name == "__init__" else fn.name
+            positional = fn.args.posonlyargs + fn.args.args
+            first_default = len(positional) - len(fn.args.defaults)
+            found += [(path.name, callee, a.arg, i - bound) for i, a in enumerate(positional) if i >= first_default]
+            found += [(path.name, callee, a.arg, None)
+                      for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
+    return found
+
+
+def parameters_never_passed():
+    """(module file, callee.parameter) for every defaulted parameter that no
+    call in a package or bench file passes, by keyword or by position.
+    Calls match by the callee's bare or attribute name, as the method check
+    matches methods; an unpacked argument (*args, **kwargs) counts as
+    passing every parameter it could reach."""
+    calls = [node for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py"))
+             for node in ast.walk(parse(path)) if isinstance(node, ast.Call)]
+
+    def passes(call: ast.Call, name: str, param: str, index: int | None) -> bool:
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) != name:
+            return False
+        if any(kw.arg in (param, None) for kw in call.keywords):
+            return True
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        return index is not None and (index < len(call.args) or starred)
+
+    return [(file, f"{name}.{param}") for file, name, param, index in defaulted_parameters()
+            if not any(passes(call, name, param, index) for call in calls)]
+
+
 def test_bench_imports_found():
     assert {mod for _, mod, _ in bench_imports()} >= {"specwave.cli", "specwave.semidisc", "specwave.spectral"}
 
@@ -163,6 +209,10 @@ def test_every_public_name_is_used_outside_tests():
 
 def test_every_public_method_is_used_outside_tests():
     assert not public_methods_unused(), "public methods only tests use; move them to tests/oracles.py"
+
+
+def test_every_defaulted_parameter_is_passed_outside_tests():
+    assert not parameters_never_passed(), "defaults no command overrides; make the parameter a constant"
 
 
 def test_no_private_imports_across_modules():

@@ -40,7 +40,7 @@ def test_roundtrip_builtins(factory):
 
 def test_roundtrip_preserves_factorization():
     text = serialize_system(saint_venant_2d_hamiltonian())
-    assert check_factorization(parse_system_text(text)).passed
+    assert check_factorization(parse_system_text(text)) == []
 
 
 def test_parse_from_file(tmp_path):

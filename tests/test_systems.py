@@ -20,6 +20,7 @@ from specwave.systems import (
     check_compatibility_AS,
     check_factorization,
     check_symmetrizer,
+    check_system,
     hamiltonian_energy,
     sample_hyperbolic_points,
 )
@@ -64,8 +65,7 @@ class TestSaintVenant1D:
         assert np.allclose(matrix_at(sv.S, [0, 0]), np.eye(2))
 
     def test_factorization_exact(self):
-        rep = check_factorization(saint_venant_1d())
-        assert rep.passed, rep.failures
+        assert check_factorization(saint_venant_1d()) == []
 
     def test_factorization_sampled(self):
         sv = saint_venant_1d()
@@ -97,16 +97,14 @@ class TestSaintVenant2D:
         assert np.allclose(matrix_at(sv.A[0], [0, 0, 0]), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
 
     def test_standard_compatibility(self):
-        rep = check_compatibility_AS(saint_venant_2d_standard())
-        assert rep.passed, rep.failures
+        assert check_compatibility_AS(saint_venant_2d_standard()) == []
 
     def test_standard_predicate_violation(self):
         sv = saint_venant_2d_standard()
         assert not in_domain(sv, [-1.1, 0.0, 0.0])
 
     def test_hamiltonian_factorization_exact(self):
-        rep = check_factorization(saint_venant_2d_hamiltonian())
-        assert rep.passed, rep.failures
+        assert check_factorization(saint_venant_2d_hamiltonian()) == []
 
     def test_hamiltonian_spd_at_origin(self):
         sv = saint_venant_2d_hamiltonian()
@@ -120,32 +118,31 @@ class TestSaintVenant2D:
     def test_strict_domain_inside_standard_domain(self):
         ham = saint_venant_2d_hamiltonian()
         std = saint_venant_2d_standard()
-        pts = sample_hyperbolic_points(ham, count=100)
+        pts = sample_hyperbolic_points(ham)[:100]
         assert all(in_domain(std, p) for p in pts)
 
 
 class TestStructuralChecks:
     @pytest.mark.parametrize("factory", ALL_SYSTEMS)
     def test_symmetrizer_check_passes(self, factory):
-        rep = check_symmetrizer(factory())
-        assert rep.passed, rep.failures
-        assert rep.n_samples == 200
+        sysd = factory()
+        samples = sample_hyperbolic_points(sysd)
+        assert check_symmetrizer(sysd, samples) == []
+        assert len(samples) == 200
 
     @pytest.mark.parametrize("factory", ALL_SYSTEMS)
     def test_compatibility_check_passes(self, factory):
-        rep = check_compatibility_AS(factory())
-        assert rep.passed, rep.failures
+        assert check_compatibility_AS(factory()) == []
 
     def test_symmetrizer_failure_reported_outside_domain(self):
         sv = saint_venant_2d_standard()
-        rep = check_symmetrizer(sv, samples=np.array([[-1.5, 0.0, 0.0]]))
-        assert not rep.passed
-        assert any("positive definite" in msg for msg in rep.failures)
+        failures = check_symmetrizer(sv, np.array([[-1.5, 0.0, 0.0]]))
+        assert failures
+        assert any("positive definite" in msg for msg in failures)
 
     def test_hamiltonian_failure_outside_strict_domain(self):
         ham = saint_venant_2d_hamiltonian()
-        rep = check_symmetrizer(ham, samples=np.array([[0.0, 0.9, 0.9]]))
-        assert not rep.passed
+        assert check_symmetrizer(ham, np.array([[0.0, 0.9, 0.9]]))
 
     def test_asymmetry_proved_without_samples(self):
         # S = [[1, x], [0, 1]] is not symmetric, and with A = [[0, 0], [x, 0]]
@@ -157,8 +154,7 @@ class TestStructuralChecks:
         from specwave.systems import SystemDef
 
         sysd = SystemDef(name="synthetic", d=1, n=2, A=(a,), S=s)
-        rep = check_symmetrizer(sysd, samples=np.empty((0, 2)))
-        assert rep.failures == ["S not symmetric", "S*A_0 not symmetric"]
+        assert check_symmetrizer(sysd, np.empty((0, 2))) == ["S not symmetric", "S*A_0 not symmetric"]
 
     def test_synthetic_asymmetric_system_fails_third_condition(self):
         # A = [[0, x], [x, 0]], S = diag(1+x, 1): A0 = 0 and A1 symmetric keep
@@ -170,9 +166,7 @@ class TestStructuralChecks:
         from specwave.systems import SystemDef
 
         sysd = SystemDef(name="synthetic", d=1, n=2, A=(a,), S=s)
-        rep = check_compatibility_AS(sysd)  # proved on coefficients, no samples
-        assert not rep.passed and rep.n_samples == 0
-        assert rep.failures == ["S1*A1_0 not symmetric"]
+        assert check_compatibility_AS(sysd) == ["S1*A1_0 not symmetric"]  # proved on coefficients, no samples
 
     def test_zero_system_passes(self):
         from specwave.systems import SystemDef
@@ -184,7 +178,7 @@ class TestStructuralChecks:
             A=(zero_matrix(2, 2),),
             S=PolyMatrix.from_constant(np.eye(2), 2),
         )
-        assert check_compatibility_AS(sysd).passed
+        assert check_compatibility_AS(sysd) == []
 
     @pytest.mark.parametrize("count", [0, 1, 200])
     @pytest.mark.parametrize("make", ALL_SYSTEMS)
@@ -193,20 +187,21 @@ class TestStructuralChecks:
         # sample order and with the same eigenvalues; the points fill twice
         # the sampled box, where every S is indefinite at some
         sysd = make()
-        samples = 2.0 * sample_hyperbolic_points(replace(sysd, predicates=()), count=count)
+        samples = 2.0 * sample_hyperbolic_points(replace(sysd, predicates=()))[:count]
         want = [
             f"S not positive definite at {tuple(p)} (min eig {lam:.3e})"
             for p in samples
             if (lam := np.linalg.eigvalsh(matrix_at(sysd.S, p))[0]) <= 0.0
         ]
-        assert check_symmetrizer(sysd, samples).failures == want
+        assert check_symmetrizer(sysd, samples) == want
         assert count < 200 or want
 
     def test_no_point_in_domain_leaves_no_samples(self):
         sysd = replace(saint_venant_1d(), predicates=(("never", Poly.const(2, -1.0)),))
-        assert sample_hyperbolic_points(sysd).shape == (0, 2)
-        rep = check_symmetrizer(sysd)
-        assert rep.passed and rep.n_samples == 0
+        samples = sample_hyperbolic_points(sysd)
+        assert samples.shape == (0, 2)
+        assert check_symmetrizer(sysd, samples) == []
+        assert check_system(sysd)[1] == ("symmetrizer", "PASS", "symmetry exact; positive definite at 0 samples", [])
 
     def test_split_exactness(self):
         for factory in ALL_SYSTEMS:
@@ -220,7 +215,7 @@ class TestStructuralChecks:
 
         sysd = SystemDef(name="bare", d=1, n=2, A=(zero_matrix(2, 2),))
         with pytest.raises(ValueError):
-            check_symmetrizer(sysd)
+            check_symmetrizer(sysd, np.empty((0, 2)))
 
     def test_factorization_needs_factors_and_symmetrizer(self):
         sv = saint_venant_1d()
@@ -230,8 +225,8 @@ class TestStructuralChecks:
 
     def test_sample_points_deterministic(self):
         sv = saint_venant_1d()
-        a = sample_hyperbolic_points(sv, count=50)
-        b = sample_hyperbolic_points(sv, count=50)
+        a = sample_hyperbolic_points(sv)
+        b = sample_hyperbolic_points(sv)
         assert np.array_equal(a, b)
         assert all(in_domain(sv, p) for p in a)
 
@@ -240,7 +235,7 @@ class TestStructuralChecks:
     def test_batched_sampler_matches_point_loop(self, make, count):
         # the batch keeps exactly the points a one-by-one in_domain loop keeps
         sysd = replace(saint_venant_1d(), predicates=()) if make is None else make()
-        got = sample_hyperbolic_points(sysd, count=count)
+        got = sample_hyperbolic_points(sysd)[:count]
         want = hyperbolic_points_by_point(sysd, count)
         assert got.shape == want.shape == (count, sysd.n)
         assert np.array_equal(got, want)
