@@ -9,7 +9,7 @@ sampling.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +27,9 @@ class Poly:
     terms: tuple[tuple[tuple[int, ...], float], ...]
 
     @classmethod
-    def from_terms(cls, nvars: int, terms: Mapping[tuple[int, ...], float] | Iterable) -> "Poly":
+    def from_terms(cls, nvars: int, terms: Iterable[tuple[Sequence[int], float]]) -> "Poly":
         merged: dict[tuple[int, ...], float] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for expo, coeff in items:
+        for expo, coeff in terms:
             expo = tuple(int(e) for e in expo)
             if len(expo) != nvars:
                 raise ValueError(f"exponent tuple {expo} has wrong arity for nvars={nvars}")
@@ -46,7 +45,7 @@ class Poly:
 
     @classmethod
     def const(cls, nvars: int, c: float) -> "Poly":
-        return cls.from_terms(nvars, {(0,) * nvars: c})
+        return cls.from_terms(nvars, [((0,) * nvars, c)])
 
     def degree(self) -> int:
         return max((sum(e) for e, _ in self.terms), default=0)

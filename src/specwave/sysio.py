@@ -33,7 +33,6 @@ __all__ = ["parse_system", "parse_system_text", "SystemFormatError"]
 class SystemFormatError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 def _tokenize_monomials(tokens: list[str], nvars: int, line_no: int) -> list[tuple[tuple[int, ...], float]]:

@@ -48,7 +48,7 @@ class BlowUpError(RuntimeError):
     """Raised when an RK4 stage produces non-finite coefficients; states
     lists the positions in the stack of the states that did (0 for one state)."""
 
-    def __init__(self, stage: str, states: tuple[int, ...] = (0,)):
+    def __init__(self, stage: str, states: tuple[int, ...]):
         super().__init__(f"non-finite values in RK4 stage {stage}")
         self.stage = stage
         self.states = states

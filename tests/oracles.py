@@ -46,7 +46,7 @@ from specwave.systems import SystemDef
 def poly_var(nvars: int, i: int) -> Poly:
     expo = [0] * nvars
     expo[i] = 1
-    return Poly.from_terms(nvars, {tuple(expo): 1.0})
+    return Poly.from_terms(nvars, [(expo, 1.0)])
 
 
 def poly_equals(a: Poly, b: Poly) -> bool:
