@@ -192,9 +192,10 @@ def convergence_study(
     blow-up threshold and monitor stride apply throughout; the runs record
     no monitor rows, and the stride sets where the growth check runs.  The
     reference's H^s norms are taken once, and each completed state is
-    zero-padded and subtracted once for all s.  If the reference
-    run blows up, no case is run: every row gets status 'reference-blowup'
-    and the report's reference line gives the time.
+    zero-padded and subtracted once for all s.  If the reference run blows
+    up, or one of its norms is zero so that no relative error is defined,
+    no case is run: every row gets status 'reference-blowup' or
+    'reference-zero', and the report's reference line says why.
     """
     if M_ref <= max(M_list):
         raise ValueError("reference resolution must exceed every tested resolution")
@@ -202,12 +203,17 @@ def convergence_study(
     ref0 = build_initial(initial_name, initial_params, ref_grid)
     ref_result = evolve(SchemeSpec("sharp"), sys, ref0, cfg, ())
     reference = f"sharp filter, 2M={2 * M_ref}, dt={cfg.dt}, T={cfg.T}"
-    if not ref_result.completed:  # rows in report order
-        rows = [ConvergenceRow(M=M, scheme=kind, status="reference-blowup") for M in sorted(M_list) for kind in schemes]
-        reference += f"; the reference run blew up at t={ref_result.blowup_time}"
-        return ConvergenceReport(rows=rows, s_norms=tuple(s_norms), reference=reference)
+
+    def without_cases(status: str, note: str) -> ConvergenceReport:  # every row with one status, in report order
+        rows = [ConvergenceRow(M=M, scheme=kind, status=status) for M in sorted(M_list) for kind in schemes]
+        return ConvergenceReport(rows=rows, s_norms=tuple(s_norms), reference=f"{reference}; {note}")
+
+    if not ref_result.completed:
+        return without_cases("reference-blowup", f"the reference run blew up at t={ref_result.blowup_time}")
     ref = ref_result.final_state
     ref_norms = [sobolev_norm(ref, s) for s in s_norms]
+    if 0.0 in ref_norms:
+        return without_cases("reference-zero", "the reference state has zero norm")
 
     cases = [(sys, schemes, initial_name, initial_params, M, cfg) for M in sorted(M_list)]
     if jobs > 1:
@@ -223,8 +229,6 @@ def convergence_study(
     for M, kind, status, half in (row for case in outcomes for row in case):  # report order
         row = ConvergenceRow(M=M, scheme=kind, status=status)
         if half is not None:
-            if 0.0 in ref_norms:
-                raise ValueError("reference state has zero norm")
             gap = embed(StateField(grids[M], half), ref.grid) - ref
             row.errors = {s: sobolev_norm(gap, s) / norm for s, norm in zip(s_norms, ref_norms)}
         rows.append(row)

@@ -748,9 +748,9 @@ class TestExitPaths:
         assert capsys.readouterr().err == "internal error: injected numerical fault\n"
 
 
-    def test_zero_reference_exits_2(self, tmp_path, capsys):
-        # all-zero init2D data: the study evolves, then finds the reference
-        # norm zero at the first completed row and writes nothing
+    def test_zero_reference_is_recorded(self, tmp_path, capsys):
+        # all-zero init2D data: the reference's norms are zero, so no relative
+        # error is defined; as for a reference blow-up, no case is run
         cfg = tmp_path / "zero.cfg"
         cfg.write_text(
             "system = saint-venant-2d-hamiltonian\ninitial = init2D\n"
@@ -758,9 +758,12 @@ class TestExitPaths:
             "M_list = 4 8\nM_ref = 16\ndt = 1e-3\nT = 0.002\n"
         )
         code = main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert capsys.readouterr().err == "internal error: reference state has zero norm\n"
-        assert not (tmp_path / "out").exists()
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        lines = read(tmp_path / "out" / "report.csv").splitlines()
+        assert lines[1:] == ["8,sharp,,,,,reference-zero", "16,sharp,,,,,reference-zero"]
+        assert read(tmp_path / "out" / "report.txt").endswith(
+            "reference: sharp filter, 2M=32, dt=0.001, T=0.002; the reference state has zero norm\n")
 
 
 class TestConfigParsing:
