@@ -342,6 +342,17 @@ class TestConverge:
         assert err.startswith("error:") and "s_norms is empty" in err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_s_norm_is_input_error(self, tmp_path, capsys):
+        # a repeated s would write its E and EOC columns twice; 1 and 1.0 are one s
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "system = saint-venant-1d\ninitial = init1\nM_list = 8 16\nM_ref = 32\n"
+            "dt = 1e-3\nT = 0.002\ns_norms = 1 0 1.0\n"
+        )
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: s_norms repeats 1.0\n"
+        assert not (tmp_path / "out").exists()
+
     def test_repeated_resolution_is_input_error(self, tmp_path, capsys):
         # a repeated M would pair a run with itself for its EOC
         code = main(
