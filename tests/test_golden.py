@@ -14,7 +14,9 @@ The bytes are compared only where numpy's version, the platform and the
 SIMD targets numpy dispatches to match the manifest's.  Elsewhere each
 output is compared through its numbers: the text with every number masked
 must hash the same, and the count of numbers, of non-finite ones, the sum
-of magnitudes and a cosine-weighted sum must agree to NUMBERS_RTOL.
+of magnitudes and a cosine-weighted sum must agree to NUMBERS_RTOL, and
+each call warns that it compared numbers, not bytes.  The sixteen calls
+take about 0.5 s.
 
 After a change that moves an output on purpose, re-record with
 
@@ -167,8 +169,8 @@ def test_output_matches_manifest(call_id, tmp_path):
     manifest = load_manifest()
     by_bytes = manifest["environment"] == environment()
     if not by_bytes:
-        print(f"environment {environment()} differs from the manifest's {manifest['environment']}: "
-              f"comparing numbers at rtol {NUMBERS_RTOL}, not bytes")
+        warnings.warn(f"environment {environment()} differs from the manifest's {manifest['environment']}: "
+                      f"comparing numbers at rtol {NUMBERS_RTOL}, not bytes")
     want = manifest["calls"][call_id]
     assert [*want["argv"]] == CALLS[call_id][0], "the manifest was recorded from other arguments"
     assert not differences(run_call(call_id, tmp_path), want, by_bytes)
