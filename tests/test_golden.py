@@ -16,7 +16,7 @@ output is compared through its numbers: the text with every number masked
 must hash the same, and the count of numbers, of non-finite ones, the sum
 of magnitudes and a cosine-weighted sum must agree to NUMBERS_RTOL, and
 each call warns that it compared numbers, not bytes.  The sixteen calls
-take about 0.5 s.
+take 0.17-0.18 s in-process after the imports (three runs, a 2-vCPU x86-64 VM).
 
 After a change that moves an output on purpose, re-record with
 
