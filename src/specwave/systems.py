@@ -173,13 +173,17 @@ def check_symmetrizer(sys: SystemDef, samples: np.ndarray) -> list[str]:
     coefficients; S(U) positive definite at each sample point (a row)."""
     if sys.S is None:
         raise ValueError(f"system {sys.name!r} has no symmetrizer registered")
-    failures = [] if sys.S.is_symmetric() else ["S not symmetric"]
-    failures += [f"S*A_{j} not symmetric" for j, Aj in enumerate(sys.A) if not (sys.S @ Aj).is_symmetric()]
+    failures = []
+    if not sys.S.is_symmetric():
+        failures.append("S not symmetric")
+    for j, Aj in enumerate(sys.A):
+        if not (sys.S @ Aj).is_symmetric():
+            failures.append(f"S*A_{j} not symmetric")
     values = np.array([[p.eval_on(samples.T) for p in row] for row in sys.S.entries])  # S[a, b] at each sample
     lowest = np.linalg.eigvalsh(values.transpose(2, 0, 1))[:, 0]
     bad = lowest <= 0.0
-    failures += [f"S not positive definite at {tuple(p)} (min eig {lam:.3e})"
-                 for p, lam in zip(samples[bad], lowest[bad])]
+    for p, lam in zip(samples[bad], lowest[bad]):
+        failures.append(f"S not positive definite at {tuple(p)} (min eig {lam:.3e})")
     return failures
 
 

@@ -179,6 +179,8 @@ def test_output_matches_manifest(call_id, tmp_path):
 def record(call_ids: list[str]) -> None:
     """Write the manifest for the named calls (all when none is named), keeping the other entries."""
     manifest = load_manifest() if MANIFEST.exists() and call_ids else {"calls": {}}
+    if call_ids and manifest["environment"] != environment():
+        raise SystemExit("the manifest was recorded in another environment: re-record every call")
     manifest["environment"] = environment()
     for call_id in call_ids or sorted(CALLS):
         with tempfile.TemporaryDirectory() as tmp:
