@@ -9,7 +9,7 @@ import numpy as np
 
 from .initial import build_initial
 from .poly import Poly, PolyMatrix
-from .semidisc import SchemeSpec, collocated_half, entry_terms
+from .semidisc import SchemeSpec, collocated_sum, entry_terms
 from .spectral import (
     FilterSpec,
     StateField,
@@ -19,6 +19,7 @@ from .spectral import (
     l2_inner,
     make_grid,
     max_mode_support,
+    samples_to_half,
     sobolev_norm,
     state_from_samples,
 )
@@ -106,7 +107,8 @@ def jn_probe(sys: SystemDef, U: StateField, V: StateField, N: int) -> float:
 def _matvec_exact(P: PolyMatrix, coeff_state: StateField, vec: StateField) -> StateField:
     """P(U) applied pointwise to a vector field, no projection."""
     grid = coeff_state.grid
-    return StateField(grid, collocated_half(grid, coeff_state.variables, [vec.variables], *entry_terms([P])))
+    rows = collocated_sum(grid, coeff_state.variables, [vec.variables], *entry_terms([P]))
+    return StateField(grid, samples_to_half(grid, rows))
 
 
 def jn_counterexample_states(N: int, p: int, q: int) -> tuple[StateField, StateField]:

@@ -27,12 +27,22 @@ both forms are exact on the retained modes, so they agree there to
 rounding.  The flux form needs 2n real transforms per state, the
 collocated form n(d+2).  A call on a stack of S states, one per scheme,
 makes them in the same number of transform calls as one state: each call
-transforms the whole stack, 2nS (flux) or n(d+2)S real transforms.
+transforms the whole stack, 2nS (flux) or n(d+2)S real transforms; the
+collocated form's d derivatives go through one inverse call.
+
+rhs returns its result in the layout of the state it is given (see
+spectral): the half spectrum, which bench/worker.py and most tests pass,
+or the retained cube |k_j| <= N, on which timeint.evolve_lockstep
+marches.  On the cube every multiplier is the half's cropped to it (the
+sharp filter is 1 there), built on the first cube call of a plan, and
+the result is the crop of the result on the half, with its bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +53,7 @@ from .spectral import (
     StateField,
     filter_multiplier,
     half_to_samples,
+    samples_to_cube,
     samples_to_half,
 )
 from .systems import SystemDef
@@ -51,9 +62,10 @@ __all__ = [
     "SchemeSpec",
     "SCHEME_KINDS",
     "RhsPlan",
+    "PlanTables",
     "poly_coefficient_samples",
     "entry_terms",
-    "collocated_half",
+    "collocated_sum",
     "rhs_plan",
     "rhs",
 ]
@@ -83,7 +95,8 @@ def poly_coefficient_samples(poly: Poly, comp_samples: np.ndarray, grid: Grid) -
 
     Degree <= 1 entries are evaluated directly (exact on the grid).  Higher
     degrees are built monomial by monomial with a projection onto modes
-    <= grid.dealias_N after each pairwise product.
+    <= grid.dealias_N after each pairwise product: its transform to the
+    retained cube and back.
     """
     if poly.degree() <= 1:
         return poly.eval_on(comp_samples)
@@ -95,7 +108,7 @@ def poly_coefficient_samples(poly: Poly, comp_samples: np.ndarray, grid: Grid) -
                 if cur is None:
                     cur = comp_samples[i]
                 else:
-                    cur = half_to_samples(grid, samples_to_half(grid, cur * comp_samples[i]) * grid.dealias_mask)
+                    cur = half_to_samples(grid, samples_to_cube(grid, cur * comp_samples[i]))
         out = out + (coeff if cur is None else coeff * cur)
     return out
 
@@ -115,8 +128,8 @@ def entry_terms(mats) -> tuple[tuple[Poly, ...], tuple[tuple[int, int, int, int]
     return tuple(polys), tuple(terms)
 
 
-def collocated_half(grid: Grid, u: np.ndarray, du, polys, terms) -> np.ndarray:
-    """Half spectrum of sum over terms (i, j, c, p) of polys[p](U) * du[j][c]
+def collocated_sum(grid: Grid, u: np.ndarray, du, polys, terms) -> np.ndarray:
+    """Samples of the sum over terms (i, j, c, p) of polys[p](U) * du[j][c]
     into row i, variables first: u and each du[j] hold component c at [c]
     (a state's samples, or a stack's with the component axis first), and
     row i of the result is at [i]."""
@@ -124,7 +137,7 @@ def collocated_half(grid: Grid, u: np.ndarray, du, polys, terms) -> np.ndarray:
     rows = np.zeros_like(u)
     for i, j, c, p in terms:
         rows[i] += coeff[p] * du[j][c]
-    return samples_to_half(grid, rows)
+    return rows
 
 
 def _scheme_axis(arrays: list) -> np.ndarray:
@@ -134,17 +147,17 @@ def _scheme_axis(arrays: list) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(np.broadcast_arrays(*arrays))
 
 
-def _multiplier_table(grid: Grid, mats, ms, shared: dict) -> tuple[tuple[int, int, np.ndarray], ...]:
+def _multiplier_table(dks, mats, ms, shared: dict) -> tuple[tuple[int, int, np.ndarray], ...]:
     """(row, column, m * sum_j P_j[row, column] i k_j along the scheme axis,
-    one m per scheme) for every (row, column) where some P_j is nonzero.
-    Equal multipliers are one array: shared maps (the ms, the
-    P_j[row, column]) to the arrays already built."""
+    one m per scheme) for every (row, column) where some P_j is nonzero,
+    with the i k_j given by dks.  Equal multipliers are one array: shared
+    maps (the ms, the P_j[row, column]) to the arrays already built."""
     table = []
     for i, c in zip(*np.nonzero(sum(np.abs(P) for P in mats))):
         entries = tuple(float(P[i, c]) for P in mats)
         key = tuple(map(id, ms)) + entries
         if key not in shared:
-            ik = sum(a * dk for a, dk in zip(entries, grid.diff_mult) if a)
+            ik = sum(a * dk for a, dk in zip(entries, dks) if a)
             shared[key] = _scheme_axis([m * ik for m in ms])
         table.append((int(i), int(c), shared[key]))
     return tuple(table)
@@ -169,51 +182,74 @@ def _apply_table(table, half: np.ndarray) -> np.ndarray:
     return out
 
 
+class PlanTables(NamedTuple):
+    """The multipliers of a plan on one layout, the half spectrum or the
+    retained cube: m_nl, of shape (S, 1, ...) to broadcast over the
+    components, lin_terms (row, column, m_lin * sum_j A0_j[row, column] i k_j)
+    and, on the flux path, flux_terms (row, column,
+    m_nl * sum_j SJ0_j[row, column] i k_j).  Every multiplier has a leading
+    scheme axis (of one for one scheme); equal multipliers of the two
+    tables are one array."""
+
+    m_nl: np.ndarray
+    lin_terms: tuple[tuple[int, int, np.ndarray], ...]
+    flux_terms: tuple[tuple[int, int, np.ndarray], ...]
+
+
 @dataclass(frozen=True, eq=False)
 class RhsPlan:
     """What rhs needs for one (scheme, system, grid), built once by rhs_plan;
     scheme is one SchemeSpec, or a tuple of S of them for a stack of states.
 
-    lin_terms holds (row, column, m_lin * sum_j A0_j[row, column] i k_j).
-    Every multiplier has a leading scheme axis (of one for one scheme), and
-    m_nl the shape (S, 1, ..., M+1), to broadcast over the components.
-    On the flux path, flux holds the components of sys.Q and flux_terms
-    (row, column, m_nl * sum_j SJ0_j[row, column] i k_j); polys and terms
-    are then empty.  On the collocated path flux and flux_terms are empty,
-    and polys and terms list the distinct nonzero entries of the A1_j and
-    where each acts (row, axis, column, index into polys).  Equal
-    multipliers of the two tables are one array.
+    On the flux path, flux holds the components of sys.Q; polys and terms
+    are then empty.  On the collocated path flux is empty, and polys and
+    terms list the distinct nonzero entries of the A1_j and where each acts
+    (row, axis, column, index into polys).  The multipliers of each layout
+    (half_tables, cube_tables) are built on the first call that reads that
+    layout and kept: a plan that only marches on the cube holds no
+    half-size multiplier.
     """
 
     scheme: SchemeSpec | tuple[SchemeSpec, ...]
     sys: SystemDef
     grid: Grid
-    m_nl: np.ndarray
-    lin_terms: tuple[tuple[int, int, np.ndarray], ...]
     polys: tuple[Poly, ...]
     terms: tuple[tuple[int, int, int, int], ...]
     flux: tuple[Poly, ...]
-    flux_terms: tuple[tuple[int, int, np.ndarray], ...]
+
+    @cached_property
+    def half_tables(self) -> PlanTables:
+        """On the half spectrum: the sharp filter at the cutoff is the grid's one mask."""
+        grid = self.grid
+        return self._tables(grid.diff_mult, grid.dealias_mask, lambda spec: filter_multiplier(spec, grid))
+
+    @cached_property
+    def cube_tables(self) -> PlanTables:
+        """On the retained cube: the half's multipliers cropped to it, with
+        their bits; there the sharp filter is a broadcast 1.0."""
+        grid = self.grid
+        ones = np.ones((1,) * grid.d)
+        return self._tables(grid.cube_diff_mult, ones, lambda spec: grid.crop(filter_multiplier(spec, grid)))
+
+    def _tables(self, dks, sharp: np.ndarray, smooth) -> PlanTables:
+        schemes = (self.scheme,) if isinstance(self.scheme, SchemeSpec) else self.scheme
+        m_nl = [sharp if s.kind == "sharp" else smooth(FilterSpec("smooth", s.cutoff(self.grid))) for s in schemes]
+        m_lin = [1.0 if s.kind == "smooth-nl" else m for s, m in zip(schemes, m_nl)]
+        shared: dict = {}
+        lin_terms = _multiplier_table(dks, self.sys.A0, m_lin, shared)
+        flux_terms = _multiplier_table(dks, self.sys.SJ0, m_nl, shared) if self.flux else ()
+        return PlanTables(_scheme_axis(m_nl)[:, None], lin_terms, flux_terms)  # m_nl broadcast over the components
 
 
 def rhs_plan(scheme: SchemeSpec | tuple[SchemeSpec, ...], sys: SystemDef, grid: Grid) -> RhsPlan:
-    """Build the multiplier tables and entry lists of a scheme's right-hand
-    side on a grid, or of a tuple of schemes' on a stack of states; the
-    flux path is taken whenever the system has a flux sys.Q."""
+    """The plan of a scheme's right-hand side on a grid, or of a tuple of
+    schemes' on a stack of states; the flux path is taken whenever the
+    system has a flux sys.Q."""
     if grid.d != sys.d:
         raise ValueError(f"grid dimension {grid.d} does not match system d={sys.d}")
-    schemes = (scheme,) if isinstance(scheme, SchemeSpec) else scheme
-    # the sharp filter at the cutoff is the grid's one mask
-    m_nl = [grid.dealias_mask if s.kind == "sharp" else filter_multiplier(FilterSpec("smooth", s.cutoff(grid)), grid)
-            for s in schemes]
-    m_lin = [1.0 if s.kind == "smooth-nl" else m for s, m in zip(schemes, m_nl)]
-    shared: dict = {}
-    lin_terms = _multiplier_table(grid, sys.A0, m_lin, shared)
-    m_row = _scheme_axis(m_nl)[:, None]  # broadcast over the components
     if sys.Q is None:
-        return RhsPlan(scheme, sys, grid, m_row, lin_terms, *entry_terms(sys.A1), (), ())
-    flux_terms = _multiplier_table(grid, sys.SJ0, m_nl, shared)
-    return RhsPlan(scheme, sys, grid, m_row, lin_terms, (), (), sys.Q, flux_terms)
+        return RhsPlan(scheme, sys, grid, *entry_terms(sys.A1), ())
+    return RhsPlan(scheme, sys, grid, (), (), sys.Q)
 
 
 def rhs(
@@ -224,7 +260,9 @@ def rhs(
 ) -> StateField:
     """Right-hand side of the chosen semi-discretization at a state, or of
     a tuple of schemes at a stack of states, the i-th scheme at the i-th
-    state (the stack's leading axis).
+    state (the stack's leading axis), in the layout of the state: the half
+    spectrum, or the retained cube (on which evolve marches).  On the cube
+    the result is the crop of the result on the half, with its bits.
 
     A plan from rhs_plan(scheme, sys, state.grid) saves rebuilding the
     multipliers on every call.  U is read from the state's cached samples,
@@ -232,9 +270,9 @@ def rhs(
     not transformed again.  Per call on a fresh state on the flux path: one
     inverse transform call of U and one forward transform call of Q(U), 2n
     real transforms per state.  On the collocated path: one inverse
-    transform call of U and of each d_j U and one forward transform call
-    of the nonlinear sum, n(d+2) per state.  A sampled state or stack
-    costs the inverse transform call of U less.
+    transform call of U, one of the d derivatives d_j U stacked and one
+    forward transform call of the nonlinear sum, n(d+2) per state.  A
+    sampled state or stack costs the inverse transform call of U less.
     """
     grid = state.grid
     if state.n != sys.n:
@@ -247,6 +285,8 @@ def rhs(
         plan = rhs_plan(scheme, sys, grid)
     elif plan.scheme != scheme or plan.sys is not sys or plan.grid != grid:
         raise ValueError("plan was built for another scheme, system or grid")
+    cube = state.on_cube
+    tables, forward = (plan.cube_tables, samples_to_cube) if cube else (plan.half_tables, samples_to_half)
     if not stacked:  # a stack of one
         half, u = half[None], u[None]
     u = u.swapaxes(0, 1)  # variables first
@@ -255,12 +295,17 @@ def rhs(
         # wrapper's cost), in one expression: its samples are freed once
         # transformed, before the table is applied
         nl = _apply_table(
-            plan.flux_terms, samples_to_half(grid, np.concatenate([p.eval_on(u)[:, None] for p in plan.flux], axis=1))
+            tables.flux_terms, forward(grid, np.concatenate([p.eval_on(u)[:, None] for p in plan.flux], axis=1))
         )
     else:
-        du = [half_to_samples(grid, half * dk).swapaxes(0, 1) for dk in grid.diff_mult]
-        nl = plan.m_nl * collocated_half(grid, u, du, plan.polys, plan.terms).swapaxes(0, 1)
-    out = _apply_table(plan.lin_terms, half)
+        dks = grid.cube_diff_mult if cube else grid.diff_mult
+        dhalf = np.empty((len(dks),) + half.shape, dtype=np.complex128)
+        for j, dk in enumerate(dks):
+            np.multiply(half, dk, out=dhalf[j])
+        du = half_to_samples(grid, dhalf).swapaxes(1, 2)  # du[j][c]: d_j of component c, in one call
+        del dhalf
+        nl = tables.m_nl * forward(grid, collocated_sum(grid, u, du, plan.polys, plan.terms)).swapaxes(0, 1)
+    out = _apply_table(tables.lin_terms, half)
     out += nl
     # -(lin + nl) with the bits of a table sum that starts from zeros: + 0.0
     # makes every exact zero +0.0 whatever the signs of its products.  Both

@@ -11,7 +11,19 @@ acts on that half; a sum over it (the H^s norms, the L^2 inner product)
 counts each coefficient with its multiplicity in the full spectrum
 (Grid.half_multiplicity), and coefficients_at gathers the coefficients at
 given modes.  No other module knows the layout, and no command reads the
-full spectrum StateField.coeffs.  A stack of states, one per scheme evolved
+full spectrum StateField.coeffs.
+
+The RK4 march stores a second layout, the retained cube |k_j| <= N
+(N = Grid.dealias_N, the Orszag two-thirds cutoff) of the half: last-axis
+columns 0..N and, in 2D, rows k_0 = 0..N and -N..-1 in FFT order
+(Grid.crop).  Every state the march makes is zero outside it, so the
+cube holds all of it in 44.5% of the half's modes at 2D M=128.
+to_cube and to_half convert a state between the two, with its samples;
+timeint.evolve_lockstep converts once into the cube before its first step
+and back into the half for every monitor sample and result.
+half_to_samples reads either layout; samples_to_half and samples_to_cube
+write one each, from the same forward transform call and with the same
+bits on the cube.  StateField.on_cube tells them apart.  A stack of states, one per scheme evolved
 in lockstep, has a leading scheme axis; the transforms, the arithmetic and
 the norms act on every state of a stack at once, and a norm of a stack is
 one value per state.  StateField owns the two layout rules the layers above
@@ -47,7 +59,10 @@ __all__ = [
     "state_from_samples",
     "to_samples",
     "samples_to_half",
+    "samples_to_cube",
     "half_to_samples",
+    "to_cube",
+    "to_half",
     "differentiate",
     "filter_multiplier",
     "apply_filter",
@@ -84,7 +99,9 @@ class Grid:
     (the leading axes all 2M modes in FFT order, the last axis modes
     0..M), and k_inf, k_sq, diff_mult, the phase factors,
     the multiplicities and the sharp mask dealias_mask (at the cutoff
-    dealias_N) derive from it.  half_multiplicity counts how often each
+    dealias_N) derive from it.  cube_phase, cube_phase_conj and
+    cube_diff_mult are the phase and derivative factors cropped to the
+    retained cube (crop), with their bits.  half_multiplicity counts how often each
     last-axis column of the half occurs in the full spectrum: once for
     columns 0 and M, twice (as k and -k) for the others.
     """
@@ -133,6 +150,19 @@ class Grid:
         object.__setattr__(self, "cell_volume", (2.0 * np.pi / two_m) ** self.d)
         object.__setattr__(self, "dealias_mask", filter_multiplier(FilterSpec("sharp", n_dealias), self))
         self.dealias_mask.flags.writeable = False  # every sharp rhs plan on this grid shares it
+        object.__setattr__(self, "cube_phase", self.crop(half_phase))
+        object.__setattr__(self, "cube_phase_conj", np.conj(self.cube_phase))
+        object.__setattr__(self, "cube_diff_mult", tuple(self.crop(dk) for dk in diff_mult))
+
+    def crop(self, a: np.ndarray) -> np.ndarray:
+        """A copy of the retained cube |k_j| <= N (N = dealias_N) of values
+        on the half spectrum, or of an array that broadcasts to it: last-axis
+        columns 0..N and, in 2D, rows k_0 = 0..N and -N..-1 in FFT order."""
+        n = self.dealias_N
+        a = a[..., : n + 1]
+        if self.d == 1:
+            return a.copy()
+        return np.concatenate((a[..., : n + 1, :], a[..., self.two_m - n :, :]), axis=-2)
 
 
 def make_grid(d: int, M: int) -> Grid:
@@ -145,7 +175,10 @@ class StateField:
     """Vector of n real periodic fields on one shared grid, stored as the half
     spectrum of each component stacked along axis 0, shape (n, ..., M+1);
     a scalar field has n=1.  A stack of S such states, one per scheme of a
-    lockstep evolution, has shape (S, n, ..., M+1).
+    lockstep evolution, has shape (S, n, ..., M+1).  Inside the RK4 march
+    half holds the retained cube instead (Grid.crop; on_cube), shape
+    (n, ..., N+1) with 2N+1 rows in 2D; the transforms, the arithmetic and
+    the finiteness check read it as they read the half.
     """
 
     grid: Grid
@@ -154,6 +187,11 @@ class StateField:
     @property
     def n(self) -> int:
         return self.half.shape[-self.grid.d - 1]
+
+    @property
+    def on_cube(self) -> bool:
+        """Whether half holds the retained cube (Grid.crop) instead of the half spectrum."""
+        return self.half.shape[-1] == self.grid.dealias_N + 1
 
     @cached_property
     def samples(self) -> np.ndarray:
@@ -222,26 +260,86 @@ def hermitian_symmetrize(coeffs: np.ndarray, d: int) -> np.ndarray:
     return 0.5 * (coeffs + np.conj(rev))
 
 
+def _rfft(grid: Grid, samples: np.ndarray) -> np.ndarray:
+    """The one forward transform call, before the phase factor.
+    One rfftn call for both d: same bits, slower 1D (8 -> 14 us at M=64, 27 -> 32 us at M=1024)."""
+    if grid.d == 1:
+        return np.fft.rfft(samples, norm="forward")
+    out = np.empty(samples.shape[:-1] + (grid.M + 1,), dtype=np.complex128)
+    np.fft.rfftn(samples, axes=(-2, -1), norm="forward", out=out)
+    return out
+
+
 def samples_to_half(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    """Half-spectrum coefficients of real samples (the one forward transform).
+    """Half-spectrum coefficients of real samples.
 
     No finiteness check: non-finite samples give non-finite coefficients.
-    One rfftn call for both d: same bits, slower 1D (8 -> 14 us at M=64, 27 -> 32 us at M=1024).
     """
-    if grid.d == 1:
-        out = np.fft.rfft(samples, norm="forward")
-    else:
-        out = np.empty(samples.shape[:-1] + (grid.M + 1,), dtype=np.complex128)
-        np.fft.rfftn(samples, axes=(-2, -1), norm="forward", out=out)
+    out = _rfft(grid, samples)
     out *= grid.half_phase
     return out
 
 
+def samples_to_cube(grid: Grid, samples: np.ndarray) -> np.ndarray:
+    """The retained cube of samples_to_half(grid, samples), with its bits:
+    gathered from the same transform before the phase factor."""
+    out = grid.crop(_rfft(grid, samples))
+    out *= grid.cube_phase
+    return out
+
+
+def _widen(grid: Grid, cube: np.ndarray, width: int, factor: np.ndarray | None) -> np.ndarray:
+    """Zeros of last-axis width `width` (>= N+1) and, in 2D, all 2M rows,
+    holding cube (times factor, laid out like it, unless None) at its modes."""
+    n = grid.dealias_N
+    out = np.zeros(cube.shape[: cube.ndim - grid.d] + grid.shape[:-1] + (width,), dtype=np.complex128)
+    blocks = [(np.s_[..., : n + 1], np.s_[...])] if grid.d == 1 else [
+        (np.s_[..., : n + 1, : n + 1], np.s_[..., : n + 1, :]),  # rows k_0 = 0..N
+        (np.s_[..., grid.two_m - n :, : n + 1], np.s_[..., n + 1 :, :]),  # rows k_0 = -N..-1
+    ]
+    for dst, src in blocks:
+        if factor is None:
+            out[dst] = cube[src]
+        else:
+            np.multiply(cube[src], factor[src], out=out[dst])
+    return out
+
+
 def half_to_samples(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """Real values at the collocation points of Hermitian coefficients given by their half spectrum."""
+    """Real values at the collocation points of Hermitian coefficients given
+    by their half spectrum or by their retained cube (Grid.crop), in one
+    inverse transform call.  From the cube the last axis is zero-padded by
+    the transform itself (irfft's n, irfftn's s); in 2D its rows enter a
+    zeroed (2M, N+1) buffer first, so the column pass runs on N+1 columns."""
+    if half.shape[-1] != grid.dealias_N + 1:
+        spec = half * grid.half_phase_conj
+    elif grid.d == 1:
+        spec = half * grid.cube_phase_conj
+    else:
+        spec = _widen(grid, half, grid.dealias_N + 1, grid.cube_phase_conj)
     if grid.d == 1:
-        return np.fft.irfft(half * grid.half_phase_conj, n=grid.two_m, norm="forward")
-    return np.fft.irfftn(half * grid.half_phase_conj, s=grid.shape, axes=(-2, -1), norm="forward")
+        return np.fft.irfft(spec, n=grid.two_m, norm="forward")
+    return np.fft.irfftn(spec, s=grid.shape, axes=(-2, -1), norm="forward")
+
+
+def to_cube(x: StateField) -> StateField:
+    """The state (or stack) on its retained cube, with its samples when it
+    has sampled: the layout of an RK4 march (every state evolve makes is
+    zero outside the cube)."""
+    return _relaid(x, x.grid.crop(x.half))
+
+
+def to_half(x: StateField) -> StateField:
+    """A state (or stack) on the cube back on the half spectrum, zeros
+    outside the cube, with its samples when it has sampled."""
+    return _relaid(x, _widen(x.grid, x.half, x.grid.M + 1, None))
+
+
+def _relaid(x: StateField, spectrum: np.ndarray) -> StateField:
+    st = StateField(x.grid, spectrum)
+    if "samples" in x.__dict__:  # the same field: its samples stay
+        st.__dict__["samples"] = x.__dict__["samples"]
+    return st
 
 
 def state_from_samples(grid: Grid, values: np.ndarray) -> StateField:

@@ -223,7 +223,9 @@ def check_factorization(sys: SystemDef) -> list[str]:
 def check_system(sys: SystemDef) -> list[tuple[str, str, str, list[str]]]:
     """The lines of check-system: (label, PASS | FAIL | SKIP, how it was
     decided or why it was skipped, failures).  Each check runs only when what
-    it needs is registered; SJ0 without S fails, since A_j = SJ0_j S needs S."""
+    it needs is registered; SJ0 without S fails, since A_j = SJ0_j S needs S,
+    and so does a symmetrizer check with no sample point in the domain,
+    where positive definiteness went untested."""
     degree = max(Aj.max_degree() for Aj in sys.A)
     lines = [("polynomial-entries", "PASS", f"max degree {degree}", [])]
 
@@ -235,7 +237,10 @@ def check_system(sys: SystemDef) -> list[tuple[str, str, str, list[str]]]:
     else:
         samples = sample_hyperbolic_points(sys)
         how = f"symmetry exact; positive definite at {len(samples)} samples"
-        ran("symmetrizer", check_symmetrizer(sys, samples), how)
+        failures = check_symmetrizer(sys, samples)
+        if not len(samples):
+            failures.append("S positive definiteness untested: no sample point satisfies the predicates")
+        ran("symmetrizer", failures, how)
         ran("compatibility-split", check_compatibility_AS(sys), "exact")
     if sys.SJ0 is None:
         lines.append(("constant-factorization", "SKIP", "no factor matrices registered", []))

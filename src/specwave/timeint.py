@@ -3,7 +3,12 @@
 The schemes of one run evolve in lockstep as one stack of states (a leading
 scheme axis): each right-hand side, RK4 combine, finiteness check and
 monitor sample acts on the whole stack at once, and a scheme that blows up
-leaves the stack while the others go on.
+leaves the stack while the others go on.  The march computes on the
+retained mode cube |k_j| <= N only (spectral.to_cube): it crops the
+projected stack once, runs every RK4 stage, finiteness check and growth
+check on the cube, and hands the monitors and each EvolveResult the half
+spectrum back (spectral.to_half, zeros outside the cube), so the norms
+sum in their usual order and every output keeps its bits.
 
 On glibc the step loop runs under one heap policy (_march_heap), and
 rk4_step frees each stage result once its sum holds it, so each stage
@@ -24,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .semidisc import SchemeSpec, rhs, rhs_plan
-from .spectral import StateField, dealias, differentiate, linf, sobolev_norm
+from .spectral import StateField, dealias, differentiate, linf, sobolev_norm, to_cube, to_half
 from .systems import SystemDef, hamiltonian_energy
 
 __all__ = [
@@ -261,10 +266,11 @@ def evolve_lockstep(
 
     The initial state is projected onto the retained mode cube (all schemes
     start from the sharp projection of the data); already projected data
-    are used as they are, with their samples.  Monitors (None: the
-    standard_monitors of sys; () records only the times) are sampled at
-    t=0 (once: every scheme starts from the same state), every stride steps
-    and at the final time.  Blow-up is declared on non-finite stage values
+    are used as they are, with their samples.  The stack marches on the
+    cube, and the monitors and every final_state read the half spectrum.
+    Monitors (None: the standard_monitors of sys; () records only the
+    times) are sampled at t=0 (once: every scheme starts from the same
+    state), every stride steps and at the final time.  Blow-up is declared on non-finite stage values
     or when the max-norm, checked at those samples with or without
     monitors, exceeds the configured growth factor; the scheme that
     blows up leaves the stack with the time, state and monitor rows of a
@@ -294,7 +300,7 @@ def evolve_lockstep(
     first = (0.0, *(fn(projected).tolist() for _, fn in monitors))  # Python numbers, as in the later rows
     rows = [[first] for _ in schemes]
     linf0 = linf(projected)
-    state = projected.view(lambda a: np.broadcast_to(a, (len(schemes),) + a.shape))
+    state = to_cube(projected).view(lambda a: np.broadcast_to(a, (len(schemes),) + a.shape))
     del projected  # the stack's views hold its arrays until the first step replaces them
     live = list(range(len(schemes)))  # the scheme of each state of the stack
     results: list[EvolveResult | None] = [None] * len(schemes)
@@ -303,7 +309,8 @@ def evolve_lockstep(
         """Record the states at positions out as blown up and drop them from the stack."""
         nonlocal plan, live
         for k in out:
-            results[live[k]] = EvolveResult(st.view(lambda a: a[k]), t, "blowup", blowup_time, names, rows[live[k]])
+            final = to_half(st.view(lambda a: a[k]))
+            results[live[k]] = EvolveResult(final, t, "blowup", blowup_time, names, rows[live[k]])
         keep = [k for k in range(len(live)) if k not in out]
         live = [live[k] for k in keep]
         if live:
@@ -333,9 +340,11 @@ def evolve_lockstep(
                     state = leave(exploded, state, t, t)
                     if not live:
                         return results
-                values = [fn(state).tolist() for _, fn in monitors]
+                on_half = to_half(state) if monitors else state  # the monitors read the half spectrum
+                values = [fn(on_half).tolist() for _, fn in monitors]
                 for k, j in enumerate(live):
                     rows[j].append((t, *(v[k] for v in values)))
+    state = to_half(state)
     for k, j in enumerate(live):
         results[j] = EvolveResult(state.view(lambda a: a[k]), cfg.T, "completed", None, names, rows[j])
     return results

@@ -413,6 +413,19 @@ class TestCheckSystem:
             "energy-density: PASS (exact: S = D^2 H)\n"
         )
 
+    def test_untested_definiteness_fails(self, tmp_path, capsys):
+        # a predicate no point satisfies leaves no sample: definiteness untested
+        path = tmp_path / "sys.txt"
+        text = serialize_system(saint_venant_1d())
+        path.write_text("".join(line for line in text.splitlines(True) if not line.startswith("pred "))
+                        + "pred never (0 0) -1.0\n")
+        assert main(["check-system", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:3] == [
+            "symmetrizer: FAIL (symmetry exact; positive definite at 0 samples)",
+            "  S positive definiteness untested: no sample point satisfies the predicates",
+        ]
+
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("name x\ndim 1\nsize 2\nA 1 1 1 oops\n")

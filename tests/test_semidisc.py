@@ -262,7 +262,7 @@ class TestTransformBudget:
         st = random_state(np.random.default_rng(12), g, sysd.n, g.dealias_N)
         scheme = SchemeSpec(kind)
         plan = rhs_plan(scheme, sysd, g)
-        expected = rhs(scheme, sysd, st).coeffs
+        expected = rhs(scheme, sysd, st, plan).coeffs  # the plan's first call builds its tables
         counts = count_transforms(monkeypatch, g.npoints)
 
         def forbidden(*args, **kwargs):
@@ -307,13 +307,13 @@ class TestTransformBudget:
         # A0_j = SJ0_j for this system, one nonzero axis per entry: i k_x P_N and i k_y P_N
         sysd = saint_venant_2d_hamiltonian()
         plan = rhs_plan(SchemeSpec("sharp"), sysd, make_grid(2, 8))
-        assert len({id(m) for _, _, m in plan.lin_terms + plan.flux_terms}) == 2
+        assert len({id(m) for _, _, m in plan.half_tables.lin_terms + plan.half_tables.flux_terms}) == 2
 
     @pytest.mark.parametrize("make_sys, M", [(saint_venant_1d, 16), (saint_venant_2d_hamiltonian, 8)])
     def test_sharp_plan_shares_the_grid_mask(self, make_sys, M):
         g = make_grid(make_sys().d, M)
         plan = rhs_plan(SchemeSpec("sharp"), make_sys(), g)
-        assert plan.m_nl.base is g.dealias_mask  # a view with the scheme and component axes
+        assert plan.half_tables.m_nl.base is g.dealias_mask  # a view with the scheme and component axes
         assert not g.dealias_mask.flags.writeable
 
     def test_plan_for_another_scheme_rejected(self):
@@ -461,7 +461,8 @@ class TestMultiplierTables:
         g = make_grid(1, 16)
         for kind in SCHEME_KINDS:
             plan = rhs_plan(SchemeSpec(kind), sysd, g)
-            assert [i for i, _, _ in plan.lin_terms + plan.flux_terms] == [0] * (1 + flux)
+            tables = plan.half_tables
+            assert [i for i, _, _ in tables.lin_terms + tables.flux_terms] == [0] * (1 + flux)
             for _ in range(4):
                 out = rhs(SchemeSpec(kind), sysd, random_state(rng, g, 2, g.dealias_N), plan).half
                 assert np.array_equal(out[1], np.zeros_like(out[1]))

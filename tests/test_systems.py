@@ -201,7 +201,9 @@ class TestStructuralChecks:
         samples = sample_hyperbolic_points(sysd)
         assert samples.shape == (0, 2)
         assert check_symmetrizer(sysd, samples) == []
-        assert check_system(sysd)[1] == ("symmetrizer", "PASS", "symmetry exact; positive definite at 0 samples", [])
+        untested = ["S positive definiteness untested: no sample point satisfies the predicates"]
+        how = "symmetry exact; positive definite at 0 samples"
+        assert check_system(sysd)[1] == ("symmetrizer", "FAIL", how, untested)
 
     def test_split_exactness(self):
         for factory in ALL_SYSTEMS:
