@@ -299,11 +299,7 @@ def rhs(
         )
     else:
         dks = grid.cube_diff_mult if cube else grid.diff_mult
-        dhalf = np.empty((len(dks),) + half.shape, dtype=np.complex128)
-        for j, dk in enumerate(dks):
-            np.multiply(half, dk, out=dhalf[j])
-        du = half_to_samples(grid, dhalf).swapaxes(1, 2)  # du[j][c]: d_j of component c, in one call
-        del dhalf
+        du = half_to_samples(grid, np.stack([half * dk for dk in dks])).swapaxes(1, 2)  # d_j of component c at [j][c]
         nl = tables.m_nl * forward(grid, collocated_sum(grid, u, du, plan.polys, plan.terms)).swapaxes(0, 1)
     out = _apply_table(tables.lin_terms, half)
     out += nl

@@ -7,23 +7,11 @@ n=1.  Its true Fourier coefficients (the c_k with f(x) = sum_k c_k
 exp(i k.x)) are Hermitian, c_{-k} = conj(c_k), so a state stores only the
 half spectrum: last-axis modes 0..M (the rfft layout), leading axes in FFT
 index order, the Nyquist slot read as +M.  Everything the commands call
-acts on that half; a sum over it (the H^s norms, the L^2 inner product)
+acts on that half, the RK4 march aside (below); a sum over it (the H^s norms, the L^2 inner product)
 counts each coefficient with its multiplicity in the full spectrum
 (Grid.half_multiplicity), and coefficients_at gathers the coefficients at
 given modes.  No other module knows the layout, and no command reads the
-full spectrum StateField.coeffs.
-
-The RK4 march stores a second layout, the retained cube |k_j| <= N
-(N = Grid.dealias_N, the Orszag two-thirds cutoff) of the half: last-axis
-columns 0..N and, in 2D, rows k_0 = 0..N and -N..-1 in FFT order
-(Grid.crop).  Every state the march makes is zero outside it, so the
-cube holds all of it in 44.5% of the half's modes at 2D M=128.
-to_cube and to_half convert a state between the two, with its samples;
-timeint.evolve_lockstep converts once into the cube before its first step
-and back into the half for every monitor sample and result.
-half_to_samples reads either layout; samples_to_half and samples_to_cube
-write one each, from the same forward transform call and with the same
-bits on the cube.  StateField.on_cube tells them apart.  A stack of states, one per scheme evolved
+full spectrum StateField.coeffs.  A stack of states, one per scheme evolved
 in lockstep, has a leading scheme axis; the transforms, the arithmetic and
 the norms act on every state of a stack at once, and a norm of a stack is
 one value per state.  StateField owns the two layout rules the layers above
@@ -36,6 +24,18 @@ The 2D forward transform writes into one preallocated array (out=);
 without it numpy allocates a second full-size output, and that allocation,
 not the FFT, made it about 2x slower than scipy.fft.  With out= the two
 take the same time and give the same bits, so no module imports scipy.
+
+The RK4 march stores a second layout, the retained cube |k_j| <= N
+(N = Grid.dealias_N, the Orszag two-thirds cutoff) of the half: last-axis
+columns 0..N and, in 2D, rows k_0 = 0..N and -N..-1 in FFT order
+(Grid.crop).  Every state the march makes is zero outside it, and the
+cube holds 44.5% of the half's modes at 2D M=128.  to_cube and to_half
+convert a state between the two layouts, with its samples;
+timeint.evolve_lockstep converts once into the cube before its first step
+and back into the half for every monitor sample and result.
+half_to_samples reads either layout; samples_to_half and samples_to_cube
+write one each, from the same forward transform call and with the same
+bits on the cube.  StateField.on_cube tells the layouts apart.
 
 In 2D the last-axis columns 0 and M hold both k and -k.  The forward
 transform leaves them Hermitian only to rounding (at most 2.8e-17 measured
@@ -101,9 +101,9 @@ class Grid:
     the multiplicities and the sharp mask dealias_mask (at the cutoff
     dealias_N) derive from it.  cube_phase, cube_phase_conj and
     cube_diff_mult are the phase and derivative factors cropped to the
-    retained cube (crop), with their bits.  half_multiplicity counts how often each
-    last-axis column of the half occurs in the full spectrum: once for
-    columns 0 and M, twice (as k and -k) for the others.
+    retained cube (crop), with their bits.  half_multiplicity counts how
+    often each last-axis column of the half occurs in the full spectrum:
+    once for columns 0 and M, twice (as k and -k) for the others.
     """
 
     d: int
@@ -311,12 +311,11 @@ def half_to_samples(grid: Grid, half: np.ndarray) -> np.ndarray:
     inverse transform call.  From the cube the last axis is zero-padded by
     the transform itself (irfft's n, irfftn's s); in 2D its rows enter a
     zeroed (2M, N+1) buffer first, so the column pass runs on N+1 columns."""
-    if half.shape[-1] != grid.dealias_N + 1:
-        spec = half * grid.half_phase_conj
-    elif grid.d == 1:
-        spec = half * grid.cube_phase_conj
-    else:
+    cube = half.shape[-1] == grid.dealias_N + 1
+    if cube and grid.d == 2:
         spec = _widen(grid, half, grid.dealias_N + 1, grid.cube_phase_conj)
+    else:
+        spec = half * (grid.cube_phase_conj if cube else grid.half_phase_conj)
     if grid.d == 1:
         return np.fft.irfft(spec, n=grid.two_m, norm="forward")
     return np.fft.irfftn(spec, s=grid.shape, axes=(-2, -1), norm="forward")

@@ -262,11 +262,12 @@ def test_c05_dealiasing_oracle_equivalence():
     for m in (6, 8):
         grid = make_grid(2, m)
         n_cut = grid.dealias_N
+        x, y = mesh(grid)
 
         def sample_2d(spec):
             out = np.zeros(grid.shape, dtype=complex)
             for (k1, k2), v in spec.items():
-                out += v * np.exp(1j * (k1 * mesh(grid)[0] + k2 * mesh(grid)[1]))
+                out += v * np.exp(1j * (k1 * x + k2 * y))
             return out.real
 
         for _ in range(20):

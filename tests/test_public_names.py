@@ -16,6 +16,7 @@ beside the used PolyMatrix.equals) passes unseen.
 """
 
 import ast
+import functools
 import importlib
 import pkgutil
 from pathlib import Path
@@ -30,6 +31,7 @@ PACKAGE = Path(specwave.__file__).resolve().parent
 MODULES = ["specwave"] + [f"specwave.{info.name}" for info in pkgutil.iter_modules(specwave.__path__)]
 
 
+@functools.cache  # every check reads the same files; none changes a tree
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -99,6 +101,8 @@ def public_methods_unused():
     """(module file, Class.method) for every public method of a public package
     class that no package or bench file uses outside the method's own body."""
     trees = {path: parse(path) for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py"))}
+    names = {id(stmt): used_names(stmt) for tree in trees.values() for node in tree.body
+             for stmt in [node, *(node.body if isinstance(node, ast.ClassDef) else ())]}
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         for cls in trees[path].body:
@@ -109,7 +113,7 @@ def public_methods_unused():
                     continue
                 others = [stmt for tree in trees.values() for stmt in tree.body if stmt is not cls]
                 others += [stmt for stmt in cls.body if stmt is not meth]
-                if not any(meth.name in used_names(stmt) for stmt in others):
+                if not any(meth.name in names[id(stmt)] for stmt in others):
                     unused.append((path.name, f"{cls.name}.{meth.name}"))
     return unused
 

@@ -26,6 +26,7 @@ from specwave.spectral import (
     make_grid,
     smooth_ramp,
     state_from_samples,
+    to_cube,
     to_samples,
 )
 from specwave.sysio import parse_system_text
@@ -56,6 +57,7 @@ from oracles import (
 
 def random_state(rng, grid, n, support):
     comps = []
+    x = mesh(grid)
     for _ in range(n):
         spec = random_band_limited(rng, grid.two_m, support, ndim=grid.d)
         if grid.d == 1:
@@ -63,7 +65,7 @@ def random_state(rng, grid, n, support):
         else:
             out = np.zeros(grid.shape, dtype=complex)
             for (k1, k2), v in spec.items():
-                out += v * np.exp(1j * (k1 * mesh(grid)[0] + k2 * mesh(grid)[1]))
+                out += v * np.exp(1j * (k1 * x[0] + k2 * x[1]))
             comps.append(out.real)
     return state_from_samples(grid, np.array(comps))
 
@@ -246,8 +248,7 @@ class TestTransformBudget:
     projected product of a coefficient of degree above one.  A state whose
     samples are cached costs n inverse transforms fewer."""
 
-    @pytest.mark.parametrize("kind", SCHEME_KINDS)
-    @pytest.mark.parametrize(
+    CASES = pytest.mark.parametrize(
         "make_sys, M, flux, projected",
         [
             pytest.param(saint_venant_1d, 16, True, 0, id="saint_venant_1d-16"),
@@ -256,13 +257,28 @@ class TestTransformBudget:
             pytest.param(quartic_energy_system, 16, False, 1, id="quartic_energy-16"),
         ],
     )
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    @CASES
     def test_transforms_per_call(self, monkeypatch, kind, make_sys, M, flux, projected):
+        self.check_budget(monkeypatch, kind, make_sys, M, flux, projected, on_cube=False)
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    @CASES
+    def test_transforms_per_call_on_the_cube(self, monkeypatch, kind, make_sys, M, flux, projected):
+        # the march's layout costs the same transforms, in the same calls
+        self.check_budget(monkeypatch, kind, make_sys, M, flux, projected, on_cube=True)
+
+    @staticmethod
+    def check_budget(monkeypatch, kind, make_sys, M, flux, projected, on_cube):
         sysd = make_sys()
         g = make_grid(sysd.d, M)
         st = random_state(np.random.default_rng(12), g, sysd.n, g.dealias_N)
+        if on_cube:
+            st = to_cube(dealias(st))
         scheme = SchemeSpec(kind)
         plan = rhs_plan(scheme, sysd, g)
-        expected = rhs(scheme, sysd, st, plan).coeffs  # the plan's first call builds its tables
+        expected = rhs(scheme, sysd, st, plan).half  # the plan's first call builds its tables
         counts = count_transforms(monkeypatch, g.npoints)
 
         def forbidden(*args, **kwargs):
@@ -279,12 +295,13 @@ class TestTransformBudget:
         # 2D: 3 + 3 = 6 real transforms on the flux path, 9 + 3 = 12 collocated
         inverse = sysd.n if flux else sysd.n * (sysd.d + 1)
         assert counts == {"inverse": inverse + projected, "forward": sysd.n + projected}
-        assert np.array_equal(out.coeffs, expected)
+        assert out.on_cube == on_cube
+        assert out.half.tobytes() == expected.tobytes()
         # the call cached the samples of U on fresh: the next one reads them
         counts.clear()
         again = rhs(scheme, sysd, fresh, plan)
         assert counts == Counter(inverse=inverse - sysd.n + projected, forward=sysd.n + projected)
-        assert np.array_equal(again.coeffs, expected)
+        assert again.half.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("kind", SCHEME_KINDS)
     @pytest.mark.parametrize("make_sys, M", [(saint_venant_1d, 16), (saint_venant_2d_hamiltonian, 8)])
@@ -419,6 +436,78 @@ class TestFluxPath:
             out = rhs(scheme, sysd, StateField(g, st.half), plan).half
             assert counts == {"inverse": sysd.n * (sysd.d + 1) + projected, "forward": sysd.n + projected}
             assert np.array_equal(out, expected)
+
+
+SYSTEM_CASES = [  # flux, collocated, flux, collocated with a projected product
+    (saint_venant_1d, 16), (saint_venant_2d_standard, 8), (saint_venant_2d_hamiltonian, 8), (quartic_energy_system, 16),
+]
+
+
+class TestRetainedCube:
+    """On the retained cube, the march's layout, rhs and RK4 give the crop of
+    what they give on the half, to the bit (tobytes tells -0.0 from +0.0)."""
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    @pytest.mark.parametrize("make_sys, M", SYSTEM_CASES)
+    def test_rhs_and_rk4_step_on_the_cube_are_the_crop(self, kind, make_sys, M):
+        sysd = make_sys()
+        g = make_grid(sysd.d, M)
+        st = dealias(random_state(np.random.default_rng(30), g, sysd.n, g.dealias_N))  # as evolve makes them
+        scheme = SchemeSpec(kind)
+        plan = rhs_plan(scheme, sysd, g)
+        cube = StateField(g, to_cube(st).half)  # unsampled: its U comes from the cube
+        got = rhs(scheme, sysd, cube, plan)
+        assert got.on_cube and got.half.tobytes() == g.crop(rhs(scheme, sysd, st, plan).half).tobytes()
+        step = lambda s: rhs(scheme, sysd, s, plan)
+        got = rk4_step(step, StateField(g, cube.half), 1e-3)
+        assert got.on_cube and got.half.tobytes() == g.crop(rk4_step(step, st, 1e-3).half).tobytes()
+
+    @pytest.mark.parametrize("make_sys, M", SYSTEM_CASES)
+    def test_stack_on_the_cube_is_the_crop(self, make_sys, M):
+        sysd = make_sys()
+        g = make_grid(sysd.d, M)
+        rng = np.random.default_rng(31)
+        states = [dealias(random_state(rng, g, sysd.n, g.dealias_N)) for _ in SCHEME_KINDS]
+        stack = StateField(g, np.stack([st.half for st in states]))
+        schemes = tuple(SchemeSpec(kind) for kind in SCHEME_KINDS)
+        plan = rhs_plan(schemes, sysd, g)
+        got = rhs(schemes, sysd, StateField(g, g.crop(stack.half)), plan)
+        assert got.half.tobytes() == g.crop(rhs(schemes, sysd, stack, plan).half).tobytes()
+
+    @pytest.mark.parametrize("make_sys, M", SYSTEM_CASES)
+    def test_tables_of_each_layout_are_built_on_first_use(self, make_sys, M):
+        sysd = make_sys()
+        g = make_grid(sysd.d, M)
+        schemes = tuple(SchemeSpec(kind) for kind in SCHEME_KINDS)
+        plan = rhs_plan(schemes, sysd, g)
+        assert "half_tables" not in plan.__dict__ and "cube_tables" not in plan.__dict__
+        st = dealias(random_state(np.random.default_rng(32), g, sysd.n, g.dealias_N))
+        rhs(schemes, sysd, to_cube(st).view(lambda a: np.broadcast_to(a, (3,) + a.shape)), plan)
+        assert "half_tables" not in plan.__dict__  # a march on the cube holds no half-size multiplier
+        cube_shape = (2 * g.dealias_N + 1,) * (g.d - 1) + (g.dealias_N + 1,)
+        tables = plan.cube_tables
+        assert all(m.shape == (3,) + cube_shape for _, _, m in tables.lin_terms + tables.flux_terms)
+        assert tables.m_nl.shape == (3, 1) + cube_shape
+        assert np.all(tables.m_nl[0] == 1.0)  # sharp: the mask is 1 on the cube
+
+    @pytest.mark.parametrize("on_cube", [False, True], ids=["half", "cube"])
+    def test_collocated_derivatives_are_one_inverse_call(self, monkeypatch, on_cube):
+        sysd = saint_venant_2d_standard()
+        g = make_grid(2, 8)
+        st = dealias(random_state(np.random.default_rng(33), g, sysd.n, g.dealias_N))
+        if on_cube:
+            st = to_cube(st)
+        plan = rhs_plan(SchemeSpec("smooth-nl"), sysd, g)
+        want = rhs(SchemeSpec("smooth-nl"), sysd, st, plan).half
+        calls = Counter()
+        for name in ("rfftn", "irfftn"):
+            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        got = rhs(SchemeSpec("smooth-nl"), sysd, StateField(g, st.half), plan)
+        assert calls == {"irfftn": 2, "rfftn": 1}  # U; d_x U and d_y U; the nonlinear sum
+        assert got.half.tobytes() == want.tobytes()
 
 
 class TestStoredHalf:

@@ -18,10 +18,13 @@ from specwave.spectral import (
     l2_inner,
     make_grid,
     max_mode_support,
+    samples_to_cube,
     samples_to_half,
     smooth_ramp,
     sobolev_norm,
     state_from_samples,
+    to_cube,
+    to_half,
     to_samples,
 )
 
@@ -434,10 +437,12 @@ class TestDealiasedProducts:
         n = g.dealias_N
         xs = mesh(g)[0].ravel() + 1j * 0
 
+        x, y = mesh(g)
+
         def sample_2d(spec):
             out = np.zeros(g.shape, dtype=complex)
             for (k1, k2), v in spec.items():
-                out += v * np.exp(1j * (k1 * mesh(g)[0] + k2 * mesh(g)[1]))
+                out += v * np.exp(1j * (k1 * x + k2 * y))
             return out.real
 
         for _ in range(5):
@@ -560,6 +565,83 @@ class TestCachedSamples:
             assert np.array_equal(stack.variables[i], stack.samples[:, i])
             assert stack.component(i).half.shape == (3, 1) + g.shape[:-1] + (g.M + 1,)
             assert np.array_equal(stack.component(i).half[:, 0], stack.half[:, i])
+
+
+CUBE_GRIDS = [(1, 16), (1, 4), (2, 8), (2, 9)]  # 2M = 18: 3 | 2M, so N = 5, not 6
+
+
+def projected_state(d: int, m: int, seed: int, lead=(2,)) -> StateField:
+    """A state (or stack) as evolve makes them: random samples, projected."""
+    g = make_grid(d, m)
+    return dealias(StateField(g, samples_to_half(g, np.random.default_rng(seed).normal(size=lead + g.shape))))
+
+
+class TestRetainedCube:
+    """The march's layout: the cube |k_j| <= N of the half, which every
+    transform reads and writes with the bits of the half (compared by
+    tobytes, which tells -0.0 from +0.0)."""
+
+    @pytest.mark.parametrize("d, m", CUBE_GRIDS)
+    def test_crop_keeps_the_retained_modes_in_fft_order(self, d, m):
+        g = make_grid(d, m)
+        n = g.dealias_N
+        assert g.crop(g.kmesh[-1]).ravel().tolist() == list(range(n + 1))
+        if d == 2:
+            assert g.crop(g.kmesh[0]).ravel().tolist() == list(range(n + 1)) + list(range(-n, 0))
+        st = projected_state(d, m, 70 + d)
+        cube = to_cube(st)
+        assert cube.on_cube and not st.on_cube
+        assert cube.half.shape == (2,) + (2 * n + 1,) * (d - 1) + (n + 1,) and cube.half.flags.c_contiguous
+        assert np.count_nonzero(cube.half) == np.count_nonzero(st.half)  # nothing outside the cube
+        assert g.crop(g.k_inf).max() == n and g.crop(g.dealias_mask).min() == 1.0
+
+    @pytest.mark.parametrize("d, m", CUBE_GRIDS)
+    def test_to_half_embeds_with_zeros(self, d, m):
+        st = projected_state(d, m, 72 + d)
+        back = to_half(to_cube(st))
+        assert not back.on_cube and back.half.shape == st.half.shape
+        assert np.array_equal(back.half, st.half)
+        assert not np.signbit(back.half[back.half == 0.0].view(np.float64)).any()  # +0.0 outside the cube
+        assert st.grid.crop(back.half).tobytes() == to_cube(st).half.tobytes()
+
+    @pytest.mark.parametrize("lead", [(2,), (3, 2)], ids=["state", "stack"])
+    @pytest.mark.parametrize("d, m", CUBE_GRIDS)
+    def test_samples_of_a_cube_are_those_of_its_embedding(self, monkeypatch, d, m, lead):
+        st = projected_state(d, m, 74 + d, lead)
+        g = st.grid
+        cube = to_cube(st).half  # no samples yet
+        want = half_to_samples(g, to_half(StateField(g, cube)).half)
+        counts = count_transforms(monkeypatch, g.npoints)
+        for lib in (scipy.fft, np.fft):
+            for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+                monkeypatch.setattr(lib, name, None)
+        got = half_to_samples(g, cube)
+        assert counts == {"inverse": int(np.prod(lead))}  # one call, one transform per component
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == half_to_samples(g, st.half).tobytes()
+
+    @pytest.mark.parametrize("d, m", CUBE_GRIDS)
+    def test_forward_transform_gathers_the_cube(self, d, m):
+        g = make_grid(d, m)
+        samples = np.random.default_rng(76 + d).normal(size=(3, 2) + g.shape)
+        assert samples_to_cube(g, samples).tobytes() == g.crop(samples_to_half(g, samples)).tobytes()
+
+    def test_cube_factors_are_the_crop_of_the_half_ones(self):
+        for d, m in CUBE_GRIDS:
+            g = make_grid(d, m)
+            assert g.cube_phase.tobytes() == g.crop(g.half_phase).tobytes()
+            assert g.cube_phase_conj.tobytes() == g.crop(g.half_phase_conj).tobytes()
+            for dk, cube_dk in zip(g.diff_mult, g.cube_diff_mult):
+                assert cube_dk.tobytes() == g.crop(dk).tobytes()
+
+    def test_layout_changes_carry_the_samples(self, monkeypatch):
+        st = projected_state(2, 8, 78)
+        first = to_samples(st)
+        counts = count_transforms(monkeypatch, st.grid.npoints)
+        cube = to_cube(st)
+        assert to_samples(cube) is first and to_samples(to_half(cube)) is first
+        assert counts == {}
+        assert "samples" not in to_cube(StateField(st.grid, st.half)).__dict__
 
 
 class TestStoredHalf:

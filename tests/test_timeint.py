@@ -14,6 +14,7 @@ from specwave.poly import Poly, PolyMatrix
 from specwave.semidisc import SCHEME_KINDS, SchemeSpec, rhs, rhs_plan
 from specwave.spectral import (
     StateField,
+    dealias,
     differentiate,
     linf,
     make_grid,
@@ -524,6 +525,57 @@ def three_states(make_sys):
     base = build_initial("init2", {}, make_grid(1, 16)) if sysd.d == 1 else build_initial("init2D", {}, make_grid(2, 8))
     states = [base * c for c in (0.5, 1.0, 1.5)]
     return sysd, states, StateField(states[0].grid, np.stack([st.half for st in states]))
+
+
+MARCH_CASES = [(saint_venant_1d, 32, "init1"), (saint_venant_2d_hamiltonian, 8, "init2D"),
+               (saint_venant_2d_standard, 8, "init2D")]
+
+
+class TestCubeMarch:
+    """evolve_lockstep marches on the retained cube and hands back the half."""
+
+    @pytest.mark.parametrize("make_sys, M, initial", MARCH_CASES)
+    def test_rhs_sees_only_cube_stacks(self, monkeypatch, make_sys, M, initial):
+        sysd = make_sys()
+        g = make_grid(sysd.d, M)
+        shapes, plans = [], []
+
+        def recording_rhs(scheme, sys, state, plan):
+            shapes.append(state.half.shape)
+            return rhs(scheme, sys, state, plan)
+
+        def recording_plan(*args):
+            plans.append(rhs_plan(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(timeint, "rhs", recording_rhs)
+        monkeypatch.setattr(timeint, "rhs_plan", recording_plan)
+        results = evolve_lockstep([SchemeSpec(k) for k in SCHEME_KINDS], sysd, build_initial(initial, {}, g),
+                                  EvolveConfig(dt=1e-3, T=0.005, monitor_stride=2))
+        n = g.dealias_N
+        assert len(shapes) == 20 and set(shapes) == {(3, sysd.n) + (2 * n + 1,) * (g.d - 1) + (n + 1,)}
+        assert plans and all("half_tables" not in plan.__dict__ for plan in plans)  # no half-size multiplier
+        for res in results:
+            assert res.completed and res.final_state.half.shape == (sysd.n,) + g.shape[:-1] + (M + 1,)
+
+    @pytest.mark.parametrize("make_sys, M, initial", MARCH_CASES)
+    def test_march_gives_the_bits_of_a_march_on_the_half(self, make_sys, M, initial):
+        # the march as it was before the cube: RK4 on the projected half
+        sysd = make_sys()
+        g = make_grid(sysd.d, M)
+        st0 = build_initial(initial, {}, g)
+        cfg = EvolveConfig(dt=1e-3, T=0.005, monitor_stride=2)
+        results = evolve_lockstep([SchemeSpec(k) for k in SCHEME_KINDS], sysd, st0, cfg)
+        for kind, res in zip(SCHEME_KINDS, results):
+            plan = rhs_plan(SchemeSpec(kind), sysd, g)
+            state, rows = dealias(st0), []
+            for i in range(5):
+                state = rk4_step(lambda s: rhs(SchemeSpec(kind), sysd, s, plan), state, cfg.dt)
+                if i % 2 == 1 or i == 4:
+                    rows.append([fn(state).tolist() for _, fn in standard_monitors(sysd)])
+            assert res.final_state.half.tobytes() == state.half.tobytes()
+            assert res.final_state.samples.tobytes() == state.samples.tobytes()
+            assert np.array(res.monitor_rows)[1:, 1:].tobytes() == np.array(rows).tobytes()
 
 
 class TestOneStateAgainstStack:
