@@ -266,11 +266,10 @@ def evolve_lockstep(
 
     The initial state is projected onto the retained mode cube (all schemes
     start from the sharp projection of the data); already projected data
-    are used as they are, with their samples.  The stack marches on the
-    cube, and the monitors and every final_state read the half spectrum.
-    Monitors (None: the standard_monitors of sys; () records only the
-    times) are sampled at t=0 (once: every scheme starts from the same
-    state), every stride steps and at the final time.  Blow-up is declared on non-finite stage values
+    are used as they are, with their samples.  Monitors (None: the
+    standard_monitors of sys; () records only the times) are sampled at
+    t=0 (once: every scheme starts from the same state), every stride steps
+    and at the final time.  Blow-up is declared on non-finite stage values
     or when the max-norm, checked at those samples with or without
     monitors, exceeds the configured growth factor; the scheme that
     blows up leaves the stack with the time, state and monitor rows of a
@@ -279,7 +278,9 @@ def evolve_lockstep(
     without them, which gives the others the same bits.  The first RK4
     stage reads the samples of the current stack, cached by the blow-up
     check when the stack was sampled; with monitor_stride > 1 an unsampled
-    stack gets them from that stage, and keeps them through the step.
+    stack gets them from that stage, and keeps them through the step.  The
+    stack marches on the cube; the monitors and every final_state read the
+    half spectrum.
     """
     if state0.n != sys.n:  # rhs's check, made before the t=0 monitors read the components
         raise ValueError(f"state has {state0.n} components, system expects {sys.n}")
