@@ -30,12 +30,12 @@ makes them in the same number of transform calls as one state: each call
 transforms the whole stack, 2nS (flux) or n(d+2)S real transforms; the
 collocated form's d derivatives go through one inverse call.
 
-rhs returns its result in the layout of the state it is given (see
-spectral): the half spectrum, which bench/worker.py and most tests pass,
-or the retained cube |k_j| <= N, on which timeint.evolve_lockstep
-marches.  On the cube every multiplier is the half's cropped to it (the
-sharp filter is 1 there), built on the first cube call of a plan, and
-the result is the crop of the result on the half, with its bits.
+rhs works on the grid of the state it is given (see spectral): the half
+spectrum, which bench/worker.py and most tests pass, or the retained cube
+Grid.cube, on which timeint.evolve_lockstep marches.  A plan reads only
+its grid's arrays, so on the cube every multiplier is the half's cropped
+to it (the sharp filter is 1 there), and the result is the crop of the
+result on the half, with its bits.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .spectral import (
     StateField,
     filter_multiplier,
     half_to_samples,
-    samples_to_cube,
     samples_to_half,
 )
 from .systems import SystemDef
@@ -96,7 +95,7 @@ def poly_coefficient_samples(poly: Poly, comp_samples: np.ndarray, grid: Grid) -
     Degree <= 1 entries are evaluated directly (exact on the grid).  Higher
     degrees are built monomial by monomial with a projection onto modes
     <= grid.dealias_N after each pairwise product: its transform to the
-    retained cube and back.
+    retained cube (grid.cube) and back.
     """
     if poly.degree() <= 1:
         return poly.eval_on(comp_samples)
@@ -108,7 +107,7 @@ def poly_coefficient_samples(poly: Poly, comp_samples: np.ndarray, grid: Grid) -
                 if cur is None:
                     cur = comp_samples[i]
                 else:
-                    cur = half_to_samples(grid, samples_to_cube(grid, cur * comp_samples[i]))
+                    cur = half_to_samples(grid.cube, samples_to_half(grid.cube, cur * comp_samples[i]))
         out = out + (coeff if cur is None else coeff * cur)
     return out
 
@@ -183,17 +182,15 @@ def _apply_table(table, half: np.ndarray) -> np.ndarray:
 
 
 class PlanTables(NamedTuple):
-    """The multipliers of a plan on one layout, the half spectrum or the
-    retained cube: m_nl, of shape (S, 1, ...) to broadcast over the
-    components, lin_terms (row, column, m_lin * sum_j A0_j[row, column] i k_j)
-    and, on the flux path, flux_terms (row, column,
-    m_nl * sum_j SJ0_j[row, column] i k_j).  Every multiplier has a leading
-    scheme axis (of one for one scheme); equal multipliers of the two
-    tables are one array."""
+    """The multipliers of a plan: lin_terms (row, column,
+    m_lin * sum_j A0_j[row, column] i k_j) and nl_terms, on the flux path
+    (row, column, m_nl * sum_j SJ0_j[row, column] i k_j) and on the
+    collocated path (row, row, m_nl) for every row.  Every multiplier has a
+    leading scheme axis (of one for one scheme); equal multipliers of the
+    two tables are one array."""
 
-    m_nl: np.ndarray
     lin_terms: tuple[tuple[int, int, np.ndarray], ...]
-    flux_terms: tuple[tuple[int, int, np.ndarray], ...]
+    nl_terms: tuple[tuple[int, int, np.ndarray], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,10 +201,8 @@ class RhsPlan:
     On the flux path, flux holds the components of sys.Q; polys and terms
     are then empty.  On the collocated path flux is empty, and polys and
     terms list the distinct nonzero entries of the A1_j and where each acts
-    (row, axis, column, index into polys).  The multipliers of each layout
-    (half_tables, cube_tables) are built on the first call that reads that
-    layout and kept: a plan that only marches on the cube holds no
-    half-size multiplier.
+    (row, axis, column, index into polys).  The multipliers (tables) are
+    built on the plan's first call and kept.
     """
 
     scheme: SchemeSpec | tuple[SchemeSpec, ...]
@@ -218,27 +213,19 @@ class RhsPlan:
     flux: tuple[Poly, ...]
 
     @cached_property
-    def half_tables(self) -> PlanTables:
-        """On the half spectrum: the sharp filter at the cutoff is the grid's one mask."""
+    def tables(self) -> PlanTables:
+        """Every filter is filter_multiplier at the cutoff on the plan's grid."""
         grid = self.grid
-        return self._tables(grid.diff_mult, grid.dealias_mask, lambda spec: filter_multiplier(spec, grid))
-
-    @cached_property
-    def cube_tables(self) -> PlanTables:
-        """On the retained cube: the half's multipliers cropped to it, with
-        their bits; there the sharp filter is a broadcast 1.0."""
-        grid = self.grid
-        ones = np.ones((1,) * grid.d)
-        return self._tables(grid.cube_diff_mult, ones, lambda spec: grid.crop(filter_multiplier(spec, grid)))
-
-    def _tables(self, dks, sharp: np.ndarray, smooth) -> PlanTables:
         schemes = (self.scheme,) if isinstance(self.scheme, SchemeSpec) else self.scheme
-        m_nl = [sharp if s.kind == "sharp" else smooth(FilterSpec("smooth", s.cutoff(self.grid))) for s in schemes]
+        m_nl = [filter_multiplier(FilterSpec("sharp" if s.kind == "sharp" else "smooth", s.cutoff(grid)), grid)
+                for s in schemes]
         m_lin = [1.0 if s.kind == "smooth-nl" else m for s, m in zip(schemes, m_nl)]
         shared: dict = {}
-        lin_terms = _multiplier_table(dks, self.sys.A0, m_lin, shared)
-        flux_terms = _multiplier_table(dks, self.sys.SJ0, m_nl, shared) if self.flux else ()
-        return PlanTables(_scheme_axis(m_nl)[:, None], lin_terms, flux_terms)  # m_nl broadcast over the components
+        lin_terms = _multiplier_table(grid.diff_mult, self.sys.A0, m_lin, shared)
+        if self.flux:
+            return PlanTables(lin_terms, _multiplier_table(grid.diff_mult, self.sys.SJ0, m_nl, shared))
+        m_nl = _scheme_axis(m_nl)
+        return PlanTables(lin_terms, tuple((i, i, m_nl) for i in range(self.sys.n)))
 
 
 def rhs_plan(scheme: SchemeSpec | tuple[SchemeSpec, ...], sys: SystemDef, grid: Grid) -> RhsPlan:
@@ -260,9 +247,9 @@ def rhs(
 ) -> StateField:
     """Right-hand side of the chosen semi-discretization at a state, or of
     a tuple of schemes at a stack of states, the i-th scheme at the i-th
-    state (the stack's leading axis), in the layout of the state: the half
-    spectrum, or the retained cube (on which evolve marches).  On the cube
-    the result is the crop of the result on the half, with its bits.
+    state (the stack's leading axis), on the state's grid: the half
+    spectrum, or its retained cube Grid.cube (on which evolve marches).  On
+    the cube the result is the crop of the result on the half, with its bits.
 
     A plan from rhs_plan(scheme, sys, state.grid) saves rebuilding the
     multipliers on every call.  U is read from the state's cached samples,
@@ -285,22 +272,20 @@ def rhs(
         plan = rhs_plan(scheme, sys, grid)
     elif plan.scheme != scheme or plan.sys is not sys or plan.grid != grid:
         raise ValueError("plan was built for another scheme, system or grid")
-    cube = state.on_cube
-    tables, forward = (plan.cube_tables, samples_to_cube) if cube else (plan.half_tables, samples_to_half)
+    tables = plan.tables
     if not stacked:  # a stack of one
         half, u = half[None], u[None]
     u = u.swapaxes(0, 1)  # variables first
+    # the samples of the nonlinear term, Q(U) or the collocated sum, are
+    # freed once transformed, before its table is applied
     if plan.flux:
-        # Q(U) joined along the component axis (np.stack(axis=1) without its
-        # wrapper's cost), in one expression: its samples are freed once
-        # transformed, before the table is applied
-        nl = _apply_table(
-            tables.flux_terms, forward(grid, np.concatenate([p.eval_on(u)[:, None] for p in plan.flux], axis=1))
-        )
+        # Q(U) joined along the component axis (np.stack(axis=1) without its wrapper's cost)
+        nl = samples_to_half(grid, np.concatenate([p.eval_on(u)[:, None] for p in plan.flux], axis=1))
     else:
-        dks = grid.cube_diff_mult if cube else grid.diff_mult
-        du = half_to_samples(grid, np.stack([half * dk for dk in dks])).swapaxes(1, 2)  # d_j of component c at [j][c]
-        nl = tables.m_nl * forward(grid, collocated_sum(grid, u, du, plan.polys, plan.terms)).swapaxes(0, 1)
+        # d_j of component c at [j][c]
+        du = half_to_samples(grid, np.stack([half * dk for dk in grid.diff_mult])).swapaxes(1, 2)
+        nl = samples_to_half(grid, collocated_sum(grid, u, du, plan.polys, plan.terms)).swapaxes(0, 1)
+    nl = _apply_table(tables.nl_terms, nl)
     out = _apply_table(tables.lin_terms, half)
     out += nl
     # -(lin + nl) with the bits of a table sum that starts from zeros: + 0.0

@@ -25,17 +25,16 @@ without it numpy allocates a second full-size output, and that allocation,
 not the FFT, made it about 2x slower than scipy.fft.  With out= the two
 take the same time and give the same bits, so no module imports scipy.
 
-The RK4 march stores a second layout, the retained cube |k_j| <= N
-(N = Grid.dealias_N, the Orszag two-thirds cutoff) of the half: last-axis
-columns 0..N and, in 2D, rows k_0 = 0..N and -N..-1 in FFT order
-(Grid.crop).  Every state the march makes is zero outside it, and the
-cube holds 44.5% of the half's modes at 2D M=128.  to_cube and to_half
-convert a state between the two layouts, with its samples;
-timeint.evolve_lockstep converts once into the cube before its first step
-and back into the half for every monitor sample and result.
-half_to_samples reads either layout; samples_to_half and samples_to_cube
-write one each, from the same forward transform call and with the same
-bits on the cube.  StateField.on_cube tells the layouts apart.
+The RK4 march stores its states on a grid of their own, Grid.cube: the
+retained cube |k_j| <= N (N = Grid.dealias_N, the Orszag two-thirds
+cutoff) of the half, last-axis columns 0..N and, in 2D, rows k_0 = 0..N
+and -N..-1 in FFT order (Grid.crop), 44.5% of the half's modes at 2D
+M=128.  A state's layout is its grid.  The cube carries the crops of the
+half's wavenumber, derivative and phase arrays, with their bits, so the
+transforms, filters, derivatives and the arithmetic give a cube state the
+crop of the half's result; it carries none of the half-only arrays, so
+the norms, the gathers and embed raise on it.  to_cube and to_half move a
+state between a grid and its cube.
 
 In 2D the last-axis columns 0 and M hold both k and -k.  The forward
 transform leaves them Hermitian only to rounding (at most 2.8e-17 measured
@@ -59,7 +58,6 @@ __all__ = [
     "state_from_samples",
     "to_samples",
     "samples_to_half",
-    "samples_to_cube",
     "half_to_samples",
     "to_cube",
     "to_half",
@@ -99,11 +97,10 @@ class Grid:
     (the leading axes all 2M modes in FFT order, the last axis modes
     0..M), and k_inf, k_sq, diff_mult, the phase factors,
     the multiplicities and the sharp mask dealias_mask (at the cutoff
-    dealias_N) derive from it.  cube_phase, cube_phase_conj and
-    cube_diff_mult are the phase and derivative factors cropped to the
-    retained cube (crop), with their bits.  half_multiplicity counts how
-    often each last-axis column of the half occurs in the full spectrum:
-    once for columns 0 and M, twice (as k and -k) for the others.
+    dealias_N) derive from it.  half_multiplicity counts how often each
+    last-axis column of the half occurs in the full spectrum: once for
+    columns 0 and M, twice (as k and -k) for the others.  cube is the
+    retained cube (crop) as a grid of its own, the layout of the RK4 march.
     """
 
     d: int
@@ -149,10 +146,8 @@ class Grid:
         object.__setattr__(self, "dealias_N", n_dealias)
         object.__setattr__(self, "cell_volume", (2.0 * np.pi / two_m) ** self.d)
         object.__setattr__(self, "dealias_mask", filter_multiplier(FilterSpec("sharp", n_dealias), self))
-        self.dealias_mask.flags.writeable = False  # every sharp rhs plan on this grid shares it
-        object.__setattr__(self, "cube_phase", self.crop(half_phase))
-        object.__setattr__(self, "cube_phase_conj", np.conj(self.cube_phase))
-        object.__setattr__(self, "cube_diff_mult", tuple(self.crop(dk) for dk in diff_mult))
+        self.dealias_mask.flags.writeable = False  # one array, read by every dealias on this grid
+        object.__setattr__(self, "cube", _Cube(self))
 
     def crop(self, a: np.ndarray) -> np.ndarray:
         """A copy of the retained cube |k_j| <= N (N = dealias_N) of values
@@ -165,6 +160,22 @@ class Grid:
         return np.concatenate((a[..., : n + 1, :], a[..., self.two_m - n :, :]), axis=-2)
 
 
+class _Cube:
+    """The retained cube (Grid.crop) of the grid full as a grid of its own:
+    full's points and cutoff, the crops of its kmesh, diff_mult and phase
+    factors, with their bits, and none of its half-only arrays (modes,
+    k_inf, k_sq, half_multiplicity, dealias_mask).  Its cube is itself."""
+
+    def __init__(self, full: Grid):
+        for name in ("d", "M", "two_m", "shape", "npoints", "axis_points", "dealias_N", "cell_volume"):
+            setattr(self, name, getattr(full, name))
+        self.full, self.cube = full, self
+        self.kmesh = tuple(full.crop(km) for km in full.kmesh)
+        self.diff_mult = tuple(full.crop(dk) for dk in full.diff_mult)
+        self.half_phase = full.crop(full.half_phase)
+        self.half_phase_conj = np.conj(self.half_phase)
+
+
 def make_grid(d: int, M: int) -> Grid:
     """Build a periodic grid with 2M collocation points per axis."""
     return Grid(d=d, M=M)
@@ -175,10 +186,9 @@ class StateField:
     """Vector of n real periodic fields on one shared grid, stored as the half
     spectrum of each component stacked along axis 0, shape (n, ..., M+1);
     a scalar field has n=1.  A stack of S such states, one per scheme of a
-    lockstep evolution, has shape (S, n, ..., M+1).  Inside the RK4 march
-    half holds the retained cube instead (Grid.crop; on_cube), shape
-    (n, ..., N+1) with 2N+1 rows in 2D; the transforms, the arithmetic and
-    the finiteness check read it as they read the half.
+    lockstep evolution, has shape (S, n, ..., M+1).  On a grid's cube
+    (Grid.cube, the layout of the RK4 march) half holds the retained cube
+    instead, shape (n, ..., N+1) with 2N+1 rows in 2D.
     """
 
     grid: Grid
@@ -187,11 +197,6 @@ class StateField:
     @property
     def n(self) -> int:
         return self.half.shape[-self.grid.d - 1]
-
-    @property
-    def on_cube(self) -> bool:
-        """Whether half holds the retained cube (Grid.crop) instead of the half spectrum."""
-        return self.half.shape[-1] == self.grid.dealias_N + 1
 
     @cached_property
     def samples(self) -> np.ndarray:
@@ -271,20 +276,16 @@ def _rfft(grid: Grid, samples: np.ndarray) -> np.ndarray:
 
 
 def samples_to_half(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    """Half-spectrum coefficients of real samples.
+    """Half-spectrum coefficients of real samples, or on a Grid.cube their
+    retained cube, gathered from the same transform before the phase factor
+    and so with the bits of the half.
 
     No finiteness check: non-finite samples give non-finite coefficients.
     """
     out = _rfft(grid, samples)
+    if isinstance(grid, _Cube):
+        out = grid.full.crop(out)
     out *= grid.half_phase
-    return out
-
-
-def samples_to_cube(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    """The retained cube of samples_to_half(grid, samples), with its bits:
-    gathered from the same transform before the phase factor."""
-    out = grid.crop(_rfft(grid, samples))
-    out *= grid.cube_phase
     return out
 
 
@@ -307,36 +308,47 @@ def _widen(grid: Grid, cube: np.ndarray, width: int, factor: np.ndarray | None) 
 
 def half_to_samples(grid: Grid, half: np.ndarray) -> np.ndarray:
     """Real values at the collocation points of Hermitian coefficients given
-    by their half spectrum or by their retained cube (Grid.crop), in one
+    by their half spectrum, or on a Grid.cube by their retained cube, in one
     inverse transform call.  From the cube the last axis is zero-padded by
     the transform itself (irfft's n, irfftn's s); in 2D its rows enter a
     zeroed (2M, N+1) buffer first, so the column pass runs on N+1 columns."""
-    cube = half.shape[-1] == grid.dealias_N + 1
-    if cube and grid.d == 2:
-        spec = _widen(grid, half, grid.dealias_N + 1, grid.cube_phase_conj)
+    if isinstance(grid, _Cube) and grid.d == 2:
+        spec = _widen(grid, half, grid.dealias_N + 1, grid.half_phase_conj)
     else:
-        spec = half * (grid.cube_phase_conj if cube else grid.half_phase_conj)
+        spec = half * grid.half_phase_conj
     if grid.d == 1:
         return np.fft.irfft(spec, n=grid.two_m, norm="forward")
     return np.fft.irfftn(spec, s=grid.shape, axes=(-2, -1), norm="forward")
 
 
+def _zero_outside_cube(x: StateField) -> bool:
+    """Whether a state (or stack) on the half spectrum is zero outside the cube."""
+    grid, n = x.grid, x.grid.dealias_N
+    beyond = [x.half[..., n + 1 :]]  # last axis: modes N+1..M
+    if grid.d == 2:  # leading axis in FFT order: N < |k| rows
+        beyond.append(x.half[..., n + 1 : grid.two_m - n, :])
+    return not any(np.any(part) for part in beyond)
+
+
 def to_cube(x: StateField) -> StateField:
-    """The state (or stack) on its retained cube, with its samples when it
-    has sampled: the layout of an RK4 march (every state evolve makes is
-    zero outside the cube)."""
-    return _relaid(x, x.grid.crop(x.half))
+    """The state (or stack) on its grid's cube (Grid.cube), the layout of
+    an RK4 march, with its samples when it has sampled and is zero outside
+    the cube (every state evolve makes is)."""
+    grid = x.grid
+    cube = StateField(grid.cube, grid.crop(x.half))
+    return _with_samples_of(x, cube) if _zero_outside_cube(x) else cube
 
 
 def to_half(x: StateField) -> StateField:
-    """A state (or stack) on the cube back on the half spectrum, zeros
-    outside the cube, with its samples when it has sampled."""
-    return _relaid(x, _widen(x.grid, x.half, x.grid.M + 1, None))
+    """A state (or stack) on a cube back on the half spectrum of its grid,
+    zeros outside the cube, with its samples when it has sampled."""
+    grid = x.grid
+    return _with_samples_of(x, StateField(grid.full, _widen(grid, x.half, grid.M + 1, None)))
 
 
-def _relaid(x: StateField, spectrum: np.ndarray) -> StateField:
-    st = StateField(x.grid, spectrum)
-    if "samples" in x.__dict__:  # the same field: its samples stay
+def _with_samples_of(x: StateField, st: StateField) -> StateField:
+    """st, the same field as x, with the samples of x when it has sampled."""
+    if "samples" in x.__dict__:  # where cached_property keeps them
         st.__dict__["samples"] = x.__dict__["samples"]
     return st
 
@@ -396,7 +408,7 @@ def filter_multiplier(spec: FilterSpec, grid: Grid) -> np.ndarray:
     if spec.N > grid.M:
         raise ValueError(f"filter cutoff N={spec.N} exceeds resolved modes M={grid.M}")
     if spec.kind == "sharp":
-        return (grid.k_inf <= spec.N).astype(np.float64)
+        return reduce(np.logical_and, [np.abs(km) <= spec.N for km in grid.kmesh]).astype(np.float64)
     mult = 1.0
     for km in grid.kmesh:
         mult = mult * smooth_ramp(km / spec.N)
@@ -411,13 +423,9 @@ def dealias(x: StateField):
     """Zero the top third of modes: the sharp filter at the grid's cutoff
     dealias_N.  A state already zero there is returned as it is, with its
     samples: the product would give the same bits."""
-    grid, n = x.grid, x.grid.dealias_N
-    beyond = [x.half[..., n + 1 :]]  # last axis: modes N+1..M
-    if grid.d == 2:  # leading axis in FFT order: N < |k| rows
-        beyond.append(x.half[..., n + 1 : grid.two_m - n, :])
-    if not any(np.any(part) for part in beyond):
+    if _zero_outside_cube(x):
         return x
-    return StateField(grid, x.half * grid.dealias_mask)
+    return StateField(x.grid, x.half * x.grid.dealias_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +480,7 @@ def coefficients_at(x: StateField, ks) -> np.ndarray:
     part does not become -0.0."""
     grid = x.grid
     ks = np.asarray(ks, dtype=np.int64)
-    if np.any((ks <= -grid.M) | (ks > grid.M)):
+    if not np.isin(ks, grid.modes).all():
         raise ValueError(f"modes must lie in {-grid.M + 1}..{grid.M}")
     kk = np.meshgrid(*[ks] * grid.d, indexing="ij")
     neg = kk[-1] < 0
@@ -490,7 +498,7 @@ def embed(x: StateField, fine: Grid) -> StateField:
         raise ValueError("grids must share the spatial dimension")
     if fine.M < grid.M:
         raise ValueError("target grid must be at least as fine")
-    if fine.M == grid.M:
+    if fine == grid:
         return x
     m = grid.M
     # A mode with a component at the coarse Nyquist +M stands for +M and -M

@@ -4,10 +4,10 @@ The schemes of one run evolve in lockstep as one stack of states (a leading
 scheme axis): each right-hand side, RK4 combine, finiteness check and
 monitor sample acts on the whole stack at once, and a scheme that blows up
 leaves the stack while the others go on.  The march computes on the
-retained mode cube |k_j| <= N only (spectral.to_cube): it crops the
-projected stack once, runs every RK4 stage, finiteness check and growth
-check on the cube, and hands the monitors and each EvolveResult the half
-spectrum back (spectral.to_half, zeros outside the cube), so the norms
+retained mode cube |k_j| <= N, the grid Grid.cube, only: it moves the
+projected stack there once (spectral.to_cube), runs every RK4 stage,
+finiteness check and growth check on the cube, and hands the monitors and
+each EvolveResult the half spectrum back (spectral.to_half), so the norms
 sum in their usual order and every output keeps its bits.
 
 On glibc the step loop runs under one heap policy (_march_heap), and
@@ -285,8 +285,8 @@ def evolve_lockstep(
     if state0.n != sys.n:  # rhs's check, made before the t=0 monitors read the components
         raise ValueError(f"state has {state0.n} components, system expects {sys.n}")
     schemes = tuple(schemes)
-    grid = state0.grid
-    plan = rhs_plan(schemes, sys, grid)
+    cube = state0.grid.cube  # the grid of the march
+    plan = rhs_plan(schemes, sys, cube)
     n_full, partial = _step_plan(cfg.T, cfg.dt)
     n_steps = n_full + len(partial)
     if cfg.monitor_stride is not None:
@@ -315,7 +315,7 @@ def evolve_lockstep(
         keep = [k for k in range(len(live)) if k not in out]
         live = [live[k] for k in keep]
         if live:
-            plan = rhs_plan(tuple(schemes[j] for j in live), sys, grid)
+            plan = rhs_plan(tuple(schemes[j] for j in live), sys, cube)
         return st.view(lambda a: a[keep])
 
     rhs_fn = lambda st: rhs(plan.scheme, sys, st, plan)

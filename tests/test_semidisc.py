@@ -277,7 +277,7 @@ class TestTransformBudget:
         if on_cube:
             st = to_cube(dealias(st))
         scheme = SchemeSpec(kind)
-        plan = rhs_plan(scheme, sysd, g)
+        plan = rhs_plan(scheme, sysd, st.grid)
         expected = rhs(scheme, sysd, st, plan).half  # the plan's first call builds its tables
         counts = count_transforms(monkeypatch, g.npoints)
 
@@ -290,12 +290,12 @@ class TestTransformBudget:
         for mod in (spectral, semidisc):
             for name in ("hermitian_symmetrize", "filter_multiplier"):
                 monkeypatch.setattr(mod, name, forbidden, raising=False)
-        fresh = StateField(g, st.half)
+        fresh = StateField(st.grid, st.half)
         out = rhs(scheme, sysd, fresh, plan)
         # 2D: 3 + 3 = 6 real transforms on the flux path, 9 + 3 = 12 collocated
         inverse = sysd.n if flux else sysd.n * (sysd.d + 1)
         assert counts == {"inverse": inverse + projected, "forward": sysd.n + projected}
-        assert out.on_cube == on_cube
+        assert out.grid is st.grid
         assert out.half.tobytes() == expected.tobytes()
         # the call cached the samples of U on fresh: the next one reads them
         counts.clear()
@@ -324,14 +324,7 @@ class TestTransformBudget:
         # A0_j = SJ0_j for this system, one nonzero axis per entry: i k_x P_N and i k_y P_N
         sysd = saint_venant_2d_hamiltonian()
         plan = rhs_plan(SchemeSpec("sharp"), sysd, make_grid(2, 8))
-        assert len({id(m) for _, _, m in plan.half_tables.lin_terms + plan.half_tables.flux_terms}) == 2
-
-    @pytest.mark.parametrize("make_sys, M", [(saint_venant_1d, 16), (saint_venant_2d_hamiltonian, 8)])
-    def test_sharp_plan_shares_the_grid_mask(self, make_sys, M):
-        g = make_grid(make_sys().d, M)
-        plan = rhs_plan(SchemeSpec("sharp"), make_sys(), g)
-        assert plan.half_tables.m_nl.base is g.dealias_mask  # a view with the scheme and component axes
-        assert not g.dealias_mask.flags.writeable
+        assert len({id(m) for _, _, m in plan.tables.lin_terms + plan.tables.nl_terms}) == 2
 
     def test_plan_for_another_scheme_rejected(self):
         g = make_grid(1, 16)
@@ -454,13 +447,13 @@ class TestRetainedCube:
         g = make_grid(sysd.d, M)
         st = dealias(random_state(np.random.default_rng(30), g, sysd.n, g.dealias_N))  # as evolve makes them
         scheme = SchemeSpec(kind)
-        plan = rhs_plan(scheme, sysd, g)
-        cube = StateField(g, to_cube(st).half)  # unsampled: its U comes from the cube
-        got = rhs(scheme, sysd, cube, plan)
-        assert got.on_cube and got.half.tobytes() == g.crop(rhs(scheme, sysd, st, plan).half).tobytes()
-        step = lambda s: rhs(scheme, sysd, s, plan)
-        got = rk4_step(step, StateField(g, cube.half), 1e-3)
-        assert got.on_cube and got.half.tobytes() == g.crop(rk4_step(step, st, 1e-3).half).tobytes()
+        plans = {grid: rhs_plan(scheme, sysd, grid) for grid in (g, g.cube)}  # one plan per grid
+        step = lambda s: rhs(scheme, sysd, s, plans[s.grid])
+        cube = StateField(g.cube, to_cube(st).half)  # unsampled: its U comes from the cube
+        got = step(cube)
+        assert got.grid is g.cube and got.half.tobytes() == g.crop(step(st).half).tobytes()
+        got = rk4_step(step, StateField(g.cube, cube.half), 1e-3)
+        assert got.grid is g.cube and got.half.tobytes() == g.crop(rk4_step(step, st, 1e-3).half).tobytes()
 
     @pytest.mark.parametrize("make_sys, M", SYSTEM_CASES)
     def test_stack_on_the_cube_is_the_crop(self, make_sys, M):
@@ -470,25 +463,24 @@ class TestRetainedCube:
         states = [dealias(random_state(rng, g, sysd.n, g.dealias_N)) for _ in SCHEME_KINDS]
         stack = StateField(g, np.stack([st.half for st in states]))
         schemes = tuple(SchemeSpec(kind) for kind in SCHEME_KINDS)
-        plan = rhs_plan(schemes, sysd, g)
-        got = rhs(schemes, sysd, StateField(g, g.crop(stack.half)), plan)
-        assert got.half.tobytes() == g.crop(rhs(schemes, sysd, stack, plan).half).tobytes()
+        got = rhs(schemes, sysd, StateField(g.cube, g.crop(stack.half)), rhs_plan(schemes, sysd, g.cube))
+        assert got.half.tobytes() == g.crop(rhs(schemes, sysd, stack, rhs_plan(schemes, sysd, g)).half).tobytes()
 
     @pytest.mark.parametrize("make_sys, M", SYSTEM_CASES)
-    def test_tables_of_each_layout_are_built_on_first_use(self, make_sys, M):
+    def test_tables_are_built_on_first_use(self, make_sys, M):
         sysd = make_sys()
         g = make_grid(sysd.d, M)
         schemes = tuple(SchemeSpec(kind) for kind in SCHEME_KINDS)
-        plan = rhs_plan(schemes, sysd, g)
-        assert "half_tables" not in plan.__dict__ and "cube_tables" not in plan.__dict__
+        plan = rhs_plan(schemes, sysd, g.cube)
+        assert "tables" not in plan.__dict__
         st = dealias(random_state(np.random.default_rng(32), g, sysd.n, g.dealias_N))
         rhs(schemes, sysd, to_cube(st).view(lambda a: np.broadcast_to(a, (3,) + a.shape)), plan)
-        assert "half_tables" not in plan.__dict__  # a march on the cube holds no half-size multiplier
         cube_shape = (2 * g.dealias_N + 1,) * (g.d - 1) + (g.dealias_N + 1,)
-        tables = plan.cube_tables
-        assert all(m.shape == (3,) + cube_shape for _, _, m in tables.lin_terms + tables.flux_terms)
-        assert tables.m_nl.shape == (3, 1) + cube_shape
-        assert np.all(tables.m_nl[0] == 1.0)  # sharp: the mask is 1 on the cube
+        tables = plan.__dict__["tables"]  # a march on the cube holds no half-size multiplier
+        assert all(m.shape == (3,) + cube_shape for _, _, m in tables.lin_terms + tables.nl_terms)
+        if not plan.flux:  # the collocated filter, one diagonal term per row; sharp: 1 on the cube
+            assert [(i, c) for i, c, _ in tables.nl_terms] == [(i, i) for i in range(sysd.n)]
+            assert np.all(tables.nl_terms[0][2][0] == 1.0)
 
     @pytest.mark.parametrize("on_cube", [False, True], ids=["half", "cube"])
     def test_collocated_derivatives_are_one_inverse_call(self, monkeypatch, on_cube):
@@ -497,7 +489,7 @@ class TestRetainedCube:
         st = dealias(random_state(np.random.default_rng(33), g, sysd.n, g.dealias_N))
         if on_cube:
             st = to_cube(st)
-        plan = rhs_plan(SchemeSpec("smooth-nl"), sysd, g)
+        plan = rhs_plan(SchemeSpec("smooth-nl"), sysd, st.grid)
         want = rhs(SchemeSpec("smooth-nl"), sysd, st, plan).half
         calls = Counter()
         for name in ("rfftn", "irfftn"):
@@ -505,7 +497,7 @@ class TestRetainedCube:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
-        got = rhs(SchemeSpec("smooth-nl"), sysd, StateField(g, st.half), plan)
+        got = rhs(SchemeSpec("smooth-nl"), sysd, StateField(st.grid, st.half), plan)
         assert calls == {"irfftn": 2, "rfftn": 1}  # U; d_x U and d_y U; the nonlinear sum
         assert got.half.tobytes() == want.tobytes()
 
@@ -536,8 +528,9 @@ class TestMultiplierTables:
     @pytest.mark.parametrize("flux", [True, False])
     def test_row_without_terms_is_exactly_zero(self, flux):
         # A = SJ0 S with the 1D shallow-water S and SJ0 = diag(1, 0):
-        # A = [[1, u], [0, 0]], so no term of any table acts on row 2
-        # and that row of rhs is zero whatever the state.  The tables start
+        # A = [[1, u], [0, 0]], so no term of any table acts on row 2 but
+        # the collocated filter, on a zero row of the collocated sum, and
+        # that row of rhs is zero whatever the state.  The tables start
         # from an unfilled array, which on the flux path reuses the freed
         # transform of Q(U), both of whose rows hold other values.
         sv = saint_venant_1d()
@@ -550,8 +543,8 @@ class TestMultiplierTables:
         g = make_grid(1, 16)
         for kind in SCHEME_KINDS:
             plan = rhs_plan(SchemeSpec(kind), sysd, g)
-            tables = plan.half_tables
-            assert [i for i, _, _ in tables.lin_terms + tables.flux_terms] == [0] * (1 + flux)
+            tables = plan.tables
+            assert [i for i, _, _ in tables.lin_terms + tables.nl_terms] == ([0, 0] if flux else [0, 0, 1])
             for _ in range(4):
                 out = rhs(SchemeSpec(kind), sysd, random_state(rng, g, 2, g.dealias_N), plan).half
                 assert np.array_equal(out[1], np.zeros_like(out[1]))

@@ -16,9 +16,9 @@ from specwave.spectral import (
     half_to_samples,
     hermitian_symmetrize,
     l2_inner,
+    linf,
     make_grid,
     max_mode_support,
-    samples_to_cube,
     samples_to_half,
     smooth_ramp,
     sobolev_norm,
@@ -330,6 +330,7 @@ class TestFilters:
             projected = dealias(StateField(g, half))
             assert projected.half.tobytes() == (half * g.dealias_mask).tobytes()
             assert projected.half[(1, *beyond)] == 0.0
+        assert not g.dealias_mask.flags.writeable  # one array, read by every dealias on the grid
 
     def test_ramp_profile_values(self):
         assert smooth_ramp(0.5) == 1.0
@@ -590,7 +591,7 @@ class TestRetainedCube:
             assert g.crop(g.kmesh[0]).ravel().tolist() == list(range(n + 1)) + list(range(-n, 0))
         st = projected_state(d, m, 70 + d)
         cube = to_cube(st)
-        assert cube.on_cube and not st.on_cube
+        assert cube.grid is st.grid.cube
         assert cube.half.shape == (2,) + (2 * n + 1,) * (d - 1) + (n + 1,) and cube.half.flags.c_contiguous
         assert np.count_nonzero(cube.half) == np.count_nonzero(st.half)  # nothing outside the cube
         assert g.crop(g.k_inf).max() == n and g.crop(g.dealias_mask).min() == 1.0
@@ -599,7 +600,7 @@ class TestRetainedCube:
     def test_to_half_embeds_with_zeros(self, d, m):
         st = projected_state(d, m, 72 + d)
         back = to_half(to_cube(st))
-        assert not back.on_cube and back.half.shape == st.half.shape
+        assert back.grid is st.grid and back.half.shape == st.half.shape
         assert np.array_equal(back.half, st.half)
         assert not np.signbit(back.half[back.half == 0.0].view(np.float64)).any()  # +0.0 outside the cube
         assert st.grid.crop(back.half).tobytes() == to_cube(st).half.tobytes()
@@ -610,12 +611,12 @@ class TestRetainedCube:
         st = projected_state(d, m, 74 + d, lead)
         g = st.grid
         cube = to_cube(st).half  # no samples yet
-        want = half_to_samples(g, to_half(StateField(g, cube)).half)
+        want = half_to_samples(g, to_half(StateField(g.cube, cube)).half)
         counts = count_transforms(monkeypatch, g.npoints)
         for lib in (scipy.fft, np.fft):
             for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
                 monkeypatch.setattr(lib, name, None)
-        got = half_to_samples(g, cube)
+        got = half_to_samples(g.cube, cube)
         assert counts == {"inverse": int(np.prod(lead))}  # one call, one transform per component
         assert got.tobytes() == want.tobytes()
         assert got.tobytes() == half_to_samples(g, st.half).tobytes()
@@ -624,15 +625,71 @@ class TestRetainedCube:
     def test_forward_transform_gathers_the_cube(self, d, m):
         g = make_grid(d, m)
         samples = np.random.default_rng(76 + d).normal(size=(3, 2) + g.shape)
-        assert samples_to_cube(g, samples).tobytes() == g.crop(samples_to_half(g, samples)).tobytes()
+        assert samples_to_half(g.cube, samples).tobytes() == g.crop(samples_to_half(g, samples)).tobytes()
 
-    def test_cube_factors_are_the_crop_of_the_half_ones(self):
+    def test_cube_grid_holds_the_crop_of_the_half_arrays_and_no_half_only_one(self):
         for d, m in CUBE_GRIDS:
             g = make_grid(d, m)
-            assert g.cube_phase.tobytes() == g.crop(g.half_phase).tobytes()
-            assert g.cube_phase_conj.tobytes() == g.crop(g.half_phase_conj).tobytes()
-            for dk, cube_dk in zip(g.diff_mult, g.cube_diff_mult):
-                assert cube_dk.tobytes() == g.crop(dk).tobytes()
+            c = g.cube
+            assert c.full is g and c.cube is c and c.axis_points is g.axis_points
+            for name in ("d", "M", "two_m", "shape", "npoints", "dealias_N", "cell_volume"):
+                assert getattr(c, name) == getattr(g, name), name
+            assert c.half_phase.tobytes() == g.crop(g.half_phase).tobytes()
+            assert c.half_phase_conj.tobytes() == g.crop(g.half_phase_conj).tobytes()
+            for name in ("kmesh", "diff_mult"):
+                assert len(getattr(c, name)) == d
+                for cube_a, a in zip(getattr(c, name), getattr(g, name)):
+                    assert cube_a.tobytes() == g.crop(a).tobytes() and cube_a.shape == g.crop(a).shape, name
+            for name in ("modes", "k_inf", "k_sq", "half_multiplicity", "dealias_mask", "crop"):
+                assert not hasattr(c, name), name
+
+    @pytest.mark.parametrize("d, m", CUBE_GRIDS)
+    def test_half_only_functions_raise_on_the_cube(self, d, m):
+        st = projected_state(d, m, 80 + d, (3,))
+        g = st.grid
+        cube = to_cube(st)
+        calls = {
+            "sobolev_norm": lambda: sobolev_norm(cube, 1),
+            "l2_inner": lambda: l2_inner(cube, cube),
+            "coefficients_at": lambda: coefficients_at(cube, [0, 1]),
+            "coeffs": lambda: cube.coeffs,
+            "embed": lambda: embed(cube, g),
+            "embed finer": lambda: embed(cube, make_grid(d, 2 * m)),
+            "max_mode_support": lambda: max_mode_support(cube),
+            "to_cube": lambda: to_cube(cube),
+        }
+        for name, call in calls.items():
+            with pytest.raises(AttributeError):
+                call()
+                pytest.fail(name)
+
+    @pytest.mark.parametrize("d, m", CUBE_GRIDS)
+    def test_layout_free_functions_give_the_crop(self, d, m):
+        st = projected_state(d, m, 82 + d, (3, 2))  # a stack
+        g = st.grid
+        cube = to_cube(st)
+        crop = lambda x: g.crop(x.half).tobytes()
+        for axis in range(d):
+            assert differentiate(cube, axis).half.tobytes() == crop(differentiate(st, axis))
+        n = g.dealias_N
+        for spec in (FilterSpec("sharp", n), FilterSpec("sharp", n // 2), FilterSpec("smooth", n),
+                     FilterSpec("smooth", m)):
+            assert filter_multiplier(spec, g.cube).tobytes() == g.crop(filter_multiplier(spec, g)).tobytes()
+            assert apply_filter(cube, spec).half.tobytes() == crop(apply_filter(st, spec))
+        assert np.all(filter_multiplier(FilterSpec("sharp", n), g.cube) == 1.0)
+        assert linf(cube).tobytes() == linf(st).tobytes()
+        assert (cube + 2.0 * cube - (-cube) * 0.5).half.tobytes() == crop(st + 2.0 * st - (-st) * 0.5)
+
+    def test_to_cube_drops_the_samples_of_modes_outside_it(self):
+        # cos(15x) lies outside the cube |k| <= N = 10 of M = 16: the
+        # state's samples are not those of its cube
+        g = make_grid(1, 16)
+        st = state_from_samples(g, np.cos(15 * g.axis_points)[None])
+        assert np.max(np.abs(to_samples(st))) > 0.99  # sampled: the samples are cached
+        cube = to_cube(st)
+        assert "samples" not in cube.__dict__
+        assert to_samples(cube).tobytes() == half_to_samples(g.cube, cube.half).tobytes()
+        assert np.max(np.abs(to_samples(cube))) < 1e-13  # rounding only: the samples differ by 1.0
 
     def test_layout_changes_carry_the_samples(self, monkeypatch):
         st = projected_state(2, 8, 78)

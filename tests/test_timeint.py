@@ -304,7 +304,7 @@ class TestEvolve:
         def poisoned_step(rhs_fn, state, dt):
             half = state.half.copy()
             half[0, 1] = bad
-            return StateField(g, half)
+            return StateField(state.grid, half)
 
         monkeypatch.setattr(timeint, "rk4_step", poisoned_step)
         with np.errstate(invalid="ignore"):
@@ -554,7 +554,7 @@ class TestCubeMarch:
                                   EvolveConfig(dt=1e-3, T=0.005, monitor_stride=2))
         n = g.dealias_N
         assert len(shapes) == 20 and set(shapes) == {(3, sysd.n) + (2 * n + 1,) * (g.d - 1) + (n + 1,)}
-        assert plans and all("half_tables" not in plan.__dict__ for plan in plans)  # no half-size multiplier
+        assert plans and all(plan.grid is g.cube for plan in plans)  # no half-size multiplier
         for res in results:
             assert res.completed and res.final_state.half.shape == (sysd.n,) + g.shape[:-1] + (M + 1,)
 
@@ -576,6 +576,24 @@ class TestCubeMarch:
             assert res.final_state.half.tobytes() == state.half.tobytes()
             assert res.final_state.samples.tobytes() == state.samples.tobytes()
             assert np.array(res.monitor_rows)[1:, 1:].tobytes() == np.array(rows).tobytes()
+
+    @pytest.mark.parametrize("make_sys, M, initial", MARCH_CASES)
+    def test_sampled_data_outside_the_cube_evolve_as_unsampled(self, make_sys, M, initial):
+        # bench/worker.py's order: an rhs call on the data caches their
+        # samples, then evolve projects them
+        sysd = make_sys()
+        g = make_grid(sysd.d, M)
+        st0 = build_initial(initial, {}, g)
+        assert dealias(st0) is not st0  # content outside the cube
+        sampled = StateField(g, st0.half)
+        rhs(SchemeSpec("sharp"), sysd, sampled)
+        assert "samples" in sampled.__dict__
+        cfg = EvolveConfig(dt=1e-3, T=0.003, monitor_stride=2)
+        for kind in SCHEME_KINDS:
+            want = evolve(SchemeSpec(kind), sysd, StateField(g, st0.half), cfg)
+            got = evolve(SchemeSpec(kind), sysd, sampled, cfg)
+            assert got.final_state.half.tobytes() == want.final_state.half.tobytes()
+            assert np.array(got.monitor_rows).tobytes() == np.array(want.monitor_rows).tobytes()
 
 
 class TestOneStateAgainstStack:
